@@ -6,6 +6,8 @@ the same class mod q, p' must arrive before p + h1(p) (plus an endpoint
 sweep).  `check_sqrt` verifies the sqrt-count window by only *inspecting*
 roughly every sqrt(p)-th prime — enough because that window counts
 primes, not gaps.  Both stream primes in chunks, so memory stays flat.
+A table scan sieves the union of its rows' ranges once and feeds every
+segment to each row that overlaps it.
 """
 
 from __future__ import annotations
@@ -36,4 +38,4 @@ for rep in run_exception_tables("t5", block=2):
           f"{rep.wall_time:.2f}s")
 
 print("\n(the full tables are `apbounds check t5` / `check t6`; add")
-print(" --jobs N to scan rows in parallel, --block B for one block)")
+print(" --jobs N to scan N groups of rows in parallel, --block B for one block)")

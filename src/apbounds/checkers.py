@@ -2,20 +2,26 @@
 
 A parameter choice (alpha, delta, rho) claims that for x in a stated range,
 every window (x, x + h(x)] contains a prime in each coprime class mod q.
-The checkers replay that claim against the actual primes:
+The checkers replay that claim against the actual primes.  Each row's scan
+is a push-style scanner: `feed(seg)` takes the next increasing array of the
+row's primes, `finish()` runs the end-of-range sweep and returns the
+`CheckReport`.
 
-* check1 walks every class prime and carries the current deadline
-  x + h1(x); a prime at or past its class deadline, or a deadline that dies
-  before the end of the range, is a failure.
+* The every-prime scanner (`check1`) walks every class prime and carries
+  the current deadline x + h1(x); a prime at or past its class deadline, or
+  a deadline that dies before the end of the range, is a failure.
 
-* check_sqrt does the same for the taller hsqrt windows but only inspects
-  every N-th class prime, N = isqrt(floor(deadline)) + 1: the thinned scan
-  proves the (slightly weaker) claim at sqrt-count density in a fraction of
-  the work.
+* The thinned scanner (`check_sqrt`) does the same for the taller hsqrt
+  windows but only inspects every N-th class prime,
+  N = isqrt(floor(deadline)) + 1: the thinned scan proves the (slightly
+  weaker) claim at sqrt-count density in a fraction of the work.
 
-Primes stream in segments from the sieve; results are invariant under how
-the stream is chunked, which the tests exercise with deliberately awkward
-chunk sizes.
+`check1` and `check_sqrt` scan one row from their own prime source.  The
+exception-table driver `run_exception_tables` instead sieves the union of
+its rows' ranges once and hands each prime segment to every row that
+overlaps it, so overlapping rows share one sieve.  Results are invariant
+under how the stream is chunked, which the tests exercise with
+deliberately awkward chunk sizes and by comparing both routes.
 """
 from __future__ import annotations
 
@@ -30,17 +36,37 @@ from .sieve import prime_array_segments
 from .tables import ExceptionBlock, load_table5, load_table6
 from .thm1 import h1, hsqrt
 
-__all__ = ["GUARD", "CheckReport", "check1", "check_sqrt",
+__all__ = ["GUARD", "CheckReport", "check1", "check_sqrt", "row_guard",
            "run_exception_tables"]
 
 # absorbs float rounding in deadline comparisons: a window is only counted
 # as covering a prime when it clears it by more than this
 GUARD = 1e-6
 
+# Rounding headroom in ulps of the row's top end hi.  A deadline is
+# fl(fl(p) + fl(h(p))): fl(p) is exact below 2^53 and off by at most
+# ulp(p)/2 above; fl(h(p)) takes about eight roundings of relative size
+# u = 2^-53 (log, sqrt, three products, two sums) and h(p) <= p + h(p),
+# so its error stays below 8u(p + h(p)) <= 8 ulp; the final sum adds
+# ulp/2.  A comparison only hangs on rounding when the deadline lies next
+# to a prime or to x_end, both <= hi, so all of this is at most about
+# 9.5 ulp(hi), and 16 ulps leave room.  Below 2^29 (every bundled row)
+# 16 ulp(hi) <= 2^-20 < GUARD, so the guard there is exactly GUARD.
+_GUARD_ULPS = 16
+
+
+def row_guard(hi: int) -> float:
+    """Deadline guard for a row whose primes run up to `hi`."""
+    return max(GUARD, _GUARD_ULPS * math.ulp(float(hi)))
+
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one checker run: empty `failures` means the claim held."""
+    """Outcome of one checker run: empty `failures` means the claim held.
+
+    `wall_time` is the row's own scanning time (its scanner's `feed` and
+    `finish` calls); generating the primes, shared or not, is excluded.
+    """
 
     q: int
     x0: int
@@ -55,41 +81,126 @@ def _coprime_classes(q: int) -> list[int]:
     return [a for a in range(1, q) if math.gcd(a, q) == 1]
 
 
-def check1(alpha: float, delta: float, rho: float, q: int,
-           x0: int, x_end: int, *, prime_source=None) -> CheckReport:
-    """Every-prime scan of [x0, x_end] with window length h1."""
-    t_start = time.perf_counter()
-    source = prime_source if prime_source is not None else prime_array_segments
-    hi = math.floor(x_end + h1(alpha, delta, rho, q, float(x_end)))
-    classes = _coprime_classes(q)
-    init = float(x0 + h1(alpha, delta, rho, q, float(x0)))
-    carry = dict.fromkeys(classes, init)
-    failures: list[tuple[int, float]] = []
-    scanned = 0
-    for seg in source(x0, hi):
+class _RowScan:
+    """One row's scan state: per-class deadlines, failures, primes seen.
+
+    The row covers the primes in [lo, hi], lo = max(x0, 2) and
+    hi = floor(x_end + h(x_end)).  Subclasses supply `mode`, the window
+    function `h` and `_scan(seg)`, which consumes one non-empty segment.
+    """
+
+    mode: str
+
+    def __init__(self, alpha: float, delta: float, rho: float, q: int,
+                 x0: int, x_end: int) -> None:
+        t_start = time.perf_counter()
+        self.params = (alpha, delta, rho, q)
+        self.q, self.x0, self.x_end = q, x0, x_end
+        self.lo = max(int(x0), 2)
+        self.hi = math.floor(x_end + self.h(*self.params, float(x_end)))
+        self.guard = row_guard(self.hi)
+        self.classes = _coprime_classes(q)
+        init = float(x0 + self.h(*self.params, float(x0)))
+        self.deadline = dict.fromkeys(self.classes, init)
+        self.failures: list[tuple[int, float]] = []
+        self.scanned = 0
+        self.busy = time.perf_counter() - t_start
+
+    def feed(self, seg) -> None:
+        """Scan the next increasing array of primes from [lo, hi]."""
+        t_start = time.perf_counter()
         seg = np.asarray(seg)
-        if seg.size == 0:
-            continue
+        if seg.size:
+            self._scan(seg)
+        self.busy += time.perf_counter() - t_start
+
+    def finish(self) -> CheckReport:
+        """Flag every class whose last deadline dies before x_end."""
+        t_start = time.perf_counter()
+        for a in self.classes:
+            if self.deadline[a] - self.guard < self.x_end:
+                self.failures.append((a, self.deadline[a]))
+        self.failures.sort()
+        return CheckReport(q=self.q, x0=self.x0, x_end=self.x_end,
+                           mode=self.mode, failures=tuple(self.failures),
+                           primes_scanned=self.scanned,
+                           wall_time=self.busy + time.perf_counter() - t_start)
+
+
+class _Scan1(_RowScan):
+    """Every-prime scan with window length h1."""
+
+    mode = "single"
+    h = staticmethod(h1)
+
+    def _scan(self, seg: np.ndarray) -> None:
+        alpha, delta, rho, q = self.params
+        carry, guard, failures = self.deadline, self.guard, self.failures
         res = seg % q
-        for a in classes:
+        for a in self.classes:
             cp = seg[res == a].astype(np.float64)
             if cp.size == 0:
                 continue
-            scanned += cp.size
+            self.scanned += cp.size
             dl = np.empty_like(cp)
             dl[0] = carry[a]
             if cp.size > 1:
                 dl[1:] = cp[:-1] + h1(alpha, delta, rho, q, cp[:-1])
-            for i in np.flatnonzero(dl - GUARD <= cp):
+            for i in np.flatnonzero(dl - guard <= cp):
                 failures.append((a, float(dl[i])))
             carry[a] = float(cp[-1] + h1(alpha, delta, rho, q, cp[-1]))
-    for a in classes:
-        if carry[a] - GUARD < x_end:
-            failures.append((a, carry[a]))
-    failures.sort()
-    return CheckReport(q=q, x0=x0, x_end=x_end, mode="single",
-                       failures=tuple(failures), primes_scanned=scanned,
-                       wall_time=time.perf_counter() - t_start)
+
+
+class _ScanSqrt(_RowScan):
+    """Thinned scan with window length hsqrt (see `check_sqrt`)."""
+
+    mode = "sqrt"
+    h = staticmethod(hsqrt)
+
+    def __init__(self, alpha: float, delta: float, rho: float, q: int,
+                 x0: int, x_end: int, count_override: int | None = None):
+        self.count_override = count_override
+        super().__init__(alpha, delta, rho, q, x0, x_end)
+        # 1-based countdown to the next inspected class prime
+        self.todo = {a: self._jump(d) for a, d in self.deadline.items()}
+
+    def _jump(self, deadline: float) -> int:
+        if self.count_override is not None:
+            return self.count_override
+        return math.isqrt(math.floor(deadline)) + 1
+
+    def _scan(self, seg: np.ndarray) -> None:
+        alpha, delta, rho, q = self.params
+        deadline, todo, jump = self.deadline, self.todo, self._jump
+        guard, failures = self.guard, self.failures
+        res = seg % q
+        for a in self.classes:
+            cp = seg[res == a]
+            n = int(cp.size)
+            if n == 0:
+                continue
+            self.scanned += n
+            idx = todo[a] - 1  # 0-based position of the next inspection
+            while idx < n:
+                p = float(cp[idx])
+                if deadline[a] - guard <= p:
+                    failures.append((a, deadline[a]))
+                deadline[a] = float(p + hsqrt(alpha, delta, rho, q, p))
+                idx += jump(deadline[a])
+            todo[a] = idx - n + 1
+
+
+def _drive(scan: _RowScan, prime_source) -> CheckReport:
+    source = prime_source if prime_source is not None else prime_array_segments
+    for seg in source(scan.x0, scan.hi):
+        scan.feed(seg)
+    return scan.finish()
+
+
+def check1(alpha: float, delta: float, rho: float, q: int,
+           x0: int, x_end: int, *, prime_source=None) -> CheckReport:
+    """Every-prime scan of [x0, x_end] with window length h1."""
+    return _drive(_Scan1(alpha, delta, rho, q, x0, x_end), prime_source)
 
 
 def check_sqrt(alpha: float, delta: float, rho: float, q: int,
@@ -103,73 +214,86 @@ def check_sqrt(alpha: float, delta: float, rho: float, q: int,
     fixed one (1 inspects everything; huge values starve the scan, leaving
     the final-sweep check to fire).
     """
-    t_start = time.perf_counter()
-    source = prime_source if prime_source is not None else prime_array_segments
-    hi = math.floor(x_end + hsqrt(alpha, delta, rho, q, float(x_end)))
-    classes = _coprime_classes(q)
-
-    def jump(deadline: float) -> int:
-        if count_override is not None:
-            return count_override
-        return math.isqrt(math.floor(deadline)) + 1
-
-    init = float(x0 + hsqrt(alpha, delta, rho, q, float(x0)))
-    deadline = dict.fromkeys(classes, init)
-    # 1-based countdown to the next inspected class prime
-    todo = dict.fromkeys(classes, jump(init))
-    failures: list[tuple[int, float]] = []
-    scanned = 0
-    for seg in source(x0, hi):
-        seg = np.asarray(seg)
-        if seg.size == 0:
-            continue
-        res = seg % q
-        for a in classes:
-            cp = seg[res == a]
-            n = int(cp.size)
-            if n == 0:
-                continue
-            scanned += n
-            idx = todo[a] - 1  # 0-based position of the next inspection
-            while idx < n:
-                p = float(cp[idx])
-                if deadline[a] - GUARD <= p:
-                    failures.append((a, deadline[a]))
-                deadline[a] = float(p + hsqrt(alpha, delta, rho, q, p))
-                idx += jump(deadline[a])
-            todo[a] = idx - n + 1
-    for a in classes:
-        if deadline[a] - GUARD < x_end:
-            failures.append((a, deadline[a]))
-    failures.sort()
-    return CheckReport(q=q, x0=x0, x_end=x_end, mode="sqrt",
-                       failures=tuple(failures), primes_scanned=scanned,
-                       wall_time=time.perf_counter() - t_start)
+    scan = _ScanSqrt(alpha, delta, rho, q, x0, x_end,
+                     count_override=count_override)
+    return _drive(scan, prime_source)
 
 
 # ---------------------------------------------------------------------------
 # exception-table driver
 # ---------------------------------------------------------------------------
 
-def _run_row(job: tuple[str, tuple]) -> CheckReport:
-    mode, args = job
-    return check1(*args) if mode == "single" else check_sqrt(*args)
+def _merged_ranges(scans: list[_RowScan]) -> list[tuple[int, int, list]]:
+    """Merge the rows' [lo, hi] ranges: (lo, hi, rows inside), by start."""
+    merged: list[tuple[int, int, list]] = []
+    for s in sorted((s for s in scans if s.hi >= s.lo), key=lambda s: s.lo):
+        if merged and s.lo <= merged[-1][1] + 1:
+            lo, hi, group = merged[-1]
+            group.append(s)
+            merged[-1] = (lo, max(hi, s.hi), group)
+        else:
+            merged.append((s.lo, s.hi, [s]))
+    return merged
+
+
+def _scan_shared(scans: list[_RowScan]) -> list[CheckReport]:
+    """Run row scanners off one shared sieve; reports in the order given.
+
+    Each merged range is sieved once; every segment goes to each row that
+    overlaps it, cut to the row's own [lo, hi].  Segments are streamed and
+    never joined, so memory stays at one segment.
+    """
+    for lo, hi, group in _merged_ranges(scans):
+        for seg in prime_array_segments(lo, hi):
+            for s in group:
+                s.feed(seg[np.searchsorted(seg, s.lo, "left"):
+                           np.searchsorted(seg, s.hi, "right")])
+    return [s.finish() for s in scans]
+
+
+def _span_groups(scans: list[_RowScan], jobs: int) -> list[list[int]]:
+    """Split row indices, sorted by start, into at most `jobs` contiguous
+    groups of about equal work.
+
+    A row's work is the integers it adds to the union (its share of the
+    sieve) plus its own span (its scan): rows low in t5 overlap heavily,
+    and balancing on the union span alone leaves their scanning to one
+    group.
+    """
+    order = sorted(range(len(scans)), key=lambda i: scans[i].lo)
+    work, reach = [], -1
+    for i in order:
+        lo, hi = scans[i].lo, scans[i].hi
+        work.append(max(0, hi - max(lo, reach + 1) + 1) + max(0, hi - lo + 1))
+        reach = max(reach, hi)
+    total = sum(work) or 1
+    groups: list[list[int]] = [[] for _ in range(jobs)]
+    done = 0
+    for i, w in zip(order, work):
+        groups[min(jobs - 1, (2 * done + w) * jobs // (2 * total))].append(i)
+        done += w
+    return [g for g in groups if g]
 
 
 def run_exception_tables(table: str, block: int | None = None,
                          jobs: int = 1) -> list[CheckReport]:
     """Run every row of one exception table (or one of its blocks).
 
-    t5 rows take the every-prime scan, t6 rows the thinned one.  Reports
+    t5 rows take the every-prime scan, t6 rows the thinned one.  The rows
+    share one sieve of the union of their ranges.  With `jobs` > 1 the
+    rows, sorted by start, are split into `jobs` contiguous groups of about
+    equal work, each scanned the same way in its own process.  Reports
     come back in table order regardless of `jobs`.
     """
     name = table.lower()
     if name == "t5":
-        blocks, mode = load_table5(), "single"
+        blocks, scanner = load_table5(), _Scan1
     elif name == "t6":
-        blocks, mode = load_table6(), "sqrt"
+        blocks, scanner = load_table6(), _ScanSqrt
     else:
         raise ValueError(f"unknown exception table {table!r} (want t5 or t6)")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if block is not None:
         if not 1 <= block <= len(blocks):
             raise ValueError(
@@ -177,9 +301,16 @@ def run_exception_tables(table: str, block: int | None = None,
         picked: tuple[ExceptionBlock, ...] = (blocks[block - 1],)
     else:
         picked = blocks
-    work = [(mode, (b.alpha, b.delta, b.rho, q, lo, hi))
-            for b in picked for (q, lo, hi) in b.rows]
-    if jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_row, work))
-    return [_run_row(j) for j in work]
+    scans = [scanner(b.alpha, b.delta, b.rho, q, lo, hi)
+             for b in picked for (q, lo, hi) in b.rows]
+    groups = _span_groups(scans, jobs)
+    if len(groups) < 2:
+        return _scan_shared(scans)
+    reports: list[CheckReport | None] = [None] * len(scans)
+    with ProcessPoolExecutor(max_workers=len(groups)) as pool:
+        futures = [pool.submit(_scan_shared, [scans[i] for i in g])
+                   for g in groups]
+        for g, fut in zip(groups, futures):
+            for i, rep in zip(g, fut.result()):
+                reports[i] = rep
+    return reports

@@ -10,7 +10,7 @@ Everything the library verifies is reachable from here:
     apbounds verify corollary [--sample-grid N]
     apbounds verify lemma5          (exact polynomial certificate + sweep)
     apbounds verify lemma8
-    apbounds check t5|t6 [--block B] [--jobs J]
+    apbounds check t5|t6 [--block B] [--jobs J]   (J >= 1 groups of rows)
     apbounds check custom --q Q --x0 X0 --x X [--params "a,d,r"] [--sqrt]
     apbounds regen-report [--full] --out report.jsonl
 
@@ -178,9 +178,7 @@ def _battery_thm3(cfg: RunConfig, recs: list[dict]) -> None:
     suite = "verify:thm3"
     thresholds = [(220, "first-claim", False), (35, "first-claim", True),
                   (500, "sqrt-claim", False), (67, "sqrt-claim", True)]
-    seen = []
-    for q, mode, refined in thresholds:
-        seen.append((q, mode, refined))
+    seen = list(thresholds)
     n = cfg.sample_grid or 25
     for mode, lo in (("first-claim", 220), ("sqrt-claim", 500)):
         for q in _grid(lo, 10**6, n):
@@ -319,9 +317,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sqrt", action="store_true",
                    help="square-root-count variant")
     p.add_argument("--block", type=int,
-                   help="restrict a table scan to one parameter block")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for table scans")
+                   help="check t5|t6: restrict the scan to one parameter block")
+    p.add_argument("--jobs", type=int,
+                   help="check t5|t6: worker processes, each scanning one "
+                        "group of rows off its own shared sieve (default 1)")
     p.add_argument("--out", help="write JSONL records here")
     p.add_argument("--slack", type=float,
                    help="override the relative pass threshold")
@@ -352,11 +351,19 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ns = _parser().parse_args(argv)
-    cfg = RunConfig(command=ns.command, target=getattr(ns, "target", None),
+    ap = _parser()
+    ns = ap.parse_args(argv)
+    target = getattr(ns, "target", None)
+    if ns.command != "check" or target not in ("t5", "t6"):
+        for flag in ("block", "jobs"):
+            if getattr(ns, flag) is not None:
+                ap.error(f"--{flag} only applies to check t5|t6")
+    if ns.jobs is not None and ns.jobs < 1:
+        ap.error(f"--jobs must be at least 1, got {ns.jobs}")
+    cfg = RunConfig(command=ns.command, target=target,
                     q=ns.q, x=ns.x, x0=ns.x0, params=ns.params, sqrt=ns.sqrt,
-                    block=ns.block, jobs=ns.jobs, out=ns.out, slack=ns.slack,
-                    sample_grid=ns.sample_grid, full=ns.full)
+                    block=ns.block, jobs=ns.jobs or 1, out=ns.out,
+                    slack=ns.slack, sample_grid=ns.sample_grid, full=ns.full)
     return dispatch(cfg)
 
 

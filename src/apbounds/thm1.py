@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import phi_of
-from .margins import DEFAULT_SLACK, BoundEval
+from .margins import DEFAULT_SLACK, BoundEval, slack_threshold
 from .tables import ParamSet
 
 __all__ = [
@@ -214,10 +214,6 @@ def _coeffs(params: ParamSet, logq: float,
     return A, K, C, S, mult, F0t
 
 
-def _slack_ok(margin: float, lhs: float, rhs: float) -> bool:
-    return margin > 1e-9 * max(abs(lhs), abs(rhs), 1.0)
-
-
 def _guard(params: ParamSet, logq0: float, sqrt_mode: bool, du: float = 0.05,
            max_steps: int = 4000) -> tuple[str, float, float, int]:
     """Certify the majorized inequality for every log q >= logq0.
@@ -231,20 +227,20 @@ def _guard(params: ParamSet, logq0: float, sqrt_mode: bool, du: float = 0.05,
     """
     A, K, C, S, mult, _ = _coeffs(params, logq0, sqrt_mode)
     lhs, rhs = A * logq0, K - S * mult
-    if _slack_ok(lhs - rhs, lhs, rhs):
+    if lhs - rhs > slack_threshold(lhs, rhs):
         return "direct", lhs, rhs, 0
     u = logq0
     worst = math.inf
     for k in range(max_steps):
         A, K, C, S, mult, _ = _coeffs(params, u, sqrt_mode)
         lhs, rhs = A * u, K - S * mult
-        if _slack_ok(lhs - rhs, lhs, rhs):
+        if lhs - rhs > slack_threshold(lhs, rhs):
             return "segmented", min(worst, lhs - rhs), 0.0, k
         cands = [u, u + du]
         if A > 0.0 and u < K / A < u + du:
             cands.append(K / A)  # interior stationary point of z
         zmin = min(A * v - K * log(v) - C for v in cands)
-        if not _slack_ok(zmin, zmin, 0.0):
+        if not zmin > slack_threshold(zmin, 0.0):
             return "segmented-FAIL", zmin, 0.0, k
         worst = min(worst, zmin)
         u += du

@@ -64,11 +64,22 @@ def test_phi_matches_brute_force_small():
         assert factorize(q).phi == brute_phi(q), q
 
 
+def brute_phi_np(q: int) -> int:
+    """brute_phi, vectorised: count k in [1, q] with gcd(k, q) = 1."""
+    k = np.arange(1, q + 1, dtype=np.int32)
+    return int(np.count_nonzero(np.gcd(k, q) == 1))
+
+
+def test_brute_phi_np_matches_loop():
+    assert [brute_phi_np(q) for q in range(1, 500)] == \
+           [brute_phi(q) for q in range(1, 500)]
+
+
 def test_phi_matches_brute_force_sampled():
     rng = np.random.default_rng(20260816)
     for q in rng.integers(2000, 10**6, size=120):
         q = int(q)
-        assert factorize(q).phi == brute_phi(q), q
+        assert factorize(q).phi == brute_phi_np(q), q
 
 
 def test_phi_lower_bound_sqrt():

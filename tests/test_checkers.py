@@ -7,8 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from apbounds.checkers import GUARD, CheckReport, check1, check_sqrt, run_exception_tables
-from apbounds.sieve import primes_between
+from apbounds import checkers
+from apbounds.checkers import (GUARD, CheckReport, check1, check_sqrt,
+                               row_guard, run_exception_tables)
+from apbounds.sieve import prime_array_segments, primes_between
+from apbounds.tables import load_table5, load_table6
 from apbounds.thm1 import h1, hsqrt
 
 R1 = (0.5, 1.0, 30.0, 3, 23656, 193269)       # every-prime, q=3
@@ -254,3 +257,107 @@ def test_run_exception_tables_rejects_unknown():
         run_exception_tables("t9")
     with pytest.raises(ValueError):
         run_exception_tables("t5", block=12)
+
+
+# ---------------------------------------------------------------- shared scan
+
+def _key(rep):
+    return (rep.q, rep.x0, rep.x_end, rep.mode, rep.failures,
+            rep.primes_scanned)
+
+
+@pytest.mark.parametrize("table,block,scan", [("t5", 2, check1),
+                                              ("t6", 1, check_sqrt)])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_shared_scan_matches_per_row(table, block, scan, jobs):
+    blk = (load_table5() if table == "t5" else load_table6())[block - 1]
+    want = [scan(blk.alpha, blk.delta, blk.rho, q, lo, hi)
+            for q, lo, hi in blk.rows]
+    got = run_exception_tables(table, block=block, jobs=jobs)
+    assert len(got) == len(want) > 1
+    assert [_key(r) for r in got] == [_key(r) for r in want]
+
+
+def _union_length(ranges):
+    total, reach = 0, None
+    for lo, hi in sorted(ranges):
+        if reach is not None and lo <= reach:
+            total += max(0, hi - reach)
+            reach = max(reach, hi)
+        else:
+            total += hi - lo + 1
+            reach = hi
+    return total
+
+
+@pytest.mark.parametrize("table,block,h", [("t5", 2, h1), ("t6", 1, hsqrt)])
+def test_shared_scan_sieves_the_union_once(monkeypatch, table, block, h):
+    seen = []
+
+    def recording(lo, hi):
+        seen.append((lo, hi))
+        return prime_array_segments(lo, hi)
+
+    monkeypatch.setattr(checkers, "prime_array_segments", recording)
+    blk = (load_table5() if table == "t5" else load_table6())[block - 1]
+    rows = [(max(lo, 2), math.floor(hi + h(blk.alpha, blk.delta, blk.rho, q,
+                                           float(hi))))
+            for q, lo, hi in blk.rows]
+    run_exception_tables(table, block=block)
+    assert sum(hi - lo + 1 for lo, hi in seen) == _union_length(rows)
+    # the rows overlap, so one sieve per row would cover more
+    assert sum(hi - lo + 1 for lo, hi in rows) > _union_length(rows)
+
+
+def test_shared_scan_keeps_failures_per_row():
+    # a forced-failure row (rho = 0.1229, no log growth) and a passing row
+    # share every segment of [23656, 1e5]; each must report exactly what it
+    # reports when scanned alone
+    bad = checkers._Scan1(0.0, 0.0, 0.1229, 3, 10**4, 10**5)
+    good = checkers._Scan1(0.5, 1.0, 30.0, 3, 23656, 193269)
+    got_bad, got_good = checkers._scan_shared([bad, good])
+    alone_bad = check1(0.0, 0.0, 0.1229, 3, 10**4, 10**5)
+    assert got_bad.failures == alone_bad.failures
+    assert len(got_bad.failures) > 0
+    assert got_bad.primes_scanned == alone_bad.primes_scanned
+    assert got_good.failures == ()
+    assert got_good.primes_scanned == check1(*R1).primes_scanned
+
+
+def test_shared_scan_groups_cover_rows_in_order():
+    scans = [checkers._Scan1(0.5, 1.0, 30.0, 3, x0, x0 + 50000)
+             for x0 in (400000, 30000, 90000, 30000, 250000)]
+    for jobs in (1, 2, 3, 9):
+        groups = checkers._span_groups(scans, jobs)
+        assert 1 <= len(groups) <= min(jobs, len(scans))
+        flat = [i for g in groups for i in g]
+        assert sorted(flat) == list(range(len(scans)))
+        # contiguous by start
+        assert [scans[i].lo for i in flat] == sorted(s.lo for s in scans)
+
+
+def test_run_exception_tables_rejects_bad_jobs():
+    with pytest.raises(ValueError):
+        run_exception_tables("t5", block=2, jobs=0)
+
+
+# ---------------------------------------------------------------- guard
+
+def test_row_guard_is_guard_on_every_bundled_row():
+    for blocks, h in ((load_table5(), h1), (load_table6(), hsqrt)):
+        for b in blocks:
+            for q, _, x_end in b.rows:
+                hi = math.floor(x_end + h(b.alpha, b.delta, b.rho, q,
+                                          float(x_end)))
+                assert hi < 2**29
+                assert row_guard(hi) == GUARD
+
+
+def test_row_guard_scales_at_large_x():
+    hi = 2**62
+    assert row_guard(hi) >= 4 * math.ulp(float(hi))
+    # from about 2^33 up a float64 ulp exceeds the absolute guard
+    assert math.ulp(2.0**34) > GUARD
+    assert row_guard(2**34) > GUARD
+    scan = checkers._Scan1(0.5, 1.0, 30.0, 3, 2**62, 2**62)
+    assert scan.guard == row_guard(scan.hi) > GUARD

@@ -140,6 +140,40 @@ def test_check_t6_block2_jobs(tmp_path):
     assert len(recs) == 1 and recs[0]["pass"]
 
 
+def test_check_jobs_matches_serial(tmp_path):
+    for table in ("t5", "t6"):
+        one, two = tmp_path / f"{table}-1.jsonl", tmp_path / f"{table}-2.jsonl"
+        assert main(["check", table, "--block", "1", "--jobs", "1",
+                     "--out", str(one)]) == 0
+        assert main(["check", table, "--block", "1", "--jobs", "2",
+                     "--out", str(two)]) == 0
+        assert body_bytes(one) == body_bytes(two)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_check_rejects_nonpositive_jobs(jobs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "t5", "--block", "2", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "custom", "--q", "3", "--x0", "23656", "--x", "193269",
+     "--jobs", "2"],
+    ["check", "custom", "--q", "3", "--x0", "23656", "--x", "193269",
+     "--block", "1"],
+    ["verify", "corollary", "--jobs", "2"],
+    ["verify", "thm2", "--block", "1"],
+    ["regen-report", "--jobs", "1"],
+])
+def test_table_flags_rejected_elsewhere(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "only applies to check t5|t6" in capsys.readouterr().err
+
+
 def test_check_custom_pass():
     rc = main(["check", "custom", "--q", "3", "--x0", "23656", "--x", "193269",
                "--params", "0.5,1,30"])
