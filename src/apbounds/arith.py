@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from scipy.integrate import quad
+from mpmath import mp
 
 __all__ = [
     "FactorData",
@@ -174,15 +174,15 @@ def zeta_log_deriv(s: float) -> float:
 def sin2_integral(y: float) -> float:
     """I(y) = integral of sin^2(w)/w^2 over [0, y].
 
-    Adaptive quadrature below y = 100; beyond that the two-sided asymptotic
-    expansion around pi/2 - 1/(2y) is already far below double rounding.
+    Below y = 100 it is the closed form Si(2y) - sin^2(y)/y (integrate by
+    parts), with the sine integral from mpmath; beyond that the two-sided
+    asymptotic expansion around pi/2 - 1/(2y) is already far below double
+    rounding.
     """
     if y <= 0.0:
         raise ValueError(f"positive endpoint required, got {y}")
     if y < 100.0:
-        val, _err = quad(lambda w: (math.sin(w) / w) ** 2 if w else 1.0,
-                         0.0, y, limit=200)
-        return val
+        return float(mp.si(2.0 * y)) - math.sin(y) ** 2 / y
     s2, c2 = math.sin(2 * y), math.cos(2 * y)
     J = (-s2 / (4 * y**2) + c2 / (4 * y**3)
          + 3 * s2 / (8 * y**4) - 3 * c2 / (4 * y**5))

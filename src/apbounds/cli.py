@@ -2,7 +2,8 @@
 
 Everything the library verifies is reachable from here:
 
-    apbounds verify thm1-at [--q Q --x X] [--sqrt] [--sample-grid N | --full]
+    apbounds verify thm1-at [--q Q] --x X [--sqrt]     (one point; Q = 3)
+    apbounds verify thm1-at [--sample-grid N | --full] [--sqrt]     (sweep)
     apbounds verify thm1-tables
     apbounds verify thm2 [--slack S]
     apbounds verify thm2-tables
@@ -16,7 +17,8 @@ Everything the library verifies is reachable from here:
 
 Each run produces a list of records (one verified inequality each); with
 --out they are written as JSON lines after a commented header, and the
-process exits 0 iff every record passed.  `regen-report --full` includes
+process exits 0 iff every record passed.  A flag that the chosen target
+would ignore is a usage error (exit 2).  `regen-report --full` includes
 the sqrt-count refresh rows that are known to fail (m = 19, 20, 21), so
 it exits 1 by design; the default battery is all-green.
 """
@@ -73,26 +75,6 @@ class RunConfig:
 
 # ---------------------------------------------------------------- records
 
-def _py(v):
-    """JSON-safe scalar (numpy types don't serialize)."""
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, np.integer):
-        return int(v)
-    if isinstance(v, np.floating):
-        return float(v)
-    return v
-
-
-def _record(ev: BoundEval, suite: str, inputs: dict) -> dict:
-    rec = ev.record(suite, {k: _py(v) for k, v in inputs.items()})
-    rec["lhs"] = float(rec["lhs"])
-    rec["rhs"] = float(rec["rhs"])
-    rec["margin"] = float(rec["margin"])
-    rec["pass"] = bool(rec["pass"])
-    return rec
-
-
 def _grid(lo: float, hi: float, n: int, skip=()) -> list[int]:
     pts = {int(round(g)) for g in np.geomspace(lo, hi, n)}
     return sorted(pts - set(skip))
@@ -107,35 +89,43 @@ def _slack(cfg: RunConfig, default: float = DEFAULT_SLACK) -> float:
 def _battery_thm1_at(cfg: RunConfig, recs: list[dict]) -> None:
     p1 = load_table4()[0]
     slack = _slack(cfg)
-    suite = "verify:thm1-at"
     if cfg.x is not None:
-        q = cfg.q if cfg.q is not None else 3
-        x = float(cfg.x)
-        for ev in verify_thm1_at(q, x, p1, sqrt_mode=cfg.sqrt, slack=slack):
-            recs.append(_record(ev, suite, {"q": q, "x": x, "sqrt": cfg.sqrt}))
-        return
-    # Sweep mode: every modulus outside the finite exception table, checked
-    # at its reference scale x0(q).  --full walks the whole certified range
-    # (up to the all-moduli threshold q0 for the plain window); otherwise a
-    # geometric subsample of --sample-grid points (default 200).
-    blocks = load_table6() if cfg.sqrt else load_table5()
-    skip = {q for q, _, _ in blocks[0].rows}
-    if cfg.full:
-        limit = 10**5 if cfg.sqrt else p1.q0
-        qs = [q for q in range(3, limit + 1) if q not in skip]
-        phis = phi_table(limit)
-        m_hat = p1.m_sqrt if cfg.sqrt else p1.m
-        for q in qs:
-            x = (m_hat * float(phis[q]) * math.log(q)) ** 2
-            for ev in verify_thm1_at(q, x, p1, sqrt_mode=cfg.sqrt,
-                                     slack=slack):
-                recs.append(_record(ev, suite,
-                                    {"q": q, "x": x, "sqrt": cfg.sqrt}))
-        return
-    for q in _grid(3, 10**5, cfg.sample_grid or 200, skip):
-        x = x0_of(p1, q, cfg.sqrt)
-        for ev in verify_thm1_at(q, x, p1, sqrt_mode=cfg.sqrt, slack=slack):
-            recs.append(_record(ev, suite, {"q": q, "x": x, "sqrt": cfg.sqrt}))
+        # one point, with a scalar modulus: factored, so any --q is fine
+        qs = [cfg.q if cfg.q is not None else 3]
+        xs = [float(cfg.x)]
+        evals = verify_thm1_at(qs[0], xs[0], p1, sqrt_mode=cfg.sqrt,
+                               slack=slack)
+    else:
+        # Sweep mode: every modulus outside the finite exception table,
+        # checked at its reference scale x0(q).  --full walks the whole
+        # certified range (up to the all-moduli threshold q0 for the plain
+        # window); otherwise a geometric subsample of --sample-grid points
+        # (default 200).  All moduli go through one columnar call.
+        blocks = load_table6() if cfg.sqrt else load_table5()
+        skip = {q for q, _, _ in blocks[0].rows}
+        if cfg.full:
+            limit = 10**5 if cfg.sqrt else p1.q0
+            qs = [q for q in range(3, limit + 1) if q not in skip]
+        else:
+            qs = _grid(3, 10**5, cfg.sample_grid or 200, skip)
+        q_col = np.array(qs)
+        phi = phi_table(qs[-1])[q_col]
+        x_col = x0_of(p1, q_col, cfg.sqrt, phi=phi)
+        evals = verify_thm1_at(q_col, x_col, p1, sqrt_mode=cfg.sqrt,
+                               slack=slack, phi=phi)
+        xs = x_col.tolist()
+    # records in BoundEval.record's shape, modulus by modulus; the five
+    # records of a modulus share its inputs dict
+    cols = [(ev.name, *(np.atleast_1d(v).tolist()
+                        for v in (ev.lhs, ev.rhs, ev.margin, ev.passed)))
+            for ev in evals]
+    suite = "verify:thm1-at"
+    for i, (q, x) in enumerate(zip(qs, xs)):
+        inputs = {"q": q, "x": x, "sqrt": cfg.sqrt}
+        recs.extend({"suite": suite, "name": name, "inputs": inputs,
+                     "lhs": lhs[i], "rhs": rhs[i], "margin": margin[i],
+                     "pass": passed[i]}
+                    for name, lhs, rhs, margin, passed in cols)
 
 
 def _battery_thm1_tables(cfg: RunConfig, recs: list[dict]) -> None:
@@ -147,7 +137,7 @@ def _battery_thm1_tables(cfg: RunConfig, recs: list[dict]) -> None:
                       "rho": row.rho, "q0": q0, "sqrt": sqrt_mode}
             for ev in verify_thm1_largeq(row, sqrt_mode=sqrt_mode,
                                          slack=slack):
-                recs.append(_record(ev, "verify:thm1-tables", inputs))
+                recs.append(ev.record("verify:thm1-tables", inputs))
 
 
 def _battery_thm2(cfg: RunConfig, recs: list[dict]) -> None:
@@ -158,8 +148,8 @@ def _battery_thm2(cfg: RunConfig, recs: list[dict]) -> None:
             x0 = (t7.sqrt if sqrt_mode else t7.plain)[q]
             for ev in verify_thm2_at(q, math.log(float(x0)),
                                      sqrt_mode=sqrt_mode, slack=slack):
-                recs.append(_record(ev, "verify:thm2",
-                                    {"q": q, "x0": x0, "sqrt": sqrt_mode}))
+                recs.append(ev.record("verify:thm2",
+                                      {"q": q, "x0": x0, "sqrt": sqrt_mode}))
 
 
 def _battery_thm2_tables(cfg: RunConfig, recs: list[dict]) -> None:
@@ -170,7 +160,7 @@ def _battery_thm2_tables(cfg: RunConfig, recs: list[dict]) -> None:
             inputs = {"m": int(m), "q0": int(q0), "sqrt": sqrt_mode}
             for ev in verify_thm2_largeq(m, q0, sqrt_mode=sqrt_mode,
                                          slack=slack):
-                recs.append(_record(ev, "verify:thm2-tables", inputs))
+                recs.append(ev.record("verify:thm2-tables", inputs))
 
 
 def _battery_thm3(cfg: RunConfig, recs: list[dict]) -> None:
@@ -189,7 +179,7 @@ def _battery_thm3(cfg: RunConfig, recs: list[dict]) -> None:
     for q, mode, refined in seen:
         inputs = {"q": q, "mode": mode, "refined": refined}
         for ev in verify_thm3(q, mode=mode, refined=refined, slack=slack):
-            recs.append(_record(ev, suite, inputs))
+            recs.append(ev.record(suite, inputs))
 
 
 def _battery_corollary(cfg: RunConfig, recs: list[dict]) -> None:
@@ -197,18 +187,18 @@ def _battery_corollary(cfg: RunConfig, recs: list[dict]) -> None:
     for q in _grid(3, 10**4, cfg.sample_grid or 25):
         n = corollary_default_n(q)
         for ev in verify_corollary(q, n, slack=slack):
-            recs.append(_record(ev, "verify:corollary", {"q": q, "n": n}))
+            recs.append(ev.record("verify:corollary", {"q": q, "n": n}))
 
 
 def _battery_lemma5(cfg: RunConfig, recs: list[dict]) -> None:
     ev = verify_majorant()
-    recs.append(_record(ev, "verify:lemma5", {"gamma_max": 1e6}))
+    recs.append(ev.record("verify:lemma5", {"gamma_max": 1e6}))
 
 
 def _battery_lemma8(cfg: RunConfig, recs: list[dict]) -> None:
     slack = _slack(cfg, 1e-12)
     for ev in verify_constants(slack=slack):
-        recs.append(_record(ev, "verify:lemma8", {}))
+        recs.append(ev.record("verify:lemma8", {}))
 
 
 _BATTERIES = {
@@ -242,7 +232,7 @@ def _run_check(cfg: RunConfig, recs: list[dict]) -> None:
         ev = BoundEval("coverage", -float(len(rep.failures)), -0.5, slack)
         inputs = {"q": rep.q, "x0": rep.x0, "x_end": rep.x_end,
                   "mode": rep.mode, "primes_scanned": rep.primes_scanned}
-        recs.append(_record(ev, suite, inputs))
+        recs.append(ev.record(suite, inputs))
         # wall_time goes to stdout only: records must be reproducible
         print(f"[{suite}] q={rep.q} [{rep.x0}, {rep.x_end}] {rep.mode}: "
               f"{len(rep.failures)} failures over {rep.primes_scanned} "
@@ -270,8 +260,9 @@ def _write_out(path: str, cfg: RunConfig, records: list[dict]) -> None:
                  f"{' ' + cfg.target if cfg.target else ''} report\n")
         fh.write(f"# generated: {stamp}\n")
         fh.write(f"# records: {len(records)}\n")
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        # one encoder for every line: json.dumps would build one per record
+        encode = json.JSONEncoder(sort_keys=True).encode
+        fh.writelines(encode(rec) + "\n" for rec in records)
 
 
 def _print_summary(records: list[dict]) -> None:
@@ -315,7 +306,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--params", default="0.5,1,30",
                    help='window parameters "alpha,delta,rho"')
     p.add_argument("--sqrt", action="store_true",
-                   help="square-root-count variant")
+                   help="verify thm1-at | check custom: square-root-count "
+                        "variant")
     p.add_argument("--block", type=int,
                    help="check t5|t6: restrict the scan to one parameter block")
     p.add_argument("--jobs", type=int,
@@ -360,6 +352,18 @@ def main(argv=None) -> int:
                 ap.error(f"--{flag} only applies to check t5|t6")
     if ns.jobs is not None and ns.jobs < 1:
         ap.error(f"--jobs must be at least 1, got {ns.jobs}")
+    if ns.sqrt and (ns.command, target) not in (("verify", "thm1-at"),
+                                                ("check", "custom")):
+        ap.error("--sqrt only applies to verify thm1-at and check custom")
+    if (ns.command, target) == ("verify", "thm1-at"):
+        if ns.x is None and ns.q is not None:
+            ap.error("verify thm1-at: --q needs --x (one point)")
+        if ns.x is not None and (ns.full or ns.sample_grid is not None):
+            ap.error("verify thm1-at: --x checks one point; "
+                     "--full and --sample-grid choose a sweep")
+        if ns.full and ns.sample_grid is not None:
+            ap.error("verify thm1-at: --full and --sample-grid "
+                     "exclude each other")
     cfg = RunConfig(command=ns.command, target=target,
                     q=ns.q, x=ns.x, x0=ns.x0, params=ns.params, sqrt=ns.sqrt,
                     block=ns.block, jobs=ns.jobs or 1, out=ns.out,

@@ -5,21 +5,23 @@ next prime in a progression by an interval of half-width
 ``h1 = (alpha log x + delta log q + rho) phi(q) sqrt(x)``; sqrt mode inflates
 the slope by one (``hsqrt``) and in exchange certifies a sqrt(x)-sized count
 of primes in the interval.  ``verify_thm1_at`` checks one (q, x) pair
-exactly; ``verify_thm1_largeq`` certifies all q at and beyond a threshold by
-evaluating a majorized form of the inequality in terms of log q alone and
-then proving that form monotone, either by a one-shot slope test or by a
-segmented walk over log q.
+exactly, or equal-length arrays of them in one numpy pass (the pointwise
+formulas are written once, with ufuncs, for both).  ``verify_thm1_largeq``
+certifies all q at and beyond a threshold by evaluating a majorized form of
+the inequality in terms of log q alone and then proving that form monotone,
+either by a one-shot slope test or by a segmented walk over log q.
 """
 from __future__ import annotations
 
 import math
-from math import log, pi, sqrt
+from math import log, pi
 from typing import NamedTuple
 
 import numpy as np
 
 from .arith import phi_of
-from .margins import DEFAULT_SLACK, BoundEval, slack_threshold
+from .margins import DEFAULT_SLACK, BoundColumn, BoundEval, slack_threshold
+from .sieve import phi_table
 from .tables import ParamSet
 
 __all__ = [
@@ -68,75 +70,128 @@ def _hatted(params: ParamSet, sqrt_mode: bool) -> tuple[float, float, float]:
     return params.alpha, params.m, params.ell
 
 
-def x0_of(params: ParamSet, q: int, sqrt_mode: bool = False) -> float:
-    """Reference scale (m phi(q) log q)^2 where the certification starts."""
+def _phi(q):
+    """phi(q): a single modulus is factored, an array of moduli is served by
+    one totient sieve up to its largest entry."""
+    if not isinstance(q, np.ndarray):
+        return phi_of(int(q))
+    return phi_table(int(np.max(q, initial=1)))[q]
+
+
+def _plain(v):
+    """A 0-d result as a Python float; arrays pass through."""
+    return v if isinstance(v, np.ndarray) else float(v)
+
+
+def x0_of(params: ParamSet, q, sqrt_mode: bool = False, phi=None):
+    """Reference scale (m phi(q) log q)^2 where the certification starts.
+
+    q may be an array of moduli (phi, if given, holds their totients).  The
+    scales are record inputs, so an array call evaluates the scalar formula
+    per modulus (math.log, float pow) and reproduces the scalar call bit
+    for bit; np.log and np.square round a few of them differently.
+    """
     m = params.m_sqrt if sqrt_mode else params.m
-    return (m * phi_of(q) * math.log(q)) ** 2
+    if phi is None:
+        phi = _phi(q)
+
+    def x0(q, phi):
+        return (m * phi * math.log(q)) ** 2
+
+    if not isinstance(q, np.ndarray):
+        return x0(q, phi)
+    return np.array(list(map(x0, q.tolist(), np.asarray(phi).tolist())))
 
 
-def _beta_T(params: ParamSet, q: int, x: float,
-            sqrt_mode: bool) -> tuple[float, float]:
+def _beta_T(params: ParamSet, q, x, sqrt_mode: bool, phi):
     a, _m, ell = _hatted(params, sqrt_mode)
-    phi = phi_of(q)
-    sx = sqrt(x)
-    beta = ell * log(sx / (phi * log(q)))
-    T = beta * sx / (phi * (a * log(x) + params.delta * log(q) + params.rho))
+    sx = np.sqrt(x)
+    beta = ell * np.log(sx / (phi * np.log(q)))
+    T = beta * sx / (phi * (a * np.log(x) + params.delta * np.log(q)
+                            + params.rho))
     return beta, T
 
 
-def beta_T_thm1(params: ParamSet, q: int, x: float,
-                sqrt_mode: bool = False) -> tuple[float, float]:
+def _checked_beta_T(params: ParamSet, q, x, sqrt_mode: bool, phi):
+    """_beta_T, raising where sqrt(x) <= phi(q) log q (window height <= 0)."""
+    sx, ref = np.sqrt(x), phi * np.log(q)
+    bad = sx <= ref
+    if bad.any():
+        sx, ref, bad = np.broadcast_arrays(sx, ref, bad)
+        i = np.flatnonzero(bad)[0]
+        raise ValueError(f"sqrt(x)={sx.flat[i]:g} must exceed "
+                         f"phi(q) log q = {ref.flat[i]:g}")
+    return _beta_T(params, q, x, sqrt_mode, phi)
+
+
+def _F(q, x, phi, beta, T):
+    br = (np.log(q * q * T) * np.log(T) / pi
+          + _C_LOG * np.log(q) + _C_ABS + _C_PHI / phi
+          + (_C_B1 * np.log(q * T) + _C_B0) / beta**2
+          + (1.0 + _C_T / T) * np.log(q * T) / (pi * T))
+    return br * phi / np.sqrt(x)
+
+
+def _Gbar(q, x, params: ParamSet, sqrt_mode: bool, phi, beta, T):
+    a, _m, ell = _hatted(params, sqrt_mode)
+    kappa = 1.0 + 2.0 / (pi * beta) + 2.0 / (pi * beta**2) \
+        + 4.0 * _C_T / (pi * beta * T)
+    return kappa * np.log(q * ell * np.sqrt(x) / (2.0 * a * phi)) \
+        + 0.253 * np.log(q) + 2.0
+
+
+def beta_T_thm1(params: ParamSet, q, x, sqrt_mode: bool = False):
     """Zero-density window height beta and integration cutoff T = beta x / h.
 
     Raises on x small enough that the window height goes nonpositive; the
     raw formulas stay evaluable there and Gbar_thm1 uses them unguarded.
     """
-    ref = phi_of(q) * log(q)
-    if sqrt(x) <= ref:
-        raise ValueError(f"sqrt(x)={sqrt(x):g} must exceed phi(q) log q = {ref:g}")
-    return _beta_T(params, q, x, sqrt_mode)
+    beta, T = _checked_beta_T(params, q, x, sqrt_mode, _phi(q))
+    return _plain(beta), _plain(T)
 
 
-def F_thm1(q: int, x: float, params: ParamSet, sqrt_mode: bool = False) -> float:
+def F_thm1(q, x, params: ParamSet, sqrt_mode: bool = False):
     """Relative width of the explicit-formula error against the main term."""
-    beta, T = _beta_T(params, q, x, sqrt_mode)
-    phi = phi_of(q)
-    br = (log(q * q * T) * log(T) / pi
-          + _C_LOG * log(q) + _C_ABS + _C_PHI / phi
-          + (_C_B1 * log(q * T) + _C_B0) / beta**2
-          + (1.0 + _C_T / T) * log(q * T) / (pi * T))
-    return br * phi / sqrt(x)
+    phi = _phi(q)
+    beta, T = _beta_T(params, q, x, sqrt_mode, phi)
+    return _plain(_F(q, x, phi, beta, T))
 
 
-def Gbar_thm1(q: int, x: float, params: ParamSet, sqrt_mode: bool = False) -> float:
+def Gbar_thm1(q, x, params: ParamSet, sqrt_mode: bool = False):
     """Additive cost the main term must clear once the error is subtracted."""
-    beta, T = _beta_T(params, q, x, sqrt_mode)
-    a, _m, ell = _hatted(params, sqrt_mode)
-    phi = phi_of(q)
-    kappa = 1.0 + 2.0 / (pi * beta) + 2.0 / (pi * beta**2) \
-        + 4.0 * _C_T / (pi * beta * T)
-    return kappa * log(q * ell * sqrt(x) / (2.0 * a * phi)) + 0.253 * log(q) + 2.0
+    phi = _phi(q)
+    beta, T = _beta_T(params, q, x, sqrt_mode, phi)
+    return _plain(_Gbar(q, x, params, sqrt_mode, phi, beta, T))
 
 
-def verify_thm1_at(q: int, x: float, params: ParamSet, sqrt_mode: bool = False,
-                   slack: float = DEFAULT_SLACK) -> list[BoundEval]:
-    """Exact check of the headline inequality and its side conditions at (q, x)."""
+def verify_thm1_at(q, x, params: ParamSet, sqrt_mode: bool = False,
+                   slack: float = DEFAULT_SLACK, phi=None):
+    """Exact check of the headline inequality and its side conditions at (q, x).
+
+    For scalar q and x this returns five BoundEvals.  q and x may instead be
+    equal-length arrays (phi, if given, holds the totients of q); then each
+    of the five inequalities comes back as one BoundColumn over the points,
+    evaluated by the same formulas in one numpy pass.
+    """
     alpha, delta, rho = params.alpha, params.delta, params.rho
     a = alpha + 1.0 if sqrt_mode else alpha
-    _beta, T = beta_T_thm1(params, q, x, sqrt_mode=sqrt_mode)
-    F = F_thm1(q, x, params, sqrt_mode=sqrt_mode)
-    G = Gbar_thm1(q, x, params, sqrt_mode=sqrt_mode)
-    lq, lx = log(q), log(x)
+    if phi is None:
+        phi = _phi(q)
+    beta, T = _checked_beta_T(params, q, x, sqrt_mode, phi)
+    F = _F(q, x, phi, beta, T)
+    G = _Gbar(q, x, params, sqrt_mode, phi, beta, T)
+    lq, lx = np.log(q), np.log(x)
     main_lhs = (1.0 - F) * (alpha * lx + delta * lq + rho)
     main_rhs = G + (F * lx + log(11.0 / 6.0) if sqrt_mode else 0.0)
-    h_over_x = (a * lx + delta * lq + rho) * phi_of(q) / sqrt(x)
+    h_over_x = (a * lx + delta * lq + rho) * phi / np.sqrt(x)
+    bound = BoundColumn if isinstance(T, np.ndarray) else BoundEval
     return [
-        BoundEval("main", main_lhs, main_rhs, slack),
-        BoundEval("inv_T", 1.0 / 20.0, 1.0 / T, slack),
-        BoundEval("h_over_x", 5.0 / 6.0, h_over_x, slack),
+        bound("main", main_lhs, main_rhs, slack),
+        bound("inv_T", 1.0 / 20.0, 1.0 / T, slack),
+        bound("h_over_x", 5.0 / 6.0, h_over_x, slack),
         # half-unit shim so the integer floor itself passes cleanly
-        BoundEval("x_floor", float(x), X_FLOOR - 0.5, slack),
-        BoundEval("T_floor", T, 20.0, slack),
+        bound("x_floor", x, X_FLOOR - 0.5, slack),
+        bound("T_floor", T, 20.0, slack),
     ]
 
 

@@ -3,12 +3,16 @@ except one subprocess smoke test."""
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
-from apbounds.cli import RunConfig, dispatch, main
+from apbounds.cli import (_BATTERIES, RunConfig, _run_check, _run_report,
+                          dispatch, main)
+from apbounds.tables import load_table4
+from apbounds.thm1 import verify_thm1_at, x0_of
 
 
 def read_records(path):
@@ -55,6 +59,31 @@ def test_verify_thm1_at_sweep_sampled(tmp_path):
     # exceptions are skipped by the sweep
     assert qs.isdisjoint(set(range(3, 23)) | {24})
     assert all(3 <= q <= 10**5 for q in qs)
+
+
+@pytest.mark.parametrize("sqrt_mode", [False, True])
+def test_thm1_sweep_matches_scalar_calls(tmp_path, sqrt_mode):
+    out = tmp_path / "grid.jsonl"
+    argv = ["verify", "thm1-at", "--sample-grid", "200", "--out", str(out)]
+    assert main(argv + (["--sqrt"] if sqrt_mode else [])) == 0
+    recs = read_records(out)
+    p1 = load_table4()[0]
+    want = []
+    for q in dict.fromkeys(r["inputs"]["q"] for r in recs):
+        x = x0_of(p1, q, sqrt_mode)
+        inputs = {"q": q, "x": x, "sqrt": sqrt_mode}
+        want += [ev.record("verify:thm1-at", inputs)
+                 for ev in verify_thm1_at(q, x, p1, sqrt_mode=sqrt_mode)]
+    assert len(recs) == len(want) > 5 * 150
+    for got, exp in zip(recs, want):
+        assert (got["suite"], got["name"], got["inputs"], got["pass"]) \
+            == (exp["suite"], exp["name"], exp["inputs"], exp["pass"])
+        for k in ("lhs", "rhs"):
+            assert abs(got[k] - exp[k]) \
+                <= 4 * math.ulp(max(abs(got[k]), abs(exp[k]))), (got, exp)
+    # the shared encoder writes exactly what json.dumps would
+    body = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    assert body == [json.dumps(r, sort_keys=True) for r in recs]
 
 
 def test_verify_thm1_tables(tmp_path):
@@ -174,6 +203,26 @@ def test_table_flags_rejected_elsewhere(argv, capsys):
     assert "only applies to check t5|t6" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "thm1-at", "--q", "7"], "--q needs --x"),
+    (["verify", "thm1-at", "--x", "1e7", "--sample-grid", "5"],
+     "--x checks one point"),
+    (["verify", "thm1-at", "--q", "5", "--x", "1e7", "--full"],
+     "--x checks one point"),
+    (["verify", "thm1-at", "--full", "--sample-grid", "10"],
+     "--full and --sample-grid exclude each other"),
+    (["verify", "thm2", "--sqrt"], "--sqrt only applies"),
+    (["verify", "thm1-tables", "--sqrt"], "--sqrt only applies"),
+    (["check", "t5", "--block", "1", "--sqrt"], "--sqrt only applies"),
+    (["regen-report", "--sqrt"], "--sqrt only applies"),
+])
+def test_ignored_flags_rejected(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_check_custom_pass():
     rc = main(["check", "custom", "--q", "3", "--x0", "23656", "--x", "193269",
                "--params", "0.5,1,30"])
@@ -225,6 +274,33 @@ def test_regen_report_reproducible(tmp_path):
     assert len(read_records(a)) > 50
 
 
+def _plain_json(v):
+    if type(v) is dict:
+        return all(type(k) is str and _plain_json(w) for k, w in v.items())
+    return type(v) in (str, int, float, bool) or v is None
+
+
+def test_records_are_plain_python():
+    # every record type the CLI builds, in memory, down to exact builtin
+    # types: json.dumps turns none of them away and writes no numpy repr
+    recs: list[dict] = []
+    _run_report(RunConfig(command="regen-report", full=True), recs)
+    _BATTERIES["thm1-at"](RunConfig(command="verify", target="thm1-at",
+                                    sample_grid=20, sqrt=True), recs)
+    _BATTERIES["thm1-at"](RunConfig(command="verify", target="thm1-at",
+                                    q=3, x=193269.0), recs)
+    _run_check(RunConfig(command="check", target="custom", q=3, x0=23656,
+                         x=193269.0), recs)
+    _run_check(RunConfig(command="check", target="t6", block=1), recs)
+    suites = {r["suite"] for r in recs}
+    assert {"verify:lemma5", "verify:lemma8", "verify:thm2-tables",
+            "verify:thm1-at", "check:custom", "check:t6"} <= suites
+    for r in recs:
+        assert _plain_json(r), r
+        assert type(r["pass"]) is bool
+        json.dumps(r)
+
+
 # ---------------------------------------------------------------- plumbing
 
 def test_runconfig_dispatch_direct():
@@ -246,3 +322,14 @@ def test_subprocess_smoke():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "corollary" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is not a dependency; an import of it would cost about 0.5 s of
+    # set-up on every run
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, apbounds.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -5,9 +5,11 @@ import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 
 from apbounds.arith import phi_of
+from apbounds.margins import BoundColumn, BoundEval
 from apbounds.tables import load_table4, load_table5, load_table6
 from apbounds.thm1 import (
     F_thm1,
@@ -213,6 +215,59 @@ def test_reference_scale_matches_exception_table_starts():
         assert abs(x0_of(P1, q) - x0) < 1.0, q
     for (q, x0, _x) in load_table6()[0].rows:
         assert abs(x0_of(P1, q, sqrt_mode=True) - x0) < 1.0, q
+
+
+def within_ulps(a, b, n=4):
+    return abs(a - b) <= n * math.ulp(max(abs(a), abs(b)))
+
+
+def test_columns_match_scalar_calls_on_full_sqrt_range():
+    # the first 2000 moduli of `verify thm1-at --full --sqrt`
+    skip = {q for q, _, _ in load_table6()[0].rows}
+    qs = [q for q in range(3, 10**5) if q not in skip][:2000]
+    q_col = np.array(qs)
+    x_col = x0_of(P1, q_col, sqrt_mode=True)
+    cols = verify_thm1_at(q_col, x_col, P1, sqrt_mode=True)
+    assert all(isinstance(c, BoundColumn) for c in cols)
+    assert all(c.passed.shape == (len(qs),) for c in cols)
+    for i, q in enumerate(qs):
+        x = x0_of(P1, q, sqrt_mode=True)
+        assert x_col[i] == x  # reference scales are record inputs: exact
+        evals = verify_thm1_at(q, x, P1, sqrt_mode=True)
+        assert [e.name for e in evals] == [c.name for c in cols]
+        for e, c in zip(evals, cols):
+            assert e.passed == c.passed[i], (q, e.name)
+            assert within_ulps(e.lhs, c.lhs[i]), (q, e.name, e.lhs, c.lhs[i])
+            assert within_ulps(e.rhs, c.rhs[i]), (q, e.name, e.rhs, c.rhs[i])
+
+
+def test_pointwise_formulas_accept_arrays():
+    q = np.array([3, 5, 17, 1000])
+    x = np.array([193269.0, 1e10, 3.3e7, 1e12])
+    for sqrt_mode in (False, True):
+        beta, T = beta_T_thm1(P1, q, x, sqrt_mode=sqrt_mode)
+        F = F_thm1(q, x, P1, sqrt_mode=sqrt_mode)
+        G = Gbar_thm1(q, x, P1, sqrt_mode=sqrt_mode)
+        for i in range(len(q)):
+            qi, xi = int(q[i]), float(x[i])
+            b, t = beta_T_thm1(P1, qi, xi, sqrt_mode=sqrt_mode)
+            assert within_ulps(beta[i], b) and within_ulps(T[i], t)
+            assert within_ulps(F[i], F_thm1(qi, xi, P1, sqrt_mode=sqrt_mode))
+            assert within_ulps(G[i], Gbar_thm1(qi, xi, P1, sqrt_mode=sqrt_mode))
+    with pytest.raises(ValueError, match="phi"):
+        beta_T_thm1(P1, q, np.array([1e6, 4.0, 1e8, 1e12]))
+
+
+def test_scalar_calls_return_plain_python_values():
+    beta, T = beta_T_thm1(P1, 3, 1e6)
+    assert type(beta) is float and type(T) is float
+    assert type(F_thm1(3, 1e6, P1)) is float
+    assert type(Gbar_thm1(3, 1e6, P1)) is float
+    assert type(x0_of(P1, 3)) is float
+    for e in verify_thm1_at(3, 193269.0, P1):
+        assert isinstance(e, BoundEval)
+        assert type(e.lhs) is float and type(e.rhs) is float
+        assert type(e.margin) is float and type(e.passed) is bool
 
 
 # ---------------------------------------------------------------- tilde form
