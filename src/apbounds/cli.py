@@ -37,8 +37,7 @@ import numpy as np
 
 from .checkers import check1, check_sqrt, run_exception_tables
 from .majorant import verify_constants, verify_majorant
-from .margins import DEFAULT_SLACK, BoundEval
-from .sieve import phi_table
+from .margins import DEFAULT_SLACK, BoundEval, column_records
 from .tables import (load_table4, load_table5, load_table6, load_table7,
                      load_table8)
 from .thm1 import verify_thm1_at, verify_thm1_largeq, x0_of
@@ -89,43 +88,36 @@ def _slack(cfg: RunConfig, default: float = DEFAULT_SLACK) -> float:
 def _battery_thm1_at(cfg: RunConfig, recs: list[dict]) -> None:
     p1 = load_table4()[0]
     slack = _slack(cfg)
+    suite = "verify:thm1-at"
     if cfg.x is not None:
         # one point, with a scalar modulus: factored, so any --q is fine
-        qs = [cfg.q if cfg.q is not None else 3]
-        xs = [float(cfg.x)]
-        evals = verify_thm1_at(qs[0], xs[0], p1, sqrt_mode=cfg.sqrt,
-                               slack=slack)
-    else:
-        # Sweep mode: every modulus outside the finite exception table,
-        # checked at its reference scale x0(q).  --full walks the whole
-        # certified range (up to the all-moduli threshold q0 for the plain
-        # window); otherwise a geometric subsample of --sample-grid points
-        # (default 200).  All moduli go through one columnar call.
-        blocks = load_table6() if cfg.sqrt else load_table5()
-        skip = {q for q, _, _ in blocks[0].rows}
-        if cfg.full:
-            limit = 10**5 if cfg.sqrt else p1.q0
-            qs = [q for q in range(3, limit + 1) if q not in skip]
-        else:
-            qs = _grid(3, 10**5, cfg.sample_grid or 200, skip)
-        q_col = np.array(qs)
-        phi = phi_table(qs[-1])[q_col]
-        x_col = x0_of(p1, q_col, cfg.sqrt, phi=phi)
-        evals = verify_thm1_at(q_col, x_col, p1, sqrt_mode=cfg.sqrt,
-                               slack=slack, phi=phi)
-        xs = x_col.tolist()
-    # records in BoundEval.record's shape, modulus by modulus; the five
-    # records of a modulus share its inputs dict
-    cols = [(ev.name, *(np.atleast_1d(v).tolist()
-                        for v in (ev.lhs, ev.rhs, ev.margin, ev.passed)))
-            for ev in evals]
-    suite = "verify:thm1-at"
-    for i, (q, x) in enumerate(zip(qs, xs)):
+        q = cfg.q if cfg.q is not None else 3
+        x = float(cfg.x)
         inputs = {"q": q, "x": x, "sqrt": cfg.sqrt}
-        recs.extend({"suite": suite, "name": name, "inputs": inputs,
-                     "lhs": lhs[i], "rhs": rhs[i], "margin": margin[i],
-                     "pass": passed[i]}
-                    for name, lhs, rhs, margin, passed in cols)
+        recs.extend(ev.record(suite, inputs) for ev in
+                    verify_thm1_at(q, x, p1, sqrt_mode=cfg.sqrt, slack=slack))
+        return
+    # Sweep mode: every modulus outside the finite exception table, checked
+    # at its reference scale x0(q).  --full walks the whole certified range
+    # (up to the all-moduli threshold q0 for the plain window); otherwise a
+    # geometric subsample of --sample-grid points (default 200).  All moduli
+    # go through one columnar call; the five records of a modulus share its
+    # inputs dict.
+    blocks = load_table6() if cfg.sqrt else load_table5()
+    skip = {q for q, _, _ in blocks[0].rows}
+    if cfg.full:
+        limit = 10**5 if cfg.sqrt else p1.q0
+        qs = [q for q in range(3, limit + 1) if q not in skip]
+    else:
+        qs = _grid(3, 10**5, cfg.sample_grid or 200, skip)
+    if not qs:  # a grid of one point is q = 3, an exception-table row
+        return
+    q_col = np.array(qs)
+    x_col = x0_of(p1, q_col, cfg.sqrt)
+    cols = verify_thm1_at(q_col, x_col, p1, sqrt_mode=cfg.sqrt, slack=slack)
+    inputs = [{"q": q, "x": x, "sqrt": cfg.sqrt}
+              for q, x in zip(qs, x_col.tolist())]
+    recs.extend(column_records(suite, cols, inputs))
 
 
 def _battery_thm1_tables(cfg: RunConfig, recs: list[dict]) -> None:

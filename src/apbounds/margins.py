@@ -8,7 +8,8 @@ the two sides and floors at the absolute slack itself.
 
 `BoundEval` holds one comparison; `BoundColumn` holds the same comparison
 taken at a column of inputs, as equal-length arrays.  Both judge through
-`slack_threshold`.
+`slack_threshold`, and both write report rows in one layout (`BoundEval.record`,
+`column_records`).
 """
 from __future__ import annotations
 
@@ -30,6 +31,13 @@ def slack_threshold(lhs, rhs, slack: float = DEFAULT_SLACK):
     if isinstance(lhs, np.ndarray) or isinstance(rhs, np.ndarray):
         return slack * np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
     return slack * max(abs(lhs), abs(rhs), 1.0)
+
+
+def _record(suite: str, name: str, inputs: dict, lhs: float, rhs: float,
+            margin: float, passed: bool) -> dict:
+    """The one report row layout, for BoundEval and BoundColumn alike."""
+    return {"suite": suite, "name": name, "inputs": inputs, "lhs": lhs,
+            "rhs": rhs, "margin": margin, "pass": passed}
 
 
 @dataclass(frozen=True)
@@ -60,15 +68,8 @@ class BoundEval:
 
     def record(self, suite: str, inputs: dict) -> dict:
         """Serializable report row (the CLI's line format)."""
-        return {
-            "suite": suite,
-            "name": self.name,
-            "inputs": inputs,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "pass": self.passed,
-        }
+        return _record(suite, self.name, inputs, self.lhs, self.rhs,
+                       self.margin, self.passed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,6 +94,20 @@ class BoundColumn:
         object.__setattr__(self, "margin", margin)
         object.__setattr__(self, "passed",
                            margin > slack_threshold(lhs, rhs, self.slack))
+
+
+def column_records(suite: str, columns, inputs: list[dict]):
+    """Report rows of BoundColumns over the same points, point by point.
+
+    For point i this yields one row per column, in column order, all with
+    inputs[i]; each row reads exactly as BoundEval(...).record would.
+    """
+    cols = [(c.name, c.lhs.tolist(), c.rhs.tolist(), c.margin.tolist(),
+             c.passed.tolist()) for c in columns]
+    for i, inp in enumerate(inputs):
+        for name, lhs, rhs, margin, passed in cols:
+            yield _record(suite, name, inp, lhs[i], rhs[i], margin[i],
+                          passed[i])
 
 
 def all_passed(evals) -> bool:

@@ -6,7 +6,8 @@ next prime in a progression by an interval of half-width
 the slope by one (``hsqrt``) and in exchange certifies a sqrt(x)-sized count
 of primes in the interval.  ``verify_thm1_at`` checks one (q, x) pair
 exactly, or equal-length arrays of them in one numpy pass (the pointwise
-formulas are written once, with ufuncs, for both).  ``verify_thm1_largeq``
+formulas are written once, over a backend that is `math` for a point and
+numpy for arrays).  ``verify_thm1_largeq``
 certifies all q at and beyond a threshold by evaluating a majorized form of
 the inequality in terms of log q alone and then proving that form monotone,
 either by a one-shot slope test or by a segmented walk over log q.
@@ -78,66 +79,78 @@ def _phi(q):
     return phi_table(int(np.max(q, initial=1)))[q]
 
 
-def _plain(v):
-    """A 0-d result as a Python float; arrays pass through."""
-    return v if isinstance(v, np.ndarray) else float(v)
+def _operands(q, x):
+    """(q, x, phi(q), xp): the pointwise formulas' inputs and their backend.
+
+    Two scalars run on `math`, as plain Python floats, so a point costs no
+    numpy overhead and takes any int q.  If either is an array, both become
+    float64 arrays and the formulas run on numpy (float q keeps q*q clear of
+    int64 overflow; it is exact while q < 2^26).
+    """
+    phi = _phi(q)
+    if not (isinstance(q, np.ndarray) or isinstance(x, np.ndarray)):
+        return q, x, phi, math
+    return np.asarray(q, dtype=float), np.asarray(x, dtype=float), phi, np
 
 
-def x0_of(params: ParamSet, q, sqrt_mode: bool = False, phi=None):
+def x0_of(params: ParamSet, q, sqrt_mode: bool = False):
     """Reference scale (m phi(q) log q)^2 where the certification starts.
 
-    q may be an array of moduli (phi, if given, holds their totients).  The
-    scales are record inputs, so an array call evaluates the scalar formula
-    per modulus (math.log, float pow) and reproduces the scalar call bit
-    for bit; np.log and np.square round a few of them differently.
+    q may be an array of moduli.  The scales are record inputs, so an array
+    call evaluates the scalar formula per modulus (math.log, float pow) and
+    reproduces the scalar call bit for bit; np.log and np.square round a
+    few of them differently.
     """
     m = params.m_sqrt if sqrt_mode else params.m
-    if phi is None:
-        phi = _phi(q)
 
     def x0(q, phi):
         return (m * phi * math.log(q)) ** 2
 
     if not isinstance(q, np.ndarray):
-        return x0(q, phi)
-    return np.array(list(map(x0, q.tolist(), np.asarray(phi).tolist())))
+        return x0(q, _phi(q))
+    return np.array(list(map(x0, q.tolist(), _phi(q).tolist())))
 
 
-def _beta_T(params: ParamSet, q, x, sqrt_mode: bool, phi):
+def _beta_T(params: ParamSet, q, x, sqrt_mode: bool, phi, xp):
     a, _m, ell = _hatted(params, sqrt_mode)
-    sx = np.sqrt(x)
-    beta = ell * np.log(sx / (phi * np.log(q)))
-    T = beta * sx / (phi * (a * np.log(x) + params.delta * np.log(q)
+    sx = xp.sqrt(x)
+    beta = ell * xp.log(sx / (phi * xp.log(q)))
+    T = beta * sx / (phi * (a * xp.log(x) + params.delta * xp.log(q)
                             + params.rho))
     return beta, T
 
 
-def _checked_beta_T(params: ParamSet, q, x, sqrt_mode: bool, phi):
-    """_beta_T, raising where sqrt(x) <= phi(q) log q (window height <= 0)."""
-    sx, ref = np.sqrt(x), phi * np.log(q)
-    bad = sx <= ref
-    if bad.any():
-        sx, ref, bad = np.broadcast_arrays(sx, ref, bad)
-        i = np.flatnonzero(bad)[0]
-        raise ValueError(f"sqrt(x)={sx.flat[i]:g} must exceed "
-                         f"phi(q) log q = {ref.flat[i]:g}")
-    return _beta_T(params, q, x, sqrt_mode, phi)
+def _checked_beta_T(params: ParamSet, q, x, sqrt_mode: bool, phi, xp):
+    """_beta_T, raising unless sqrt(x) > phi(q) log q (window height > 0).
+
+    A NaN x fails the test too; a negative one already fails math.sqrt on
+    the scalar route and gives a NaN root on the array route.
+    """
+    sx, ref = xp.sqrt(x), phi * xp.log(q)
+    ok = sx > ref
+    if not (ok if xp is math else ok.all()):
+        if xp is np:
+            sx, ref, ok = np.broadcast_arrays(sx, ref, ok)
+            i = np.argmin(ok)  # the first failing point
+            sx, ref = sx.flat[i], ref.flat[i]
+        raise ValueError(f"sqrt(x)={sx:g} must exceed phi(q) log q = {ref:g}")
+    return _beta_T(params, q, x, sqrt_mode, phi, xp)
 
 
-def _F(q, x, phi, beta, T):
-    br = (np.log(q * q * T) * np.log(T) / pi
-          + _C_LOG * np.log(q) + _C_ABS + _C_PHI / phi
-          + (_C_B1 * np.log(q * T) + _C_B0) / beta**2
-          + (1.0 + _C_T / T) * np.log(q * T) / (pi * T))
-    return br * phi / np.sqrt(x)
+def _F(q, x, phi, beta, T, xp):
+    br = (xp.log(q * q * T) * xp.log(T) / pi
+          + _C_LOG * xp.log(q) + _C_ABS + _C_PHI / phi
+          + (_C_B1 * xp.log(q * T) + _C_B0) / beta**2
+          + (1.0 + _C_T / T) * xp.log(q * T) / (pi * T))
+    return br * phi / xp.sqrt(x)
 
 
-def _Gbar(q, x, params: ParamSet, sqrt_mode: bool, phi, beta, T):
+def _Gbar(q, x, params: ParamSet, sqrt_mode: bool, phi, beta, T, xp):
     a, _m, ell = _hatted(params, sqrt_mode)
     kappa = 1.0 + 2.0 / (pi * beta) + 2.0 / (pi * beta**2) \
         + 4.0 * _C_T / (pi * beta * T)
-    return kappa * np.log(q * ell * np.sqrt(x) / (2.0 * a * phi)) \
-        + 0.253 * np.log(q) + 2.0
+    return kappa * xp.log(q * ell * xp.sqrt(x) / (2.0 * a * phi)) \
+        + 0.253 * xp.log(q) + 2.0
 
 
 def beta_T_thm1(params: ParamSet, q, x, sqrt_mode: bool = False):
@@ -146,45 +159,44 @@ def beta_T_thm1(params: ParamSet, q, x, sqrt_mode: bool = False):
     Raises on x small enough that the window height goes nonpositive; the
     raw formulas stay evaluable there and Gbar_thm1 uses them unguarded.
     """
-    beta, T = _checked_beta_T(params, q, x, sqrt_mode, _phi(q))
-    return _plain(beta), _plain(T)
+    q, x, phi, xp = _operands(q, x)
+    return _checked_beta_T(params, q, x, sqrt_mode, phi, xp)
 
 
 def F_thm1(q, x, params: ParamSet, sqrt_mode: bool = False):
     """Relative width of the explicit-formula error against the main term."""
-    phi = _phi(q)
-    beta, T = _beta_T(params, q, x, sqrt_mode, phi)
-    return _plain(_F(q, x, phi, beta, T))
+    q, x, phi, xp = _operands(q, x)
+    beta, T = _beta_T(params, q, x, sqrt_mode, phi, xp)
+    return _F(q, x, phi, beta, T, xp)
 
 
 def Gbar_thm1(q, x, params: ParamSet, sqrt_mode: bool = False):
     """Additive cost the main term must clear once the error is subtracted."""
-    phi = _phi(q)
-    beta, T = _beta_T(params, q, x, sqrt_mode, phi)
-    return _plain(_Gbar(q, x, params, sqrt_mode, phi, beta, T))
+    q, x, phi, xp = _operands(q, x)
+    beta, T = _beta_T(params, q, x, sqrt_mode, phi, xp)
+    return _Gbar(q, x, params, sqrt_mode, phi, beta, T, xp)
 
 
 def verify_thm1_at(q, x, params: ParamSet, sqrt_mode: bool = False,
-                   slack: float = DEFAULT_SLACK, phi=None):
+                   slack: float = DEFAULT_SLACK):
     """Exact check of the headline inequality and its side conditions at (q, x).
 
     For scalar q and x this returns five BoundEvals.  q and x may instead be
-    equal-length arrays (phi, if given, holds the totients of q); then each
-    of the five inequalities comes back as one BoundColumn over the points,
-    evaluated by the same formulas in one numpy pass.
+    equal-length arrays; then each of the five inequalities comes back as
+    one BoundColumn over the points, evaluated by the same formulas in one
+    numpy pass, with phi from one totient sieve.
     """
     alpha, delta, rho = params.alpha, params.delta, params.rho
     a = alpha + 1.0 if sqrt_mode else alpha
-    if phi is None:
-        phi = _phi(q)
-    beta, T = _checked_beta_T(params, q, x, sqrt_mode, phi)
-    F = _F(q, x, phi, beta, T)
-    G = _Gbar(q, x, params, sqrt_mode, phi, beta, T)
-    lq, lx = np.log(q), np.log(x)
+    q, x, phi, xp = _operands(q, x)
+    beta, T = _checked_beta_T(params, q, x, sqrt_mode, phi, xp)
+    F = _F(q, x, phi, beta, T, xp)
+    G = _Gbar(q, x, params, sqrt_mode, phi, beta, T, xp)
+    lq, lx = xp.log(q), xp.log(x)
     main_lhs = (1.0 - F) * (alpha * lx + delta * lq + rho)
     main_rhs = G + (F * lx + log(11.0 / 6.0) if sqrt_mode else 0.0)
-    h_over_x = (a * lx + delta * lq + rho) * phi / np.sqrt(x)
-    bound = BoundColumn if isinstance(T, np.ndarray) else BoundEval
+    h_over_x = (a * lx + delta * lq + rho) * phi / xp.sqrt(x)
+    bound = BoundEval if xp is math else BoundColumn
     return [
         bound("main", main_lhs, main_rhs, slack),
         bound("inv_T", 1.0 / 20.0, 1.0 / T, slack),

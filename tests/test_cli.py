@@ -61,6 +61,26 @@ def test_verify_thm1_at_sweep_sampled(tmp_path):
     assert all(3 <= q <= 10**5 for q in qs)
 
 
+@pytest.mark.parametrize("flag", [[], ["--sqrt"]])
+def test_verify_thm1_at_one_point_grid_is_empty(tmp_path, flag):
+    # a grid of one point is q = 3, which the exception tables cover
+    out = tmp_path / "one.jsonl"
+    assert main(["verify", "thm1-at", "--sample-grid", "1", "--out",
+                 str(out)] + flag) == 0
+    assert read_records(out) == []
+
+
+def test_verify_thm1_at_point_beyond_uint64(tmp_path):
+    out = tmp_path / "big.jsonl"
+    q = 10**20
+    assert main(["verify", "thm1-at", "--q", str(q), "--x", "1e50",
+                 "--out", str(out)]) == 0
+    recs = read_records(out)
+    assert len(recs) == 5
+    assert all(r["inputs"] == {"q": q, "x": 1e50, "sqrt": False}
+               for r in recs)
+
+
 @pytest.mark.parametrize("sqrt_mode", [False, True])
 def test_thm1_sweep_matches_scalar_calls(tmp_path, sqrt_mode):
     out = tmp_path / "grid.jsonl"

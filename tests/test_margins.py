@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from apbounds.margins import (DEFAULT_SLACK, BoundColumn, BoundEval,
-                              all_passed, slack_threshold)
+                              all_passed, column_records, slack_threshold)
 
 NAN = math.nan
 
@@ -62,3 +62,16 @@ def test_bound_eval_holds_plain_types():
             assert type(v) is float
         assert type(ev.passed) is bool
         json.dumps(ev.record("s", {}))
+
+
+def test_column_records_match_bound_eval_records_point_major():
+    lhs = np.array([2.0, 1.0, -0.5])
+    cols = [BoundColumn("a", lhs, 1.0), BoundColumn("b", 0.75, lhs)]
+    inputs = [{"i": i} for i in range(3)]
+    rows = list(column_records("s", cols, inputs))
+    want = [BoundEval(c.name, c.lhs[i], c.rhs[i]).record("s", inputs[i])
+            for i in range(3) for c in cols]
+    assert rows == want
+    assert [r["name"] for r in rows] == ["a", "b"] * 3
+    assert all(r["inputs"] is inputs[i // 2] for i, r in enumerate(rows))
+    assert json.dumps(rows) == json.dumps(want)

@@ -10,6 +10,7 @@ import pytest
 
 from apbounds.arith import phi_of
 from apbounds.margins import BoundColumn, BoundEval
+from apbounds import thm1
 from apbounds.tables import load_table4, load_table5, load_table6
 from apbounds.thm1 import (
     F_thm1,
@@ -268,6 +269,33 @@ def test_scalar_calls_return_plain_python_values():
         assert isinstance(e, BoundEval)
         assert type(e.lhs) is float and type(e.rhs) is float
         assert type(e.margin) is float and type(e.passed) is bool
+
+
+def test_point_takes_a_modulus_beyond_uint64():
+    # a point is factored and evaluated on Python ints and floats
+    evals = verify_thm1_at(10**20, 1e50, P1)
+    assert [e.name for e in evals] == ["main", "inv_T", "h_over_x",
+                                       "x_floor", "T_floor"]
+    assert all(type(e.lhs) is float and e.passed for e in evals)
+
+
+def test_array_route_squares_q_in_float(monkeypatch):
+    # q*q overflows int64 for q > 3.04e9; sieving that far is out of reach,
+    # so the totients of this column are factored instead
+    q, x = 4_000_000_007, 1e30
+    want = F_thm1(q, x, P1)
+    monkeypatch.setattr(thm1, "_phi",
+                        lambda q: np.array([phi_of(int(v)) for v in q]))
+    got = F_thm1(np.array([q, q]), np.array([x, x]), P1)
+    assert within_ulps(got[0], want) and within_ulps(got[1], want)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+def test_x_without_a_window_raises(bad):
+    with pytest.raises(ValueError):
+        verify_thm1_at(3, bad, P1)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="phi"):
+        verify_thm1_at(np.array([3, 5]), np.array([1e10, bad]), P1)
 
 
 # ---------------------------------------------------------------- tilde form
