@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -353,3 +354,15 @@ def test_cli_import_leaves_scipy_out():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_benchmark_tracer_finds_its_entry_points():
+    # perfbench's traced run rebinds named entry points in apbounds.cli,
+    # apbounds.checkers and the BoundEval users; each name must resolve
+    tracer = Path(__file__).resolve().parents[1] / "perfbench"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; sys.path.insert(0, {str(tracer)!r}); import tracer; "
+         "tracer.Tracer().install()"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
