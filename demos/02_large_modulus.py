@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from apbounds.margins import all_passed
 from apbounds.tables import load_table4
-from apbounds.thm1 import tilde_thm1, verify_thm1_largeq, verify_thm1_sqrt_largeq
+from apbounds.thm1 import tilde_thm1, verify_thm1_largeq
 
 rows = load_table4()
 
@@ -27,9 +27,8 @@ def _fmt_q0(q0: int) -> str:
 def _show(label: str, sqrt_mode: bool) -> None:
     print(label + "\n")
     print(f"{'alpha':>6} {'delta':>7} {'rho':>5}   {'q0':>14}  verdict   guard route")
-    verifier = verify_thm1_sqrt_largeq if sqrt_mode else verify_thm1_largeq
     for row in rows:
-        evals = verifier(row)
+        evals = verify_thm1_largeq(row, sqrt_mode=sqrt_mode)
         guard = next(e for e in evals if e.name.startswith("mono_guard["))
         route = guard.name[len("mono_guard["):-1]
         ok = "holds" if all_passed(evals) else "FAILS"

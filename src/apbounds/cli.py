@@ -13,14 +13,21 @@ Everything the library verifies is reachable from here:
     apbounds verify lemma8
     apbounds check t5|t6 [--block B] [--jobs J]   (J >= 1 groups of rows)
     apbounds check custom --q Q --x0 X0 --x X [--params "a,d,r"] [--sqrt]
-    apbounds regen-report [--full] --out report.jsonl
+    apbounds regen-report [--full] [--sample-grid N] --out report.jsonl
 
 Each run produces a list of records (one verified inequality each); with
 --out they are written as JSON lines after a commented header, and the
-process exits 0 iff every record passed.  A flag that the chosen target
-would ignore is a usage error (exit 2).  `regen-report --full` includes
-the sqrt-count refresh rows that are known to fail (m = 19, 20, 21), so
-it exits 1 by design; the default battery is all-green.
+process exits 0 iff every record passed.  A record is a dict row
+(`BoundEval.record`), except that a thm1-at sweep adds one
+`margins.ColumnBlock` standing for all of its rows: the writer encodes a
+block's lines straight from its columns, byte for byte what the stdlib
+encoder writes for the dict rows, and the stdout summary takes its counts
+and worst margin from numpy (a NaN margin counts as the worst).
+
+A flag that the chosen target would ignore is a usage error (exit 2).
+`regen-report --full` includes the sqrt-count refresh rows that are known
+to fail (m = 19, 20, 21), so it exits 1 by design; the default battery is
+all-green.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ import numpy as np
 
 from .checkers import check1, check_sqrt, run_exception_tables
 from .majorant import verify_constants, verify_majorant
-from .margins import DEFAULT_SLACK, BoundEval, column_records
+from .margins import DEFAULT_SLACK, BoundEval, ColumnBlock, worst_margin
 # perfbench's traced run rebinds phi_table here as the sieve layer's entry
 # point, so the name stays bound in this module
 from .sieve import phi_table  # noqa: F401
@@ -54,6 +61,25 @@ THM2_SLACK = 1e-12
 _VERIFY_TARGETS = ("thm1-at", "thm1-tables", "thm2", "thm2-tables",
                    "thm3", "corollary", "lemma5", "lemma8")
 _CHECK_TARGETS = ("t5", "t6", "custom")
+DEFAULT_PARAMS = "0.5,1,30"
+
+# Where each flag means something: command -> targets (None for
+# regen-report, which has none).  A flag set anywhere else would be
+# ignored, so main() rejects it as a usage error.
+_FLAG_SCOPE = {
+    "q": {"verify": ("thm1-at",), "check": ("custom",)},
+    "x": {"verify": ("thm1-at",), "check": ("custom",)},
+    "x0": {"check": ("custom",)},
+    "params": {"check": ("custom",)},
+    "sqrt": {"verify": ("thm1-at",), "check": ("custom",)},
+    "block": {"check": ("t5", "t6")},
+    "jobs": {"check": ("t5", "t6")},
+    # regen-report hands both on to thm3 and corollary (--full also adds
+    # lemma5 and thm2-tables)
+    "sample_grid": {"verify": ("thm1-at", "thm3", "corollary"),
+                    "regen-report": (None,)},
+    "full": {"verify": ("thm1-at",), "regen-report": (None,)},
+}
 
 
 @dataclass
@@ -65,7 +91,7 @@ class RunConfig:
     q: int | None = None
     x: float | None = None
     x0: int | None = None
-    params: str = "0.5,1,30"
+    params: str = DEFAULT_PARAMS
     sqrt: bool = False
     block: int | None = None
     jobs: int = 1
@@ -88,7 +114,7 @@ def _slack(cfg: RunConfig, default: float = DEFAULT_SLACK) -> float:
 
 # ---------------------------------------------------------------- batteries
 
-def _battery_thm1_at(cfg: RunConfig, recs: list[dict]) -> None:
+def _battery_thm1_at(cfg: RunConfig, recs: list) -> None:
     p1 = load_table4()[0]
     slack = _slack(cfg)
     suite = "verify:thm1-at"
@@ -104,8 +130,8 @@ def _battery_thm1_at(cfg: RunConfig, recs: list[dict]) -> None:
     # at its reference scale x0(q).  --full walks the whole certified range
     # (up to the all-moduli threshold q0 for the plain window); otherwise a
     # geometric subsample of --sample-grid points (default 200).  All moduli
-    # go through one columnar call; the five records of a modulus share its
-    # inputs dict.
+    # go through one columnar call, and its columns go into the records as
+    # one block: no per-record dict is built for the report.
     blocks = load_table6() if cfg.sqrt else load_table5()
     skip = {q for q, _, _ in blocks[0].rows}
     if cfg.full:
@@ -118,9 +144,8 @@ def _battery_thm1_at(cfg: RunConfig, recs: list[dict]) -> None:
     q_col = np.array(qs)
     x_col = x0_of(p1, q_col, cfg.sqrt)
     cols = verify_thm1_at(q_col, x_col, p1, sqrt_mode=cfg.sqrt, slack=slack)
-    inputs = [{"q": q, "x": x, "sqrt": cfg.sqrt}
-              for q, x in zip(qs, x_col.tolist())]
-    recs.extend(column_records(suite, cols, inputs))
+    recs.append(ColumnBlock(suite, cols, {"q": qs, "x": x_col.tolist(),
+                                          "sqrt": cfg.sqrt}))
 
 
 def _battery_thm1_tables(cfg: RunConfig, recs: list[dict]) -> None:
@@ -248,35 +273,57 @@ def _run_report(cfg: RunConfig, recs: list[dict]) -> None:
 
 # ---------------------------------------------------------------- driver
 
-def _write_out(path: str, cfg: RunConfig, records: list[dict]) -> None:
+def _size(rec) -> int:
+    """How many records a dict row or a ColumnBlock stands for."""
+    return len(rec) if isinstance(rec, ColumnBlock) else 1
+
+
+def _write_out(path: str, cfg: RunConfig, records: list) -> None:
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    # one encoder for every dict row: json.dumps would build one per record
+    encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# apbounds {cfg.command}"
                  f"{' ' + cfg.target if cfg.target else ''} report\n")
         fh.write(f"# generated: {stamp}\n")
-        fh.write(f"# records: {len(records)}\n")
-        # one encoder for every line: json.dumps would build one per record
-        encode = json.JSONEncoder(sort_keys=True).encode
-        fh.writelines(encode(rec) + "\n" for rec in records)
+        fh.write(f"# records: {sum(_size(r) for r in records)}\n")
+        for rec in records:
+            if isinstance(rec, ColumnBlock):
+                fh.writelines(rec.lines())
+            else:
+                fh.write(encode(rec) + "\n")
 
 
-def _print_summary(records: list[dict]) -> None:
-    suites: dict[str, list[dict]] = {}
+def _print_summary(records: list) -> tuple[int, int]:
+    """One line per suite and one per failed record; returns the number of
+    checks and of failed checks."""
+    suites: dict[str, list] = {}  # suite -> [checks, worst margins, fails]
     for rec in records:
-        suites.setdefault(rec["suite"], []).append(rec)
-    for suite, rows in suites.items():
-        failed = [r for r in rows if not r["pass"]]
-        worst = min(r["margin"] for r in rows)
-        verdict = "PASS" if not failed else "FAIL"
-        print(f"[{suite}] {verdict}: {len(rows)} checks, "
-              f"{len(failed)} failed, worst margin {worst:.6e}")
-        for r in failed:
+        if isinstance(rec, ColumnBlock):
+            if not len(rec):
+                continue
+            suite, worst = rec.suite, rec.worst_margin
+            fails = list(rec.records(failed_only=True))
+        else:
+            suite, worst = rec["suite"], rec["margin"]
+            fails = [] if rec["pass"] else [rec]
+        tally = suites.setdefault(suite, [0, [], []])
+        tally[0] += _size(rec)
+        tally[1].append(worst)
+        tally[2] += fails
+    for suite, (checks, worsts, fails) in suites.items():
+        verdict = "PASS" if not fails else "FAIL"
+        print(f"[{suite}] {verdict}: {checks} checks, "
+              f"{len(fails)} failed, worst margin {worst_margin(worsts):.6e}")
+        for r in fails:
             print(f"    FAIL {r['name']} inputs={r['inputs']} "
                   f"lhs={r['lhs']:.9e} rhs={r['rhs']:.9e}")
+    return (sum(t[0] for t in suites.values()),
+            sum(len(t[2]) for t in suites.values()))
 
 
 def dispatch(cfg: RunConfig) -> int:
-    records: list[dict] = []
+    records: list = []  # dict rows and ColumnBlocks, in report order
     if cfg.command == "verify":
         _BATTERIES[cfg.target](cfg, records)
     elif cfg.command == "check":
@@ -287,19 +334,18 @@ def dispatch(cfg: RunConfig) -> int:
         raise SystemExit(f"unknown command {cfg.command!r}")
     if cfg.out:
         _write_out(cfg.out, cfg, records)
-    _print_summary(records)
-    ok = all(r["pass"] for r in records)
-    print(f"total: {len(records)} checks, "
-          f"{sum(not r['pass'] for r in records)} failed")
-    return 0 if ok else 1
+    checks, failed = _print_summary(records)
+    print(f"total: {checks} checks, {failed} failed")
+    return 0 if not failed else 1
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q", type=int, help="modulus")
     p.add_argument("--x", type=float, help="evaluation point / scan end")
     p.add_argument("--x0", type=int, help="scan start")
-    p.add_argument("--params", default="0.5,1,30",
-                   help='window parameters "alpha,delta,rho"')
+    p.add_argument("--params",
+                   help='check custom: window parameters "alpha,delta,rho" '
+                        f'(default "{DEFAULT_PARAMS}")')
     p.add_argument("--sqrt", action="store_true",
                    help="verify thm1-at | check custom: square-root-count "
                         "variant")
@@ -337,19 +383,24 @@ def _parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _scope_text(scope: dict) -> str:
+    return " and ".join(command if targets == (None,)
+                        else f"{command} {'|'.join(targets)}"
+                        for command, targets in scope.items())
+
+
 def main(argv=None) -> int:
     ap = _parser()
     ns = ap.parse_args(argv)
     target = getattr(ns, "target", None)
-    if ns.command != "check" or target not in ("t5", "t6"):
-        for flag in ("block", "jobs"):
-            if getattr(ns, flag) is not None:
-                ap.error(f"--{flag} only applies to check t5|t6")
+    for flag, scope in _FLAG_SCOPE.items():
+        value = getattr(ns, flag)
+        if value is not None and value is not False \
+                and target not in scope.get(ns.command, ()):
+            ap.error(f"--{flag.replace('_', '-')} only applies to "
+                     f"{_scope_text(scope)}")
     if ns.jobs is not None and ns.jobs < 1:
         ap.error(f"--jobs must be at least 1, got {ns.jobs}")
-    if ns.sqrt and (ns.command, target) not in (("verify", "thm1-at"),
-                                                ("check", "custom")):
-        ap.error("--sqrt only applies to verify thm1-at and check custom")
     if (ns.command, target) == ("verify", "thm1-at"):
         if ns.x is None and ns.q is not None:
             ap.error("verify thm1-at: --q needs --x (one point)")
@@ -359,8 +410,9 @@ def main(argv=None) -> int:
         if ns.full and ns.sample_grid is not None:
             ap.error("verify thm1-at: --full and --sample-grid "
                      "exclude each other")
+    params = DEFAULT_PARAMS if ns.params is None else ns.params
     cfg = RunConfig(command=ns.command, target=target,
-                    q=ns.q, x=ns.x, x0=ns.x0, params=ns.params, sqrt=ns.sqrt,
+                    q=ns.q, x=ns.x, x0=ns.x0, params=params, sqrt=ns.sqrt,
                     block=ns.block, jobs=ns.jobs or 1, out=ns.out,
                     slack=ns.slack, sample_grid=ns.sample_grid, full=ns.full)
     return dispatch(cfg)

@@ -8,11 +8,17 @@ the two sides and floors at the absolute slack itself.
 
 `BoundEval` holds one comparison; `BoundColumn` holds the same comparison
 taken at a column of inputs, as equal-length arrays.  Both judge through
-`slack_threshold`, and both write report rows in one layout (`BoundEval.record`,
-`column_records`).
+`slack_threshold`.  `_record` is the one report row layout: `BoundEval.record`
+fills it in, and a `ColumnBlock` (BoundColumns over shared points, with
+their inputs as columns) gives the same rows as dicts (`records`) or as
+JSON text written straight from its arrays (`lines`), byte for byte what
+the stdlib encoder writes for those dicts.  `worst_margin` is the one rule
+for the worst of several margins: a NaN margin is the worst.
 """
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,18 +102,165 @@ class BoundColumn:
                            margin > slack_threshold(lhs, rhs, self.slack))
 
 
-def column_records(suite: str, columns, inputs: list[dict]):
+#: Points per text chunk of ColumnBlock.lines: about 4 MB of report text for
+#: five columns, so a sweep is written without holding its whole body.
+CHUNK_POINTS = 4096
+
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def _json_args(values: list) -> list:
+    """Each per-point input as the text the stdlib JSON encoder writes.
+
+    A plain int or a finite float is its repr, as the encoder writes it;
+    anything else (a bool, a string, NaN, an infinity) is encoded.  The
+    text is made once per point and then fills every column's row.
+    """
+    return [repr(v) if type(v) is int
+            or (type(v) is float and math.isfinite(v)) else _encode(v)
+            for v in values]
+
+
+def _array_args(side: np.ndarray) -> list:
+    """`%s` arguments for a side of a BoundColumn, as json writes it.
+
+    A float prints as float.__repr__ by itself, so only the non-finite
+    entries are encoded; a verdict becomes true or false.
+    """
+    if side.dtype == bool:
+        return np.where(side, "true", "false").tolist()
+    out = side.tolist()
+    for i in np.flatnonzero(~np.isfinite(side)).tolist():
+        out[i] = _encode(out[i])
+    return out
+
+
+def _uniform(side: np.ndarray) -> bool:
+    """Every entry has the same bits (so -0.0 and 0.0 differ), and one text
+    serves every point."""
+    bits = side.view(np.int64) if side.dtype == np.float64 else side
+    return bool(np.all(bits == bits[0]))
+
+
+def _sides(col: BoundColumn) -> tuple:
+    """The per-point fields of a column's rows, in `_record` order."""
+    return col.lhs, col.rhs, col.margin, col.passed
+
+
+def worst_margin(margins) -> float:
+    """The smallest margin, where a NaN margin is the worst of all.
+
+    A plain min() is order-dependent around NaN: min([1.0, nan, 0.5]) is
+    0.5 but min([nan, 1.0, 0.5]) is nan.
+    """
+    margins = list(margins)
+    return math.nan if any(math.isnan(m) for m in margins) else min(margins)
+
+
+@dataclass(frozen=True, eq=False)
+class ColumnBlock:
     """Report rows of BoundColumns over the same points, point by point.
 
-    For point i this yields one row per column, in column order, all with
-    inputs[i]; each row reads exactly as BoundEval(...).record would.
+    `inputs` maps each input name to a list with one value per point or to
+    a value shared by every point (anything but a list).  For point i the
+    block holds one row per column, in column order, all with the same
+    inputs; each row reads exactly as BoundEval(...).record would.
     """
-    cols = [(c.name, c.lhs.tolist(), c.rhs.tolist(), c.margin.tolist(),
-             c.passed.tolist()) for c in columns]
-    for i, inp in enumerate(inputs):
-        for name, lhs, rhs, margin, passed in cols:
-            yield _record(suite, name, inp, lhs[i], rhs[i], margin[i],
-                          passed[i])
+
+    suite: str
+    columns: tuple[BoundColumn, ...]
+    inputs: dict
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "columns", tuple(self.columns))
+
+    @property
+    def n_points(self) -> int:
+        return len(self.columns[0].margin) if self.columns else 0
+
+    def __len__(self) -> int:
+        return self.n_points * len(self.columns)
+
+    @property
+    def worst_margin(self) -> float:
+        # np.min returns NaN when any margin is NaN, as worst_margin does
+        return worst_margin(float(np.min(c.margin)) for c in self.columns)
+
+    def records(self, failed_only: bool = False):
+        """The rows as dicts, point-major; the rows of a point share one
+        inputs dict.  With `failed_only`, only the rows that failed."""
+        if not len(self):
+            return
+        keep = np.ones(self.n_points, dtype=bool)
+        if failed_only:
+            keep = np.logical_or.reduce([~c.passed for c in self.columns])
+        points = np.flatnonzero(keep)
+        cols = [(c.name, c.lhs[points].tolist(), c.rhs[points].tolist(),
+                 c.margin[points].tolist(), c.passed[points].tolist())
+                for c in self.columns]
+        for n, i in enumerate(points.tolist()):
+            inp = {k: v[i] if type(v) is list else v
+                   for k, v in self.inputs.items()}
+            for name, lhs, rhs, margin, passed in cols:
+                if not (failed_only and passed[n]):
+                    yield _record(self.suite, name, inp, lhs[n], rhs[n],
+                                  margin[n], passed[n])
+
+    def _template(self) -> tuple[str, list]:
+        """One point's lines as a `%`-template, and the field of each `%s`.
+
+        The stdlib encoder writes every column's row once, with a
+        placeholder string in each field that varies from point to point,
+        so key order and layout come from `_record` alone.  A side that is
+        the same at every point (the broadcast scalar side of a column, or
+        a verdict that never changes) is written into the template as it
+        stands.  A field is ("in", key) for a per-point input or (j, i)
+        for side i of column j, in `_record` order.
+        """
+        per_point = [k for k, v in self.inputs.items() if type(v) is list]
+        text, fields = [], []
+        for j, c in enumerate(self.columns):
+            sides = _sides(c)
+            slots = [("in", k) for k in per_point]
+            slots += [(j, i) for i, side in enumerate(sides)
+                      if not _uniform(side)]
+            marks = {f: f"\x00{n}" for n, f in enumerate(slots)}
+            inp = {k: marks.get(("in", k), v) for k, v in self.inputs.items()}
+            row = _encode(_record(self.suite, c.name, inp, *(
+                marks.get((j, i), side[0].item())
+                for i, side in enumerate(sides))))
+            row = row.replace("%", "%%")
+            order = sorted(marks, key=lambda f: row.index(_encode(marks[f])))
+            for f in order:
+                mark = _encode(marks[f])
+                if row.count(mark) != 1:  # a name or input holding a mark
+                    raise ValueError(f"placeholder clash in {row!r}")
+                row = row.replace(mark, "%s")
+            text.append(row + "\n")
+            fields += order
+        return "".join(text), fields
+
+    def lines(self):
+        """The rows as JSON text, in chunks of CHUNK_POINTS points.
+
+        Each chunk is a run of whole lines, and each line is byte for byte
+        json.JSONEncoder(sort_keys=True).encode(row) plus a newline, for
+        the rows that records() yields, in the same order.
+        """
+        if not len(self):
+            return
+        template, fields = self._template()
+        for lo in range(0, self.n_points, CHUNK_POINTS):
+            hi = min(lo + CHUNK_POINTS, self.n_points)
+            args = {}
+            for f in dict.fromkeys(fields):
+                if f[0] == "in":
+                    args[f] = _json_args(self.inputs[f[1]][lo:hi])
+                else:
+                    j, i = f
+                    args[f] = _array_args(_sides(self.columns[j])[i][lo:hi])
+            yield "".join([template % row
+                           for row in zip(*(args[f] for f in fields))])
 
 
 def all_passed(evals) -> bool:

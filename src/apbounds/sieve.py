@@ -6,34 +6,17 @@ odd-only segmented sieving sized so a block's strike masks stay in cache.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 __all__ = [
-    "PrimeRange",
     "phi_table",
     "prime_array_segments",
     "primes_between",
-    "primes_in_range",
-    "spf_table",
 ]
 
 SEG = 1 << 22  # odd numbers per segment
-_HI_CAP = 2**63  # keep everything inside int64
-
-
-@dataclass(frozen=True)
-class PrimeRange:
-    lo: int
-    hi: int
-
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ValueError(f"empty range: lo={self.lo} > hi={self.hi}")
-        if self.lo < 0 or self.hi >= _HI_CAP:
-            raise ValueError(f"range must sit inside [0, 2^63): ({self.lo}, {self.hi})")
 
 
 def _simple_primes(n: int) -> np.ndarray:
@@ -84,34 +67,6 @@ def primes_between(lo: int, hi: int) -> np.ndarray:
     if not parts:
         return np.empty(0, dtype=np.int64)
     return np.concatenate(parts)
-
-
-def primes_in_range(range_spec: PrimeRange | tuple[int, int],
-                    consumer: Callable[[int], object]) -> None:
-    """Feed each prime in the range, in increasing order, to `consumer`."""
-    if not isinstance(range_spec, PrimeRange):
-        range_spec = PrimeRange(*range_spec)
-    for seg in prime_array_segments(range_spec.lo, range_spec.hi):
-        for p in seg:
-            consumer(int(p))
-
-
-def spf_table(limit: int) -> np.ndarray:
-    """Smallest-prime-factor table for 0..limit, with spf[1] = 1."""
-    if limit > 10**8:
-        raise ValueError(f"spf table capped at 1e8 entries, asked for {limit}")
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    if limit >= 1:
-        spf[1] = 1
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            view = spf[p * p::p]
-            view[view == 0] = p
-    untouched = spf == 0
-    if limit >= 2:
-        untouched[:2] = False
-    spf[untouched] = np.flatnonzero(untouched)
-    return spf
 
 
 def phi_table(n: int) -> np.ndarray:

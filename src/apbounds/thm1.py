@@ -36,7 +36,6 @@ __all__ = [
     "tilde_thm1",
     "verify_thm1_at",
     "verify_thm1_largeq",
-    "verify_thm1_sqrt_largeq",
     "x0_of",
 ]
 
@@ -337,8 +336,3 @@ def verify_thm1_largeq(params: ParamSet, sqrt_mode: bool = False,
         evals.append(BoundEval("F_cap", alpha / (alpha + 1.0), F0t, slack))
     return evals
 
-
-def verify_thm1_sqrt_largeq(params: ParamSet,
-                            slack: float = DEFAULT_SLACK) -> list[BoundEval]:
-    """Sqrt-count companion of verify_thm1_largeq."""
-    return verify_thm1_largeq(params, sqrt_mode=True, slack=slack)

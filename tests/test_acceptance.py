@@ -24,7 +24,6 @@ from apbounds.thm1 import (
     h1,
     verify_thm1_at,
     verify_thm1_largeq,
-    verify_thm1_sqrt_largeq,
     x0_of,
 )
 from apbounds.thm23 import (
@@ -93,7 +92,8 @@ def test_accept_large_modulus_certification():
     t0 = time.perf_counter()
     bad = []
     for row in rows:
-        for evals in (verify_thm1_largeq(row), verify_thm1_sqrt_largeq(row)):
+        for evals in (verify_thm1_largeq(row),
+                      verify_thm1_largeq(row, sqrt_mode=True)):
             bad.extend((row.q0, e.name, e.margin) for e in evals if not e.passed)
     dt = time.perf_counter() - t0
     ok = not bad and dt < 1.0

@@ -8,10 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from apbounds.cli import (_BATTERIES, RunConfig, _run_check, _run_report,
-                          dispatch, main)
+from apbounds.cli import (_BATTERIES, RunConfig, _print_summary, _run_check,
+                          _run_report, dispatch, main)
+from apbounds.margins import BoundColumn, ColumnBlock
 from apbounds.tables import load_table4
 from apbounds.thm1 import verify_thm1_at, x0_of
 
@@ -236,12 +238,54 @@ def test_table_flags_rejected_elsewhere(argv, capsys):
     (["verify", "thm1-tables", "--sqrt"], "--sqrt only applies"),
     (["check", "t5", "--block", "1", "--sqrt"], "--sqrt only applies"),
     (["regen-report", "--sqrt"], "--sqrt only applies"),
+    (["verify", "thm2", "--q", "5"], "--q only applies"),
+    (["verify", "corollary", "--x", "1e6"], "--x only applies"),
+    (["check", "t5", "--block", "1", "--q", "3"], "--q only applies"),
+    (["regen-report", "--x", "1e6"], "--x only applies"),
+    (["verify", "thm1-at", "--q", "3", "--x", "193269", "--x0", "23656"],
+     "--x0 only applies"),
+    (["verify", "thm1-at", "--sample-grid", "5", "--params", "0.5,1,30"],
+     "--params only applies"),
+    (["check", "t6", "--x0", "5"], "--x0 only applies"),
+    (["regen-report", "--params", "0.5,1,30"], "--params only applies"),
+    (["verify", "thm1-tables", "--sample-grid", "5"],
+     "--sample-grid only applies"),
+    (["verify", "thm2", "--sample-grid", "5"], "--sample-grid only applies"),
+    (["verify", "thm2-tables", "--sample-grid", "5"],
+     "--sample-grid only applies"),
+    (["verify", "lemma5", "--sample-grid", "5"], "--sample-grid only applies"),
+    (["verify", "lemma8", "--sample-grid", "5"], "--sample-grid only applies"),
+    (["check", "t5", "--sample-grid", "5"], "--sample-grid only applies"),
+    (["check", "custom", "--q", "3", "--x0", "23656", "--x", "193269",
+      "--sample-grid", "5"], "--sample-grid only applies"),
+    (["verify", "thm2", "--full"], "--full only applies"),
+    (["verify", "thm3", "--full"], "--full only applies"),
+    (["verify", "corollary", "--full"], "--full only applies"),
+    (["check", "t6", "--full"], "--full only applies"),
+    (["check", "custom", "--q", "3", "--x0", "23656", "--x", "193269",
+      "--full"], "--full only applies"),
+    # a zero is a value that was given, not an unset flag
+    (["verify", "thm2", "--x", "0"], "--x only applies"),
+    (["verify", "lemma8", "--sample-grid", "0"], "--sample-grid only applies"),
 ])
 def test_ignored_flags_rejected(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_flags_kept_where_they_apply(tmp_path):
+    # regen-report hands --sample-grid to thm3 and corollary
+    small = tmp_path / "small.jsonl"
+    big = tmp_path / "big.jsonl"
+    assert main(["regen-report", "--sample-grid", "3", "--out", str(small)]) \
+        == 0
+    assert main(["regen-report", "--sample-grid", "6", "--out", str(big)]) \
+        == 0
+    assert len(read_records(small)) < len(read_records(big))
+    assert main(["check", "custom", "--q", "3", "--x0", "23656", "--x",
+                 "193269"]) == 0  # --params defaults to 0.5,1,30
 
 
 def test_check_custom_pass():
@@ -304,15 +348,18 @@ def _plain_json(v):
 def test_records_are_plain_python():
     # every record type the CLI builds, in memory, down to exact builtin
     # types: json.dumps turns none of them away and writes no numpy repr
-    recs: list[dict] = []
-    _run_report(RunConfig(command="regen-report", full=True), recs)
+    items: list = []
+    _run_report(RunConfig(command="regen-report", full=True), items)
     _BATTERIES["thm1-at"](RunConfig(command="verify", target="thm1-at",
-                                    sample_grid=20, sqrt=True), recs)
+                                    sample_grid=20, sqrt=True), items)
     _BATTERIES["thm1-at"](RunConfig(command="verify", target="thm1-at",
-                                    q=3, x=193269.0), recs)
+                                    q=3, x=193269.0), items)
     _run_check(RunConfig(command="check", target="custom", q=3, x0=23656,
-                         x=193269.0), recs)
-    _run_check(RunConfig(command="check", target="t6", block=1), recs)
+                         x=193269.0), items)
+    _run_check(RunConfig(command="check", target="t6", block=1), items)
+    assert any(isinstance(r, ColumnBlock) for r in items)
+    recs = [row for r in items for row in
+            (r.records() if isinstance(r, ColumnBlock) else [r])]
     suites = {r["suite"] for r in recs}
     assert {"verify:lemma5", "verify:lemma8", "verify:thm2-tables",
             "verify:thm1-at", "check:custom", "check:t6"} <= suites
@@ -320,6 +367,37 @@ def test_records_are_plain_python():
         assert _plain_json(r), r
         assert type(r["pass"]) is bool
         json.dumps(r)
+
+
+def _row(suite, margin):
+    return {"suite": suite, "name": "c", "inputs": {}, "lhs": margin,
+            "rhs": 0.0, "margin": margin, "pass": margin > 0}
+
+
+def test_summary_reports_a_nan_margin_as_worst(capsys):
+    # min() would print 5.0e-01 here: NaN compares false both ways
+    rows = [_row("s", 1.0), _row("s", math.nan), _row("s", 0.5)]
+    lhs = np.array([1.0, math.nan, 0.5])
+    block = ColumnBlock("b", [BoundColumn("c", lhs, 0.0)], {"i": [0, 1, 2]})
+    for order in (rows, rows[::-1], [block], [block, _row("b", 0.25)]):
+        assert _print_summary(order)[1] == 1
+        head = capsys.readouterr().out.splitlines()[0]
+        assert head.endswith("1 failed, worst margin nan"), head
+    assert _print_summary([_row("s", 1.0), _row("s", 0.5)]) == (2, 0)
+    assert capsys.readouterr().out.splitlines()[0].endswith(
+        "worst margin 5.000000e-01")
+
+
+def test_summary_and_verdict_take_blocks_and_rows_alike(capsys):
+    lhs = np.array([1.0, -1.0, 0.5])
+    block = ColumnBlock("s", [BoundColumn("a", lhs, 0.0),
+                              BoundColumn("b", 1.0, np.zeros(3))],
+                        {"q": [3, 4, 5]})
+    assert _print_summary([block, _row("s", -2.0)]) == (7, 2)
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "[s] FAIL: 7 checks, 2 failed, worst margin -2.000000e+00"
+    assert out[1].startswith("    FAIL a inputs={'q': 4} lhs=-1.0")
+    assert out[2].startswith("    FAIL c inputs={} lhs=-2.0")
 
 
 # ---------------------------------------------------------------- plumbing

@@ -6,8 +6,9 @@ import math
 
 import numpy as np
 
-from apbounds.margins import (DEFAULT_SLACK, BoundColumn, BoundEval,
-                              all_passed, column_records, slack_threshold)
+from apbounds.margins import (CHUNK_POINTS, DEFAULT_SLACK, BoundColumn,
+                              BoundEval, ColumnBlock, all_passed,
+                              slack_threshold, worst_margin)
 
 NAN = math.nan
 
@@ -68,10 +69,90 @@ def test_column_records_match_bound_eval_records_point_major():
     lhs = np.array([2.0, 1.0, -0.5])
     cols = [BoundColumn("a", lhs, 1.0), BoundColumn("b", 0.75, lhs)]
     inputs = [{"i": i} for i in range(3)]
-    rows = list(column_records("s", cols, inputs))
+    block = ColumnBlock("s", cols, {"i": [0, 1, 2]})
+    rows = list(block.records())
     want = [BoundEval(c.name, c.lhs[i], c.rhs[i]).record("s", inputs[i])
             for i in range(3) for c in cols]
     assert rows == want
+    assert len(block) == len(rows) == 6
     assert [r["name"] for r in rows] == ["a", "b"] * 3
-    assert all(r["inputs"] is inputs[i // 2] for i, r in enumerate(rows))
+    # the rows of a point share one inputs dict
+    assert all(r["inputs"] is rows[i - i % 2]["inputs"]
+               for i, r in enumerate(rows))
     assert json.dumps(rows) == json.dumps(want)
+    assert list(block.records(failed_only=True)) \
+        == [r for r in want if not r["pass"]]
+
+
+ENCODE = json.JSONEncoder(sort_keys=True).encode
+
+
+def stdlib_text(block):
+    return "".join(ENCODE(r) + "\n" for r in block.records())
+
+
+def test_block_lines_match_stdlib_encoder():
+    lhs = np.array([2.0, 1.0, -0.5, 0.1 + 0.2, 1e300, 5e-324])
+    # a side equal at every point is written into the template once;
+    # 0.0 and -0.0 are equal but print differently
+    zeros = np.array([0.0, -0.0, 0.0, 0.0, 0.0, 0.0])
+    cols = [BoundColumn("main", lhs, 1.0), BoundColumn("inv_T", 0.75, lhs),
+            BoundColumn("100%[a,b)", lhs, lhs / 3),
+            BoundColumn("zero", 1.0, zeros)]
+    block = ColumnBlock("verify:thm1-at", cols,
+                        {"q": [3, 7, 11, 2**64 + 1, 10**30, -5],
+                         "x": [1.5, 1e22, 2.0**-1074, 7.0, 1e-7, 0.0],
+                         "sqrt": False, "tag": "a\"b%s"})
+    assert not all(r["pass"] for r in block.records())  # a failing row
+    chunks = list(block.lines())
+    assert len(chunks) == 1 and chunks[0].endswith("\n")
+    assert chunks[0] == stdlib_text(block)
+
+
+def test_block_lines_write_non_finite_sides_as_json_does():
+    nan, inf = math.nan, math.inf
+    lhs = np.array([nan, inf, -inf, 1.0, inf, nan])
+    rhs = np.array([1.0, 1.0, 1.0, nan, inf, -inf])
+    with np.errstate(invalid="ignore"):  # inf - inf
+        col = BoundColumn("c", lhs, rhs)
+    block = ColumnBlock("s", [col],
+                        {"x": [nan, inf, -inf, 1.0, 2.0, 3.0], "q": [3] * 6})
+    text = "".join(block.lines())
+    assert text == stdlib_text(block)
+    assert "NaN" in text and "-Infinity" in text and "nan" not in text
+    assert [json.loads(ln)["pass"] for ln in text.splitlines()] == [False] * 6
+
+
+def test_block_lines_stream_in_chunks_of_points():
+    n = 2 * CHUNK_POINTS + 3  # not a multiple of the chunk size
+    lhs = np.linspace(-1.0, 2.0, n)
+    cols = [BoundColumn("a", lhs, 0.0), BoundColumn("b", 1.0, lhs)]
+    block = ColumnBlock("s", cols, {"q": list(range(n)),
+                                    "x": (lhs * 1e5).tolist(), "sqrt": True})
+    chunks = list(block.lines())
+    assert [c.count("\n") for c in chunks] == [2 * CHUNK_POINTS] * 2 + [6]
+    assert all(c.endswith("\n") for c in chunks)
+    assert "".join(chunks) == stdlib_text(block)
+
+
+def test_empty_block():
+    block = ColumnBlock("s", [BoundColumn("a", np.zeros(0), np.zeros(0))],
+                        {"q": [], "sqrt": False})
+    assert len(block) == 0
+    assert list(block.lines()) == [] == list(block.records())
+    assert len(ColumnBlock("s", [], {})) == 0
+
+
+def test_worst_margin_puts_nan_first_whatever_the_order():
+    assert worst_margin([1.0, 0.5, 2.0]) == 0.5
+    for order in ([1.0, NAN, 0.5], [NAN, 1.0, 0.5], [1.0, 0.5, NAN]):
+        assert math.isnan(worst_margin(order))
+    lhs = np.array([1.0, NAN, 0.5])
+    block = ColumnBlock("s", [BoundColumn("a", lhs, 0.0),
+                              BoundColumn("b", 1.0, np.zeros(3))],
+                        {"i": [0, 1, 2]})
+    assert math.isnan(block.worst_margin)
+    block = ColumnBlock("s", [BoundColumn("a", np.array([1.0, 0.5]), 0.0),
+                              BoundColumn("b", 0.25, np.zeros(2))],
+                        {"i": [0, 1]})
+    assert block.worst_margin == 0.25

@@ -1,19 +1,11 @@
-"""Unit tests for the segmented sieve and the smallest-prime-factor table."""
+"""Unit tests for the segmented sieve and the totient table."""
 from __future__ import annotations
 
 import math
 
 import numpy as np
-import pytest
 
-from apbounds.sieve import (
-    PrimeRange,
-    phi_table,
-    prime_array_segments,
-    primes_between,
-    primes_in_range,
-    spf_table,
-)
+from apbounds.sieve import phi_table, prime_array_segments, primes_between
 
 
 def naive_primes(lo: int, hi: int) -> list[int]:
@@ -55,16 +47,6 @@ def test_matches_naive_oracle_windows():
         assert primes_between(lo, hi).tolist() == naive_primes(lo, hi), (lo, hi)
 
 
-def test_consumer_callback_in_order():
-    seen = []
-    primes_in_range(PrimeRange(10, 60), seen.append)
-    assert seen == naive_primes(10, 60)
-    # tuple input also accepted
-    seen2 = []
-    primes_in_range((10, 60), seen2.append)
-    assert seen2 == seen
-
-
 def test_split_invariance():
     rng = np.random.default_rng(7)
     for _ in range(12):
@@ -82,31 +64,6 @@ def test_segments_cover_range_in_order():
     assert np.all(np.diff(flat) > 0)
     assert flat[0] >= 100 and flat[-1] <= 10**6
     assert flat.size == primes_between(100, 10**6).size
-
-
-def test_prime_range_validation():
-    with pytest.raises(ValueError):
-        PrimeRange(10, 5)
-    with pytest.raises(ValueError):
-        PrimeRange(0, 2**63)
-
-
-def test_spf_table():
-    spf = spf_table(1000)
-    assert spf[1] == 1
-    assert spf[91] == 7
-    assert spf[97] == 97
-    assert spf[2] == 2 and spf[4] == 2 and spf[999] == 3
-    # spf(n) divides n and is its least prime factor
-    for n in range(2, 1001):
-        p = int(spf[n])
-        assert n % p == 0
-        assert all(n % d for d in range(2, p))
-
-
-def test_spf_limit_guard():
-    with pytest.raises(ValueError):
-        spf_table(10**8 + 1)
 
 
 def test_phi_table_matches_factorize():

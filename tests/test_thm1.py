@@ -21,7 +21,6 @@ from apbounds.thm1 import (
     tilde_thm1,
     verify_thm1_at,
     verify_thm1_largeq,
-    verify_thm1_sqrt_largeq,
     x0_of,
 )
 
@@ -398,12 +397,6 @@ def test_largeq_frozen_margins(idx, sqrt_mode):
         fc = by_name(evals, "F_cap")
         alpha = ROWS[idx - 1].alpha
         assert fc.lhs == pytest.approx(alpha / (alpha + 1.0), rel=1e-14)
-
-
-def test_largeq_sqrt_alias():
-    a = verify_thm1_largeq(ROWS[0], sqrt_mode=True)
-    b = verify_thm1_sqrt_largeq(ROWS[0])
-    assert [(e.name, e.lhs, e.rhs) for e in a] == [(e.name, e.lhs, e.rhs) for e in b]
 
 
 def test_largeq_segmented_long_march():

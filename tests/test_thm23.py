@@ -3,6 +3,7 @@ and the explicit totient cap."""
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -208,6 +209,27 @@ def test_exact_refresh_sqrt_20_21_fail_honestly():
     d21 = exact_refresh_scan(21, 1398, 1947, sqrt_mode=True)
     assert (d21.n_plain_fail, d21.n_refined_fail) == (173, 28)
     assert (d21.worst_q, round(d21.worst_margin, 4)) == (1399, -0.8225)
+
+
+def test_decisions_note_lists_the_refresh_failures():
+    # notes/decisions.md writes down the counterexamples behind the strict
+    # xfail of the acceptance gate; it must list exactly what the scan finds
+    note = (Path(__file__).resolve().parents[1] / "notes" / "decisions.md")
+    text = note.read_text(encoding="utf-8")
+    for m, q0 in load_table8()[1]:
+        if m not in (19, 20, 21):
+            continue
+        qstar = tilde_threshold(m, q0, sqrt_mode=True)
+        d = exact_refresh_scan(m, q0, qstar, sqrt_mode=True)
+        head = (f"### m = {m}: {len(d.failures)} moduli in "
+                f"[{q0}, {qstar})\n\n```\n")
+        assert head in text, head
+        body = text.split(head, 1)[1].split("```", 1)[0]
+        listed = [(int(q), float(g)) for q, g in
+                  (ln.split() for ln in body.splitlines())]
+        assert [q for q, _ in listed] == [q for q, _ in d.failures]
+        for (_, got), (_, want) in zip(listed, d.failures):
+            assert got == pytest.approx(want, abs=5e-7)
 
 
 PLAIN_PAIRS, SQRT_PAIRS = load_table8()
