@@ -10,6 +10,8 @@ derivative bound or, when that is too tight, a segmented walk over u.
 
 from __future__ import annotations
 
+import math
+
 from apbounds.margins import all_passed
 from apbounds.tables import load_table4
 from apbounds.thm1 import tilde_thm1, verify_thm1_largeq
@@ -43,7 +45,7 @@ _show("same rows, sqrt-count variant (thresholds are much larger):", True)
 
 # --- what the reduced form looks like ----------------------------------
 row = rows[0]
-t = tilde_thm1(row, q=row.q0)
+t = tilde_thm1(row, math.log(row.q0))
 print(f"\nreduced quantities for the reference row at q0={row.q0:,}:")
 print(f"  F~      = {t.F0t:.6f}    (must stay below its cap)")
 print(f"  beta0   = {t.beta0:.3f}")

@@ -24,7 +24,10 @@ block's lines straight from its columns, byte for byte what the stdlib
 encoder writes for the dict rows, and the stdout summary takes its counts
 and worst margin from numpy (a NaN margin counts as the worst).
 
-A flag that the chosen target would ignore is a usage error (exit 2).
+A flag that the chosen target would ignore is a usage error (exit 2), and
+so is a value out of range: `--slack` must be finite and >= 0,
+`--sample-grid` and `--jobs` at least 1, `--block` a block of the table,
+`--params` three numbers.
 `regen-report --full` includes the sqrt-count refresh rows that are known
 to fail (m = 19, 20, 21), so it exits 1 by design; the default battery is
 all-green.
@@ -43,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkers import check1, check_sqrt, run_exception_tables
-from .majorant import verify_constants, verify_majorant
+from .majorant import GAMMA_MAX, verify_constants, verify_majorant
 from .margins import DEFAULT_SLACK, BoundEval, ColumnBlock, worst_margin
 # perfbench's traced run rebinds phi_table here as the sieve layer's entry
 # point, so the name stays bound in this module
@@ -79,6 +82,10 @@ _FLAG_SCOPE = {
     "sample_grid": {"verify": ("thm1-at", "thm3", "corollary"),
                     "regen-report": (None,)},
     "full": {"verify": ("thm1-at",), "regen-report": (None,)},
+    # lemma5's certificate is exact, so it has no slack to set (regen-report
+    # --full runs it with its fixed pass rule)
+    "slack": {"verify": tuple(t for t in _VERIFY_TARGETS if t != "lemma5"),
+              "check": _CHECK_TARGETS, "regen-report": (None,)},
 }
 
 
@@ -106,6 +113,12 @@ class RunConfig:
 def _grid(lo: float, hi: float, n: int, skip=()) -> list[int]:
     pts = {int(round(g)) for g in np.geomspace(lo, hi, n)}
     return sorted(pts - set(skip))
+
+
+def _window_params(text: str) -> tuple[float, float, float]:
+    """(alpha, delta, rho) from "a,d,r"; ValueError unless three numbers."""
+    alpha, delta, rho = (float(t) for t in text.split(","))
+    return alpha, delta, rho
 
 
 def _slack(cfg: RunConfig, default: float = DEFAULT_SLACK) -> float:
@@ -212,7 +225,7 @@ def _battery_corollary(cfg: RunConfig, recs: list[dict]) -> None:
 
 def _battery_lemma5(cfg: RunConfig, recs: list[dict]) -> None:
     ev = verify_majorant()
-    recs.append(ev.record("verify:lemma5", {"gamma_max": 1e6}))
+    recs.append(ev.record("verify:lemma5", {"gamma_max": GAMMA_MAX}))
 
 
 def _battery_lemma8(cfg: RunConfig, recs: list[dict]) -> None:
@@ -243,9 +256,7 @@ def _run_check(cfg: RunConfig, recs: list[dict]) -> None:
                                        jobs=cfg.jobs)
     else:
         suite = "check:custom"
-        if cfg.q is None or cfg.x0 is None or cfg.x is None:
-            raise SystemExit("check custom needs --q, --x0 and --x")
-        alpha, delta, rho = (float(t) for t in cfg.params.split(","))
+        alpha, delta, rho = _window_params(cfg.params)
         scan = check_sqrt if cfg.sqrt else check1
         reports = [scan(alpha, delta, rho, cfg.q, cfg.x0, int(cfg.x))]
     for rep in reports:
@@ -399,8 +410,27 @@ def main(argv=None) -> int:
                 and target not in scope.get(ns.command, ()):
             ap.error(f"--{flag.replace('_', '-')} only applies to "
                      f"{_scope_text(scope)}")
-    if ns.jobs is not None and ns.jobs < 1:
-        ap.error(f"--jobs must be at least 1, got {ns.jobs}")
+    for flag in ("jobs", "sample_grid"):
+        value = getattr(ns, flag)
+        if value is not None and value < 1:
+            ap.error(f"--{flag.replace('_', '-')} must be at least 1, "
+                     f"got {value}")
+    if ns.slack is not None and not 0.0 <= ns.slack < math.inf:  # NaN too
+        ap.error(f"--slack must be a finite number >= 0, got {ns.slack}")
+    if ns.block is not None:
+        n_blocks = len(load_table5() if target == "t5" else load_table6())
+        if not 1 <= ns.block <= n_blocks:
+            ap.error(f"--block: {target} has blocks 1..{n_blocks}, "
+                     f"got {ns.block}")
+    if ns.params is not None:
+        try:
+            _window_params(ns.params)
+        except ValueError:
+            ap.error(f'--params takes three numbers "alpha,delta,rho", '
+                     f'got {ns.params!r}')
+    if (ns.command, target) == ("check", "custom") \
+            and None in (ns.q, ns.x0, ns.x):
+        ap.error("check custom needs --q, --x0 and --x")
     if (ns.command, target) == ("verify", "thm1-at"):
         if ns.x is None and ns.q is not None:
             ap.error("verify thm1-at: --q needs --x (one point)")

@@ -3,8 +3,10 @@ arithmetic, plus the companion sums over its coefficients.
 
 The weight g(gamma) = gamma^2 / sqrt((1/4 + gamma^2)(9/4 + gamma^2)) is
 dominated for 0 <= gamma <= 5 by F(gamma) = sum_j a_j f(s_j, gamma), a
-combination of scaled Cauchy kernels at the half-integer points
-s_j = 3/4 + j/2.  Because every a_j is an exact multiple of 1e-7, both claims
+combination of the scaled Cauchy kernels f(s, gamma) = 4(2s-1) /
+((2s-1)^2 + 4 gamma^2) at the half-integer points s_j = 3/4 + j/2.  The
+coefficients a_j are read from ``data/table2.txt``.  Because every a_j is an
+exact multiple of 1e-7, both claims
 
     F >= 0 on [0, inf)        and        F >= g for gamma^2 <= 25
 
@@ -23,16 +25,16 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import sqrt
 from typing import NamedTuple
 
 import numpy as np
 from mpmath import mp
 
 from .margins import BoundEval
-from .tables import MAJORANT_SCALED
+from .tables import load_table2
 
 __all__ = [
+    "GAMMA_MAX",
     "SCALE",
     "MajorantConstants",
     "SValue",
@@ -40,7 +42,6 @@ __all__ = [
     "S_of",
     "build_certificate_polys",
     "count_roots",
-    "f_of",
     "g_of",
     "pairing_threshold",
     "s_sign_sweep",
@@ -59,33 +60,33 @@ TAIL_MASS_SCALED = 239
 # 2^-ROOT_DEPTH of the interval) exhausts it, and the gate then fails closed.
 ROOT_DEPTH = 64
 
+# the float cross-check sweeps gamma up to here; the lemma5 record states it
+GAMMA_MAX = 1e6
+
 
 @dataclass(frozen=True)
 class MajorantConstants:
-    """Exact majorant data: scaled integer coefficients and their abscissae."""
+    """Exact majorant data: the scaled integer coefficients a_scaled[j - 1]
+    of the kernels at s_j = 3/4 + j/2, j = 1..23."""
 
     a_scaled: tuple[int, ...]
-    s: tuple[float, ...]
 
     @classmethod
     def published(cls) -> "MajorantConstants":
-        return cls(a_scaled=tuple(MAJORANT_SCALED),
-                   s=tuple(0.75 + 0.5 * j for j in range(1, 24)))
+        return cls(a_scaled=load_table2())
 
     def a_floats(self) -> list[float]:
         return [a / SCALE for a in self.a_scaled]
 
 
-def f_of(s: float, gamma: float) -> float:
-    """Cauchy kernel 4(2s-1) / ((2s-1)^2 + 4 gamma^2)."""
-    w = 2.0 * s - 1.0
-    return 4.0 * w / (w * w + 4.0 * gamma * gamma)
-
-
-def g_of(gamma: float) -> float:
-    """Ordinate weight gamma^2 / sqrt((1/4 + gamma^2)(9/4 + gamma^2))."""
-    g2 = float(gamma) * float(gamma)
-    return g2 / sqrt((0.25 + g2) * (2.25 + g2))
+def g_of(gamma):
+    """Ordinate weight gamma^2 / sqrt((1/4 + gamma^2)(9/4 + gamma^2));
+    scalar in, scalar out; array in, array out."""
+    g2 = np.asarray(gamma, dtype=float) ** 2
+    out = g2 / np.sqrt((0.25 + g2) * (2.25 + g2))
+    if np.ndim(gamma) == 0:
+        return float(out)
+    return out
 
 
 def F_majorant(gamma, constants: MajorantConstants | None = None):
@@ -246,38 +247,30 @@ def _certificate_gate(constants: MajorantConstants) -> str | None:
     return None
 
 
-def verify_majorant(constants: MajorantConstants | None = None,
-                    gamma_max: float = 1e6) -> BoundEval:
+def verify_majorant(constants: MajorantConstants | None = None) -> BoundEval:
     """Certify F >= 0 everywhere and F >= g for gamma in [0, 5].
 
     The verdict rests on the exact root-count certificate; a millionth-point
-    float sweep up to gamma_max independently cross-checks it (domination on
+    float sweep up to GAMMA_MAX independently cross-checks it (domination on
     [0, 5], plain positivity beyond — past gamma = 5 the sign of F is read
     off N(t)/t^22 in a reversed Horner that cannot overflow).  Passing is
     reported as a single eval with a token positive margin, since the
     certificate itself is exact and has no meaningful float margin.
     """
-    if gamma_max < 1e6:
-        raise ValueError(f"sweep must reach 1e6, got gamma_max={gamma_max}")
     c = constants if constants is not None else MajorantConstants.published()
     gate = _certificate_gate(c)
     if gate is None:
         lo = np.linspace(0.0, 5.0, 200_000)
-        if np.min(F_majorant(lo, c) - g_of_vec(lo)) < -1e-12:
+        if np.min(F_majorant(lo, c) - g_of(lo)) < -1e-12:
             gate = "sweep"
         else:
-            hi = np.geomspace(5.0, gamma_max, 800_000)
+            hi = np.geomspace(5.0, GAMMA_MAX, 800_000)
             n_asc = _float_polys(c)[0][::-1]  # ascending = descending in 1/t
             if np.min(np.polyval(n_asc, 1.0 / hi**2)) < 0.0:
                 gate = "sweep"
     if gate is not None:
         return BoundEval(f"majorant[certificate-failed:{gate}]", 0.0, 0.0, 0.0)
     return BoundEval("majorant[algebraic-certificate]", 0.0, -1e-9, 0.0)
-
-
-def g_of_vec(gamma: np.ndarray) -> np.ndarray:
-    g2 = np.asarray(gamma, dtype=float) ** 2
-    return g2 / np.sqrt((0.25 + g2) * (2.25 + g2))
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +282,7 @@ class SValue(NamedTuple):
     err_bound: float
 
 
-def S_of(n: int, constants: MajorantConstants | None = None) -> SValue:
+def S_of(n: int) -> SValue:
     """S(n) = sum_j a_j n^{-s_j} by Horner in u = n^{-1/2}, with an error bound.
 
     The bound is the standard Horner running-error estimate; callers use it
@@ -299,7 +292,7 @@ def S_of(n: int, constants: MajorantConstants | None = None) -> SValue:
     """
     if n < 2:
         raise ValueError(f"tail sums start at n = 2, got {n}")
-    c = constants if constants is not None else MajorantConstants.published()
+    c = MajorantConstants.published()
     a = c.a_floats()
     u = n ** -0.5
     acc = 0.0
@@ -321,21 +314,19 @@ def S_of(n: int, constants: MajorantConstants | None = None) -> SValue:
     return SValue(value, err)
 
 
-def s_sign_sweep(lo: int, hi: int,
-                 constants: MajorantConstants | None = None) -> tuple[int, ...]:
+def s_sign_sweep(lo: int, hi: int) -> tuple[int, ...]:
     """All n in [lo, hi] where S(n) >= 0 (expected: n = 4 alone)."""
     return tuple(n for n in range(lo, hi + 1)
-                 if S_of(n, constants).value >= 0.0)
+                 if S_of(n).value >= 0.0)
 
 
-def pairing_threshold(constants: MajorantConstants | None = None) -> float:
+def pairing_threshold() -> float:
     """Where consecutive-term pairing takes over from the sign sweep.
 
     Past max_k (a_{2k} / |a_{2k-1}|)^2 each positive term is dominated by its
     negative predecessor, so S(n) < 0 without evaluation.
     """
-    c = constants if constants is not None else MajorantConstants.published()
-    a = c.a_scaled
+    a = MajorantConstants.published().a_scaled
     return max((a[2 * k - 1] / abs(a[2 * k - 2])) ** 2
                for k in range(1, (len(a) + 1) // 2))
 

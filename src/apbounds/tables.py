@@ -3,8 +3,8 @@
 Every certified run starts from one of these: the majorant coefficients,
 the large-modulus parameter rows, the two exception-interval tables for the
 prime scans, and the starting thresholds for the rho = 100 bound family.
-Data lives in text files under ``data/``; the majorant coefficients are also
-embedded here so the file and the source can cross-check each other.
+Data lives in text files under ``data/``, and each file is the only source
+of its numbers.
 """
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from importlib.resources import files
 from typing import NamedTuple
 
 __all__ = [
-    "MAJORANT_SCALED",
     "ExceptionBlock",
     "ParamSet",
     "Table7",
@@ -25,33 +24,6 @@ __all__ = [
     "load_table7",
     "load_table8",
 ]
-
-# Majorant numerator coefficients scaled by 10^7, abscissa s_j = 3/4 + j/2.
-MAJORANT_SCALED: tuple[int, ...] = (
-    -10417203,
-    1056404889,
-    -65191418930,
-    2306235683461,
-    -50953892956052,
-    745294415104297,
-    -7554469767270438,
-    55069155554895360,
-    -297487524612176257,
-    1219731091815491142,
-    -3866974934911032963,
-    9612711864719121022,
-    -18920268046344982450,
-    29659178484686316889,
-    -37103060687919097856,
-    36963001195180424340,
-    -29124459758424138052,
-    17917680016161661642,
-    -8424311293805783518,
-    2923218093750242944,
-    -705518033170496127,
-    105765338120745449,
-    -7417073631321810,
-)
 
 
 @dataclass(frozen=True)

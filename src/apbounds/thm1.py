@@ -7,7 +7,8 @@ the slope by one (``hsqrt``) and in exchange certifies a sqrt(x)-sized count
 of primes in the interval.  ``verify_thm1_at`` checks one (q, x) pair
 exactly, or equal-length arrays of them in one numpy pass (the pointwise
 formulas are written once, over a backend that is `math` for a point and
-numpy for arrays).  ``verify_thm1_largeq``
+numpy for arrays); it is their only caller, and their window-height guard
+raises on any x with no window.  ``verify_thm1_largeq``
 certifies all q at and beyond a threshold by evaluating a majorized form of
 the inequality in terms of log q alone and then proving that form monotone,
 either by a one-shot slope test or by a segmented walk over log q.
@@ -26,11 +27,8 @@ from .sieve import phi_table
 from .tables import ParamSet
 
 __all__ = [
-    "F_thm1",
-    "Gbar_thm1",
     "TildeThm1",
     "X_FLOOR",
-    "beta_T_thm1",
     "h1",
     "hsqrt",
     "tilde_thm1",
@@ -111,19 +109,11 @@ def x0_of(params: ParamSet, q, sqrt_mode: bool = False):
 
 
 def _beta_T(params: ParamSet, q, x, sqrt_mode: bool, phi, xp):
-    a, _m, ell = _hatted(params, sqrt_mode)
-    sx = xp.sqrt(x)
-    beta = ell * xp.log(sx / (phi * xp.log(q)))
-    T = beta * sx / (phi * (a * xp.log(x) + params.delta * xp.log(q)
-                            + params.rho))
-    return beta, T
+    """Zero-density window height beta and integration cutoff T = beta x / h.
 
-
-def _checked_beta_T(params: ParamSet, q, x, sqrt_mode: bool, phi, xp):
-    """_beta_T, raising unless sqrt(x) > phi(q) log q (window height > 0).
-
-    A NaN x fails the test too; a negative one already fails math.sqrt on
-    the scalar route and gives a NaN root on the array route.
+    Raises unless sqrt(x) > phi(q) log q (window height > 0).  A NaN x
+    fails the test too; a negative one already fails math.sqrt on the
+    scalar route and gives a NaN root on the array route.
     """
     sx, ref = xp.sqrt(x), phi * xp.log(q)
     ok = sx > ref
@@ -133,7 +123,17 @@ def _checked_beta_T(params: ParamSet, q, x, sqrt_mode: bool, phi, xp):
             i = np.argmin(ok)  # the first failing point
             sx, ref = sx.flat[i], ref.flat[i]
         raise ValueError(f"sqrt(x)={sx:g} must exceed phi(q) log q = {ref:g}")
-    return _beta_T(params, q, x, sqrt_mode, phi, xp)
+    a, _m, ell = _hatted(params, sqrt_mode)
+    beta = ell * xp.log(sx / ref)
+    T = beta * sx / (phi * (a * xp.log(x) + params.delta * xp.log(q)
+                            + params.rho))
+    return beta, T
+
+
+def _kappa(beta, T):
+    """Factor of the log term in Gbar, on either backend."""
+    return 1.0 + 2.0 / (pi * beta) + 2.0 / (pi * beta**2) \
+        + 4.0 * _C_T / (pi * beta * T)
 
 
 def _F(q, x, phi, beta, T, xp):
@@ -146,34 +146,8 @@ def _F(q, x, phi, beta, T, xp):
 
 def _Gbar(q, x, params: ParamSet, sqrt_mode: bool, phi, beta, T, xp):
     a, _m, ell = _hatted(params, sqrt_mode)
-    kappa = 1.0 + 2.0 / (pi * beta) + 2.0 / (pi * beta**2) \
-        + 4.0 * _C_T / (pi * beta * T)
-    return kappa * xp.log(q * ell * xp.sqrt(x) / (2.0 * a * phi)) \
+    return _kappa(beta, T) * xp.log(q * ell * xp.sqrt(x) / (2.0 * a * phi)) \
         + 0.253 * xp.log(q) + 2.0
-
-
-def beta_T_thm1(params: ParamSet, q, x, sqrt_mode: bool = False):
-    """Zero-density window height beta and integration cutoff T = beta x / h.
-
-    Raises on x small enough that the window height goes nonpositive; the
-    raw formulas stay evaluable there and Gbar_thm1 uses them unguarded.
-    """
-    q, x, phi, xp = _operands(q, x)
-    return _checked_beta_T(params, q, x, sqrt_mode, phi, xp)
-
-
-def F_thm1(q, x, params: ParamSet, sqrt_mode: bool = False):
-    """Relative width of the explicit-formula error against the main term."""
-    q, x, phi, xp = _operands(q, x)
-    beta, T = _beta_T(params, q, x, sqrt_mode, phi, xp)
-    return _F(q, x, phi, beta, T, xp)
-
-
-def Gbar_thm1(q, x, params: ParamSet, sqrt_mode: bool = False):
-    """Additive cost the main term must clear once the error is subtracted."""
-    q, x, phi, xp = _operands(q, x)
-    beta, T = _beta_T(params, q, x, sqrt_mode, phi, xp)
-    return _Gbar(q, x, params, sqrt_mode, phi, beta, T, xp)
 
 
 def verify_thm1_at(q, x, params: ParamSet, sqrt_mode: bool = False,
@@ -188,7 +162,7 @@ def verify_thm1_at(q, x, params: ParamSet, sqrt_mode: bool = False,
     alpha, delta, rho = params.alpha, params.delta, params.rho
     a = alpha + 1.0 if sqrt_mode else alpha
     q, x, phi, xp = _operands(q, x)
-    beta, T = _checked_beta_T(params, q, x, sqrt_mode, phi, xp)
+    beta, T = _beta_T(params, q, x, sqrt_mode, phi, xp)
     F = _F(q, x, phi, beta, T, xp)
     G = _Gbar(q, x, params, sqrt_mode, phi, beta, T, xp)
     lq, lx = xp.log(q), xp.log(x)
@@ -221,12 +195,9 @@ class TildeThm1(NamedTuple):
     S: float
 
 
-def tilde_thm1(params: ParamSet, *, q: int | None = None,
-               logq: float | None = None, sqrt_mode: bool = False) -> TildeThm1:
-    """Evaluate the reference-scale majorants, given q or log q (exactly one)."""
-    if (q is None) == (logq is None):
-        raise TypeError("pass exactly one of q= and logq=")
-    u = math.log(q) if q is not None else float(logq)
+def tilde_thm1(params: ParamSet, u: float,
+               sqrt_mode: bool = False) -> TildeThm1:
+    """Evaluate the reference-scale majorants at u = log q."""
     a, m, ell = _hatted(params, sqrt_mode)
     delta, rho = params.delta, params.rho
     lm = log(m)
@@ -240,16 +211,10 @@ def tilde_thm1(params: ParamSet, *, q: int | None = None,
            + _C_LOG + _C_ABS / u + _C_PHI * q_inv
            + (_C_B1 * (u + lTp) + _C_B0) / (beta0**2 * u)
            + (1.0 + _C_T / T_minus) * (u + lTp) / (pi * T_minus * u)) / m
-    K = 1.0 + 2.0 / (pi * beta0) + 2.0 / (pi * beta0**2) \
-        + 4.0 * _C_T / (pi * beta0 * T_minus)
+    K = _kappa(beta0, T_minus)
     G0t = K * (log(ell * m / (2.0 * a)) + u + llq) + 0.253 * u + 2.0
     S = (lTp**2 / pi + _C_ABS + (_C_B1 * lTp + _C_B0) / beta0**2) / m
     return TildeThm1(F0t, G0t, beta0, T_minus, T_plus, S)
-
-
-def _kappa_of(t: TildeThm1) -> float:
-    return 1.0 + 2.0 / (pi * t.beta0) + 2.0 / (pi * t.beta0**2) \
-        + 4.0 * _C_T / (pi * t.beta0 * t.T_minus)
 
 
 def _coeffs(params: ParamSet, logq: float,
@@ -262,8 +227,8 @@ def _coeffs(params: ParamSet, logq: float,
     """
     alpha, delta, rho = params.alpha, params.delta, params.rho
     a, m, ell = _hatted(params, sqrt_mode)
-    t = tilde_thm1(params, logq=logq, sqrt_mode=sqrt_mode)
-    K = _kappa_of(t)
+    t = tilde_thm1(params, logq, sqrt_mode)
+    K = _kappa(t.beta0, t.T_minus)
     F0t, S = t.F0t, t.S
     lm = log(m)
     if not sqrt_mode:

@@ -42,8 +42,6 @@ __all__ = [
 
 RHO2 = 100.0  # the family's fixed additive width parameter
 
-_MAX_EXP = 709.0  # exp() overflows beyond this; treat as infinite
-
 
 def E_of(q) -> float:
     """Small-modulus surcharge: 9.3 through q = 12, then 4.0."""
@@ -59,24 +57,16 @@ def ell_q(q) -> float:
 
 
 class Thm2Context(NamedTuple):
-    """Inputs of one rho = 100 evaluation, with the derived window data."""
+    """Inputs of one rho = 100 evaluation, with phi(q) and E(q)."""
 
     q: int
     log_x: float
     phi: int
-    rho: float
-    beta: float
-    T: float
     E_q: float
 
 
-def thm2_context(q: int, log_x: float, rho: float = RHO2) -> Thm2Context:
-    phi = phi_of(q)
-    L = 2.0 * log(q) + log_x
-    log_T = log_x / 2.0 - log(pi * phi * (0.5 + rho / L))
-    T = exp(log_T) if log_T < _MAX_EXP else math.inf
-    return Thm2Context(q=q, log_x=log_x, phi=phi, rho=rho,
-                       beta=L / pi, T=T, E_q=E_of(q))
+def thm2_context(q: int, log_x: float) -> Thm2Context:
+    return Thm2Context(q=q, log_x=log_x, phi=phi_of(q), E_q=E_of(q))
 
 
 def thm2_FG(ctx: Thm2Context) -> tuple[float, float, float]:
@@ -96,15 +86,19 @@ def thm2_FG(ctx: Thm2Context) -> tuple[float, float, float]:
          - 0.747 * lq
          + (81.86 + 84.1 / phi) * L * phi_over_sx / 2.0
          + tail / 2.0)
-    Gs = G + F * log_x + log(11.0 / 6.0)
-    return F, G, Gs
+    return F, G, _sqrt_claim(F, G, log_x)
+
+
+def _sqrt_claim(F: float, G: float, log_x: float) -> float:
+    """The sqrt-count claim's additive cost, from the single-prime one's G."""
+    return G + F * log_x + log(11.0 / 6.0)
 
 
 def verify_thm2_at(q: int, log_x: float, rho: float = RHO2,
                    sqrt_mode: bool = False,
                    slack: float = DEFAULT_SLACK) -> list[BoundEval]:
     """Exact rho = 100 check at one (q, x): main bound plus side conditions."""
-    ctx = thm2_context(q, log_x, rho)
+    ctx = thm2_context(q, log_x)
     F, G, Gs = thm2_FG(ctx)
     phi_over_sx = exp(log(ctx.phi) - log_x / 2.0)
     L = 2.0 * log(q) + log_x
@@ -204,6 +198,11 @@ def _a47(q: int, log_x: float, phi: int, sqrt_mode: bool,
             + 1.7 * h_over_x32)
 
 
+def _refined_G(ctx: Thm2Context, G: float, sqrt_mode: bool) -> float:
+    """G with the flat surcharge E(q) swapped for the refined _a47."""
+    return G - ctx.E_q + _a47(ctx.q, ctx.log_x, ctx.phi, sqrt_mode)
+
+
 class RefreshDetail(NamedTuple):
     """Outcome of the exact per-modulus scan between q0 and the tilde threshold."""
 
@@ -233,9 +232,9 @@ def exact_refresh_scan(m: float, q0: int, qstar: int,
         margin = (1.0 - F) * RHO2 - (Gs if sqrt_mode else G)
         if margin <= 0.0:
             n_plain += 1
-            G_ref = G - ctx.E_q + _a47(q, log_x, phi, sqrt_mode)
+            G_ref = _refined_G(ctx, G, sqrt_mode)
             if sqrt_mode:
-                G_ref = G_ref + F * log_x + log(11.0 / 6.0)
+                G_ref = _sqrt_claim(F, G_ref, log_x)
             margin = (1.0 - F) * RHO2 - G_ref
             if margin <= 0.0:
                 n_refined += 1
@@ -311,8 +310,8 @@ def verify_thm3(q: int, mode: str = "first-claim",
     ctx = thm2_context(q, log_x)
     F, G, Gs = thm2_FG(ctx)
     if refined:
-        G = G - ctx.E_q + _a47(q, log_x, ctx.phi, sqrt_mode)
-        Gs = G + F * log_x + log(11.0 / 6.0)
+        G = _refined_G(ctx, G, sqrt_mode)
+        Gs = _sqrt_claim(F, G, log_x)
     return [
         BoundEval("F_lt_1", 1.0, F, slack),
         BoundEval("main", 0.0, Gs if sqrt_mode else G, slack),

@@ -15,23 +15,19 @@ import pytest
 from apbounds.arith import (
     FactorData,
     Theta,
-    digamma,
     factorize,
     omega_of,
     phi_of,
     sin2_integral,
     theta_of,
-    zeta_log_deriv,
 )
-
-EULER_GAMMA = 0.5772156649015329
 
 
 # ---------------------------------------------------------------- factorize
 
 def test_factorize_one():
     fd = factorize(1)
-    assert fd.phi == 1 and fd.omega == 0 and fd.prime_log_sum == 0.0
+    assert fd.phi == 1 and fd.omega == 0
     assert fd.factors == ()
 
 
@@ -39,7 +35,6 @@ def test_factorize_twelve():
     fd = factorize(12)
     assert fd.phi == 4 and fd.omega == 2
     assert fd.factors == ((2, 2), (3, 1))
-    assert abs(fd.prime_log_sum - (math.log(2) + math.log(3) / 2)) < 1e-15
 
 
 def test_factorize_thirtyfive():
@@ -99,11 +94,6 @@ def test_factor_data_invariants():
         for p, e in fd.factors:
             prod *= p**e
         assert prod == q or (q == 1 and prod == 1)
-        # log_disc = phi log q - phi * prime_log_sum, nonnegative for q >= 3
-        assert abs(fd.log_disc - (fd.phi * math.log(q) - fd.phi * fd.prime_log_sum)) < 1e-9 * max(1.0, abs(fd.log_disc))
-        if q >= 3:
-            assert fd.log_disc >= 0.0
-        assert (fd.prime_log_sum == 0.0) == (q == 1)
 
 
 def test_factorize_deterministic():
@@ -116,89 +106,6 @@ def test_omega_of():
     assert omega_of(2) == 1
     assert omega_of(60) == 3
     assert omega_of(97) == 1
-
-
-# ---------------------------------------------------------------- digamma
-
-def test_digamma_anchors():
-    assert abs(digamma(1.0) + EULER_GAMMA) < 1e-12
-    assert abs(digamma(2.0) - (1.0 - EULER_GAMMA)) < 1e-12
-    # psi(1/2) = -gamma - 2 log 2
-    assert abs(digamma(0.5) - (-1.9635100260214235)) < 1e-12
-
-
-def test_digamma_recurrence_grid():
-    s = 0.5
-    while s <= 50.0:
-        assert abs(digamma(s + 1.0) - digamma(s) - 1.0 / s) < 1e-11, s
-        s += 0.5
-
-
-def test_digamma_vs_mpmath():
-    with mp.workdps(30):
-        for x in (0.51, 0.875, 1.375, 2.625, 4.125, 7.999, 8.0, 25.0, 1000.0):
-            ref = float(mp.digamma(x))
-            assert abs(digamma(x) - ref) < 1e-12 * max(1.0, abs(ref)), x
-
-
-def test_digamma_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        digamma(0.0)
-    with pytest.raises(ValueError):
-        digamma(-1.5)
-
-
-# ---------------------------------------------------------------- zeta'/zeta
-
-def test_zeta_log_deriv_anchor_two():
-    # independent value: mpmath zeta'(2)/zeta(2)
-    assert abs(zeta_log_deriv(2.0) - (-0.56996099309453281)) < 1e-12
-
-
-def test_zeta_log_deriv_small_tail():
-    v = zeta_log_deriv(12.25)
-    assert abs(v - (-0.00014390549527352336)) < 1e-14
-    # geometric tail domination for s >= 4
-    for s in (4.0, 6.0, 9.5, 20.0, 30.0):
-        assert abs(zeta_log_deriv(s)) <= 2 * math.log(2) * 2.0**-s, s
-
-
-def test_zeta_log_deriv_vs_mpmath_grid():
-    with mp.workdps(30):
-        for j in range(1, 24):
-            s = 0.75 + 0.5 * j
-            ref = float(mp.zeta(s, 1, 1) / mp.zeta(s))
-            assert abs(zeta_log_deriv(s) - ref) < 1e-12 * abs(ref), s
-
-
-def test_zeta_log_deriv_vs_dirichlet_series():
-    # -zeta'/zeta(s) = sum Lambda(n) n^{-s}; truncation tail bounded by
-    # N^{1-s} (log N/(s-1) + 1/(s-1)^2).
-    nmax = 100_000
-    lam = np.zeros(nmax + 1)
-    sieve = np.ones(nmax + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, int(nmax**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    for p in np.flatnonzero(sieve):
-        p = int(p)
-        pk = p
-        while pk <= nmax:
-            lam[pk] = math.log(p)
-            pk *= p
-    n = np.arange(2, nmax + 1, dtype=float)
-    for s in (1.5, 2.0, 3.0, 4.25, 12.25):
-        series = -float(np.sum(lam[2:] * n**-s))
-        tail = nmax ** (1 - s) * (math.log(nmax) / (s - 1) + 1 / (s - 1) ** 2)
-        assert abs(zeta_log_deriv(s) - series) < tail + 1e-12, s
-
-
-def test_zeta_log_deriv_rejects_pole():
-    with pytest.raises(ValueError):
-        zeta_log_deriv(1.0)
-    with pytest.raises(ValueError):
-        zeta_log_deriv(0.5)
 
 
 # ------------------------------------------------------- oscillatory integral

@@ -267,12 +267,41 @@ def test_table_flags_rejected_elsewhere(argv, capsys):
     # a zero is a value that was given, not an unset flag
     (["verify", "thm2", "--x", "0"], "--x only applies"),
     (["verify", "lemma8", "--sample-grid", "0"], "--sample-grid only applies"),
+    # lemma5's certificate is exact: it has no slack to override
+    (["verify", "lemma5", "--slack", "1"], "--slack only applies"),
+    # a negative slack would pass failing inequalities
+    (["verify", "thm2-tables", "--slack", "-1"],
+     "--slack must be a finite number >= 0"),
+    (["verify", "thm2", "--slack", "nan"],
+     "--slack must be a finite number >= 0"),
+    (["check", "t5", "--block", "2", "--slack", "inf"],
+     "--slack must be a finite number >= 0"),
+    (["verify", "thm1-at", "--sample-grid", "0"],
+     "--sample-grid must be at least 1"),
+    (["verify", "thm3", "--sample-grid", "-5"],
+     "--sample-grid must be at least 1"),
+    (["check", "t5", "--block", "0"], "--block: t5 has blocks 1..11"),
+    (["check", "t6", "--block", "99"], "--block: t6 has blocks 1..11"),
+    (["check", "custom", "--q", "3", "--x0", "23656", "--x", "193269",
+      "--params", "1,2"], "--params takes three numbers"),
+    (["check", "custom", "--q", "3", "--x0", "23656", "--x", "193269",
+      "--params", "0.5,1,thirty"], "--params takes three numbers"),
+    (["check", "custom", "--q", "3", "--x", "193269"],
+     "check custom needs --q, --x0 and --x"),
+    (["check", "custom"], "check custom needs --q, --x0 and --x"),
 ])
 def test_ignored_flags_rejected(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_zero_slack_is_accepted(capsys):
+    # zero is the majorant's own slack; the six known FAILs still fail
+    assert main(["verify", "thm2-tables", "--slack", "0"]) == 1
+    assert "total: 68 checks, 6 failed" in capsys.readouterr().out
+    assert main(["check", "t5", "--block", "2", "--slack", "0"]) == 0
 
 
 def test_flags_kept_where_they_apply(tmp_path):

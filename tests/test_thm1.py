@@ -13,9 +13,6 @@ from apbounds.margins import BoundColumn, BoundEval
 from apbounds import thm1
 from apbounds.tables import load_table4, load_table5, load_table6
 from apbounds.thm1 import (
-    F_thm1,
-    Gbar_thm1,
-    beta_T_thm1,
     h1,
     hsqrt,
     tilde_thm1,
@@ -33,6 +30,14 @@ def by_name(evals, name):
         if e.name == name:
             return e
     raise AssertionError(f"no eval named {name!r} in {[e.name for e in evals]}")
+
+
+def pointwise(q, x, params=P1, sqrt_mode=False):
+    """(beta, T, F, Gbar) at (q, x): the formulas verify_thm1_at runs."""
+    q, x, phi, xp = thm1._operands(q, x)
+    beta, T = thm1._beta_T(params, q, x, sqrt_mode, phi, xp)
+    return (beta, T, thm1._F(q, x, phi, beta, T, xp),
+            thm1._Gbar(q, x, params, sqrt_mode, phi, beta, T, xp))
 
 
 def guard_of(evals):
@@ -81,24 +86,24 @@ def test_h1_monotone_in_x():
 def test_beta_closed_form_at_reference_scale():
     # at x = (m*phi(q)*log q)^2 the log collapses to log m
     x = x0_of(P1, 3)
-    beta, _T = beta_T_thm1(P1, 3, x)
+    beta = pointwise(3, x)[0]
     assert beta == pytest.approx(6.0 * math.log(70.0), rel=1e-12)
     xs = x0_of(P1, 3, sqrt_mode=True)
-    beta_s, _ = beta_T_thm1(P1, 3, xs, sqrt_mode=True)
+    beta_s = pointwise(3, xs, sqrt_mode=True)[0]
     assert beta_s == pytest.approx(5.3 * math.log(130.0), rel=1e-12)
 
 
 def test_T_is_beta_x_over_h():
     for q, x in [(3, 193269.0), (5, 1e10), (17, 3.3e7)]:
-        beta, T = beta_T_thm1(P1, q, x)
+        beta, T, _F, _G = pointwise(q, x)
         assert T == pytest.approx(beta * x / h1(0.5, 1.0, 30.0, q, x), rel=1e-12)
-        beta_s, T_s = beta_T_thm1(P1, q, x, sqrt_mode=True)
+        beta_s, T_s, _F, _G = pointwise(q, x, sqrt_mode=True)
         assert T_s == pytest.approx(beta_s * x / hsqrt(0.5, 1.0, 30.0, q, x), rel=1e-12)
 
 
 def test_beta_domain_error():
     with pytest.raises(ValueError):
-        beta_T_thm1(P1, 3, 4.0)  # sqrt(x) <= phi(q) log q
+        pointwise(3, 4.0)  # sqrt(x) <= phi(q) log q
 
 
 # ---------------------------------------------------------------- F and Gbar
@@ -106,7 +111,7 @@ def test_beta_domain_error():
 def test_F_value_recomputed_independently():
     q, x = 5, 1e10
     phi = phi_of(q)
-    beta, T = beta_T_thm1(P1, q, x)
+    beta, T, F, _G = pointwise(q, x)
     want = (
         math.log(q * q * T) * math.log(T) / math.pi
         + 13.4 * math.log(q)
@@ -115,22 +120,22 @@ def test_F_value_recomputed_independently():
         + (1.58 * math.log(q * T) + 16.08) / beta**2
         + (1.0 + 2.89 / T) * math.log(q * T) / (math.pi * T)
     ) * phi / math.sqrt(x)
-    assert F_thm1(q, x, P1) == pytest.approx(want, rel=1e-14)
+    assert F == pytest.approx(want, rel=1e-14)
 
 
 def test_Gbar_value_recomputed_independently():
     q, x = 5, 1e10
     phi = phi_of(q)
-    beta, T = beta_T_thm1(P1, q, x)
+    beta, T, _F, G = pointwise(q, x)
     kappa = 1.0 + 2.0 / (math.pi * beta) + 2.0 / (math.pi * beta**2) \
         + 4.0 * 2.89 / (math.pi * beta * T)
     want = kappa * math.log(q * 6.0 * math.sqrt(x) / (2.0 * 0.5 * phi)) \
         + 0.253 * math.log(q) + 2.0
-    assert Gbar_thm1(q, x, P1) == pytest.approx(want, rel=1e-14)
+    assert G == pytest.approx(want, rel=1e-14)
 
 
 def test_F_in_unit_interval_and_decreasing():
-    vals = [F_thm1(3, x, P1) for x in (193269.0, 1e6, 1e8, 1e10, 1e13)]
+    vals = [pointwise(3, x)[2] for x in (193269.0, 1e6, 1e8, 1e10, 1e13)]
     assert all(0.0 < v < 1.0 for v in vals)
     assert vals == sorted(vals, reverse=True)
 
@@ -138,8 +143,12 @@ def test_F_in_unit_interval_and_decreasing():
 def test_Gbar_exceeds_two():
     for q in (3, 10, 1000):
         for x in (1e6, 1e12):
-            assert Gbar_thm1(q, x, P1) > 2.0
-            assert Gbar_thm1(q, x, P1, sqrt_mode=True) > 2.0
+            if (q, x) == (1000, 1e6):  # sqrt(x) < phi(q) log q: no window
+                with pytest.raises(ValueError):
+                    pointwise(q, x)
+                continue
+            assert pointwise(q, x)[3] > 2.0
+            assert pointwise(q, x, sqrt_mode=True)[3] > 2.0
 
 
 # ---------------------------------------------------------------- point verification
@@ -186,8 +195,7 @@ def test_main_margin_ties_back_to_interval_width():
         q = rng.randrange(3, 5000)
         u = 10 ** rng.uniform(0.05, 3.0)
         x = (phi_of(q) * math.log(q) * u) ** 2
-        F = F_thm1(q, x, p, sqrt_mode=sqrt_mode)
-        G = Gbar_thm1(q, x, p, sqrt_mode=sqrt_mode)
+        _beta, _T, F, G = pointwise(q, x, p, sqrt_mode)
         lhs = (1.0 - F) * (p.alpha * math.log(x) + p.delta * math.log(q) + p.rho)
         rhs = G + (F * math.log(x) + math.log(11.0 / 6.0) if sqrt_mode else 0.0)
         h = hsqrt(p.alpha, p.delta, p.rho, q, x) if sqrt_mode \
@@ -245,24 +253,22 @@ def test_pointwise_formulas_accept_arrays():
     q = np.array([3, 5, 17, 1000])
     x = np.array([193269.0, 1e10, 3.3e7, 1e12])
     for sqrt_mode in (False, True):
-        beta, T = beta_T_thm1(P1, q, x, sqrt_mode=sqrt_mode)
-        F = F_thm1(q, x, P1, sqrt_mode=sqrt_mode)
-        G = Gbar_thm1(q, x, P1, sqrt_mode=sqrt_mode)
+        beta, T, F, G = pointwise(q, x, sqrt_mode=sqrt_mode)
         for i in range(len(q)):
             qi, xi = int(q[i]), float(x[i])
-            b, t = beta_T_thm1(P1, qi, xi, sqrt_mode=sqrt_mode)
+            b, t, f, g = pointwise(qi, xi, sqrt_mode=sqrt_mode)
             assert within_ulps(beta[i], b) and within_ulps(T[i], t)
-            assert within_ulps(F[i], F_thm1(qi, xi, P1, sqrt_mode=sqrt_mode))
-            assert within_ulps(G[i], Gbar_thm1(qi, xi, P1, sqrt_mode=sqrt_mode))
+            assert within_ulps(F[i], f)
+            assert within_ulps(G[i], g)
     with pytest.raises(ValueError, match="phi"):
-        beta_T_thm1(P1, q, np.array([1e6, 4.0, 1e8, 1e12]))
+        pointwise(q, np.array([1e6, 4.0, 1e8, 1e12]))
 
 
 def test_scalar_calls_return_plain_python_values():
-    beta, T = beta_T_thm1(P1, 3, 1e6)
+    beta, T, F, G = pointwise(3, 1e6)
     assert type(beta) is float and type(T) is float
-    assert type(F_thm1(3, 1e6, P1)) is float
-    assert type(Gbar_thm1(3, 1e6, P1)) is float
+    assert type(F) is float
+    assert type(G) is float
     assert type(x0_of(P1, 3)) is float
     for e in verify_thm1_at(3, 193269.0, P1):
         assert isinstance(e, BoundEval)
@@ -282,10 +288,10 @@ def test_array_route_squares_q_in_float(monkeypatch):
     # q*q overflows int64 for q > 3.04e9; sieving that far is out of reach,
     # so the totients of this column are factored instead
     q, x = 4_000_000_007, 1e30
-    want = F_thm1(q, x, P1)
+    want = pointwise(q, x)[2]
     monkeypatch.setattr(thm1, "_phi",
                         lambda q: np.array([phi_of(int(v)) for v in q]))
-    got = F_thm1(np.array([q, q]), np.array([x, x]), P1)
+    got = pointwise(np.array([q, q]), np.array([x, x]))[2]
     assert within_ulps(got[0], want) and within_ulps(got[1], want)
 
 
@@ -300,7 +306,7 @@ def test_x_without_a_window_raises(bad):
 # ---------------------------------------------------------------- tilde form
 
 def test_tilde_shape_and_closed_forms():
-    t = tilde_thm1(P1, q=392975)
+    t = tilde_thm1(P1, math.log(392975))
     F0t, G0t, beta0, T_minus, T_plus, S = t
     assert beta0 == pytest.approx(6.0 * math.log(70.0), rel=1e-14)
     assert 0.0 < F0t < 1.0
@@ -308,18 +314,8 @@ def test_tilde_shape_and_closed_forms():
     assert T_plus == pytest.approx(beta0 * 70.0 / (2 * 0.5 + 1.0), rel=1e-14)
     assert S > 0.0
     assert G0t > 2.0
-    ts = tilde_thm1(P1, q=18886967, sqrt_mode=True)
+    ts = tilde_thm1(P1, math.log(18886967), sqrt_mode=True)
     assert ts.beta0 == pytest.approx(5.3 * math.log(130.0), rel=1e-14)
-
-
-def test_tilde_accepts_logq_keyword():
-    a = tilde_thm1(P1, q=392975)
-    b = tilde_thm1(P1, logq=math.log(392975))
-    assert a == b
-    with pytest.raises(TypeError):
-        tilde_thm1(P1)
-    with pytest.raises(TypeError):
-        tilde_thm1(P1, q=392975, logq=12.0)
 
 
 def test_tilde_F_majorizes_exact_F_at_reference_scale():
@@ -328,9 +324,9 @@ def test_tilde_F_majorizes_exact_F_at_reference_scale():
             q0 = row.q0_sqrt if sqrt_mode else row.q0
             for k in range(12):
                 q = int(round(q0 * 10 ** (k / 11)))
-                F0t = tilde_thm1(row, q=q, sqrt_mode=sqrt_mode).F0t
-                Fx = F_thm1(q, x0_of(row, q, sqrt_mode=sqrt_mode), row,
-                            sqrt_mode=sqrt_mode)
+                F0t = tilde_thm1(row, math.log(q), sqrt_mode=sqrt_mode).F0t
+                Fx = pointwise(q, x0_of(row, q, sqrt_mode=sqrt_mode), row,
+                               sqrt_mode)[2]
                 assert F0t >= Fx - 1e-12, (row, sqrt_mode, q)
 
 

@@ -57,13 +57,13 @@ def by_name(evals, name):
 
 def test_context_invariants():
     ctx = thm2_context(5, math.log(1e7))
-    assert ctx.q == 5 and ctx.rho == 100.0
+    assert ctx.q == 5 and ctx.phi == 4
     L = 2 * math.log(5) + math.log(1e7)
-    assert ctx.beta == pytest.approx(L / math.pi, rel=1e-14)
     assert ctx.E_q == 9.3
     # plain-mode effective length parameter
     inv_T = (math.pi * phi_of(5) / math.sqrt(1e7)) * (0.5 + 100.0 / L)
-    assert 1.0 / ctx.T == pytest.approx(inv_T, rel=1e-13)
+    evals = verify_thm2_at(5, math.log(1e7))
+    assert by_name(evals, "inv_T").rhs == pytest.approx(inv_T, rel=1e-13)
     assert thm2_context(13, 20.0).E_q == 4.0
 
 
