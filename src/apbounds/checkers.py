@@ -16,6 +16,13 @@ row's primes, `finish()` runs the end-of-range sweep and returns the
   N = isqrt(floor(deadline)) + 1: the thinned scan proves the (slightly
   weaker) claim at sqrt-count density in a fraction of the work.
 
+Each segment is split into its residue classes in one pass: one stable
+(radix) sort on the residues mod q, in the smallest unsigned dtype that
+holds q, and one `bincount` for the class bounds.  Every class is then a
+contiguous, increasing slice of the sorted segment, and each scanner
+reads its slices; the per-class window calls see the same class primes,
+in the same runs, as a per-class mask would give them.
+
 `check1` and `check_sqrt` scan one row from their own prime source.  The
 exception-table driver `run_exception_tables` instead sieves the union of
 its rows' ranges once and hands each prime segment to every row that
@@ -78,7 +85,7 @@ class CheckReport:
 
 
 def _coprime_classes(q: int) -> list[int]:
-    return [a for a in range(1, q) if math.gcd(a, q) == 1]
+    return [a for a in range(q) if math.gcd(a, q) == 1]
 
 
 class _RowScan:
@@ -86,7 +93,8 @@ class _RowScan:
 
     The row covers the primes in [lo, hi], lo = max(x0, 2) and
     hi = floor(x_end + h(x_end)).  Subclasses supply `mode`, the window
-    function `h` and `_scan(seg)`, which consumes one non-empty segment.
+    function `h` and `_scan(a, cp)`, which consumes the next non-empty,
+    increasing run `cp` of class-`a` primes.
     """
 
     mode: str
@@ -94,6 +102,8 @@ class _RowScan:
     def __init__(self, alpha: float, delta: float, rho: float, q: int,
                  x0: int, x_end: int) -> None:
         t_start = time.perf_counter()
+        if q < 1:
+            raise ValueError(f"modulus q must be at least 1, got {q}")
         self.params = (alpha, delta, rho, q)
         self.q, self.x0, self.x_end = q, x0, x_end
         self.lo = max(int(x0), 2)
@@ -107,11 +117,18 @@ class _RowScan:
         self.busy = time.perf_counter() - t_start
 
     def feed(self, seg) -> None:
-        """Scan the next increasing array of primes from [lo, hi]."""
+        """Scan the next increasing array of primes from [lo, hi], one
+        residue-class slice at a time (see the module docstring)."""
         t_start = time.perf_counter()
         seg = np.asarray(seg)
         if seg.size:
-            self._scan(seg)
+            # uint8 below q = 256, uint16 below 65536: keys numpy radix-sorts
+            res = (seg % self.q).astype(np.min_scalar_type(self.q))
+            split = seg[np.argsort(res, kind="stable")]
+            bounds = [0, *np.bincount(res, minlength=self.q).cumsum().tolist()]
+            for a in self.classes:
+                if bounds[a + 1] > bounds[a]:
+                    self._scan(a, split[bounds[a]:bounds[a + 1]])
         self.busy += time.perf_counter() - t_start
 
     def finish(self) -> CheckReport:
@@ -133,22 +150,17 @@ class _Scan1(_RowScan):
     mode = "single"
     h = staticmethod(h1)
 
-    def _scan(self, seg: np.ndarray) -> None:
+    def _scan(self, a: int, cp: np.ndarray) -> None:
         alpha, delta, rho, q = self.params
-        carry, guard, failures = self.deadline, self.guard, self.failures
-        res = seg % q
-        for a in self.classes:
-            cp = seg[res == a].astype(np.float64)
-            if cp.size == 0:
-                continue
-            self.scanned += cp.size
-            dl = np.empty_like(cp)
-            dl[0] = carry[a]
-            if cp.size > 1:
-                dl[1:] = cp[:-1] + h1(alpha, delta, rho, q, cp[:-1])
-            for i in np.flatnonzero(dl - guard <= cp):
-                failures.append((a, float(dl[i])))
-            carry[a] = float(cp[-1] + h1(alpha, delta, rho, q, cp[-1]))
+        cp = cp.astype(np.float64)
+        self.scanned += cp.size
+        dl = np.empty_like(cp)
+        dl[0] = self.deadline[a]
+        if cp.size > 1:
+            dl[1:] = cp[:-1] + h1(alpha, delta, rho, q, cp[:-1])
+        for i in np.flatnonzero(dl - self.guard <= cp):
+            self.failures.append((a, float(dl[i])))
+        self.deadline[a] = float(cp[-1] + h1(alpha, delta, rho, q, cp[-1]))
 
 
 class _ScanSqrt(_RowScan):
@@ -169,25 +181,19 @@ class _ScanSqrt(_RowScan):
             return self.count_override
         return math.isqrt(math.floor(deadline)) + 1
 
-    def _scan(self, seg: np.ndarray) -> None:
+    def _scan(self, a: int, cp: np.ndarray) -> None:
         alpha, delta, rho, q = self.params
-        deadline, todo, jump = self.deadline, self.todo, self._jump
-        guard, failures = self.guard, self.failures
-        res = seg % q
-        for a in self.classes:
-            cp = seg[res == a]
-            n = int(cp.size)
-            if n == 0:
-                continue
-            self.scanned += n
-            idx = todo[a] - 1  # 0-based position of the next inspection
-            while idx < n:
-                p = float(cp[idx])
-                if deadline[a] - guard <= p:
-                    failures.append((a, deadline[a]))
-                deadline[a] = float(p + hsqrt(alpha, delta, rho, q, p))
-                idx += jump(deadline[a])
-            todo[a] = idx - n + 1
+        deadline, guard = self.deadline, self.guard
+        n = int(cp.size)
+        self.scanned += n
+        idx = self.todo[a] - 1  # 0-based position of the next inspection
+        while idx < n:
+            p = float(cp[idx])
+            if deadline[a] - guard <= p:
+                self.failures.append((a, deadline[a]))
+            deadline[a] = float(p + hsqrt(alpha, delta, rho, q, p))
+            idx += self._jump(deadline[a])
+        self.todo[a] = idx - n + 1
 
 
 def _drive(scan: _RowScan, prime_source) -> CheckReport:

@@ -26,8 +26,8 @@ and worst margin from numpy (a NaN margin counts as the worst).
 
 A flag that the chosen target would ignore is a usage error (exit 2), and
 so is a value out of range: `--slack` must be finite and >= 0,
-`--sample-grid` and `--jobs` at least 1, `--block` a block of the table,
-`--params` three numbers.
+`--q`, `--sample-grid` and `--jobs` at least 1, `--block` a block of the
+table, `--params` three numbers, and `--x0` at most `--x`.
 `regen-report --full` includes the sqrt-count refresh rows that are known
 to fail (m = 19, 20, 21), so it exits 1 by design; the default battery is
 all-green.
@@ -410,7 +410,7 @@ def main(argv=None) -> int:
                 and target not in scope.get(ns.command, ()):
             ap.error(f"--{flag.replace('_', '-')} only applies to "
                      f"{_scope_text(scope)}")
-    for flag in ("jobs", "sample_grid"):
+    for flag in ("q", "jobs", "sample_grid"):
         value = getattr(ns, flag)
         if value is not None and value < 1:
             ap.error(f"--{flag.replace('_', '-')} must be at least 1, "
@@ -431,6 +431,8 @@ def main(argv=None) -> int:
     if (ns.command, target) == ("check", "custom") \
             and None in (ns.q, ns.x0, ns.x):
         ap.error("check custom needs --q, --x0 and --x")
+    if ns.x0 is not None and ns.x is not None and ns.x0 > ns.x:
+        ap.error(f"check custom: --x0 {ns.x0} lies past --x {ns.x:g}")
     if (ns.command, target) == ("verify", "thm1-at"):
         if ns.x is None and ns.q is not None:
             ap.error("verify thm1-at: --q needs --x (one point)")

@@ -290,10 +290,14 @@ def S_of(n: int) -> SValue:
     cancels badly (the error estimate says so), and the sum is redone at 40
     working digits before rounding once to a float.
     """
+    c = MajorantConstants.published()
+    return _S(n, c, c.a_floats())
+
+
+def _S(n: int, c: MajorantConstants, a: list[float]) -> SValue:
+    """S(n) from the constants `c` and their floats `a` = c.a_floats()."""
     if n < 2:
         raise ValueError(f"tail sums start at n = 2, got {n}")
-    c = MajorantConstants.published()
-    a = c.a_floats()
     u = n ** -0.5
     acc = 0.0
     acc_abs = 0.0
@@ -316,8 +320,9 @@ def S_of(n: int) -> SValue:
 
 def s_sign_sweep(lo: int, hi: int) -> tuple[int, ...]:
     """All n in [lo, hi] where S(n) >= 0 (expected: n = 4 alone)."""
-    return tuple(n for n in range(lo, hi + 1)
-                 if S_of(n).value >= 0.0)
+    c = MajorantConstants.published()
+    a = c.a_floats()
+    return tuple(n for n in range(lo, hi + 1) if _S(n, c, a).value >= 0.0)
 
 
 def pairing_threshold() -> float:

@@ -1,7 +1,14 @@
 """Segmented prime generation and small multiplicative tables.
 
-The checkers stream primes in numpy blocks; everything here is
-odd-only segmented sieving sized so a block's strike masks stay in cache.
+The checkers stream primes in numpy blocks of `SEG` odd numbers.  Each
+block's mask starts as a slice of a wheel pattern in which the multiples
+of 3, 5, 7, 11 and 13 are already struck (period 15015 odd numbers), so
+only the base primes from 17 up are struck per block, each with one
+slice assignment from an offset that one numpy expression computes for
+all of them.  `SEG` = 2^21 odd numbers (a 2 MB mask) measured faster
+than 2^22 on a 2-vCPU box: 1.39 s against 1.65 s for `check t5` plus
+`check t6`, and 1.54 s against 1.74 s to sieve six windows of width 6e7
+between 1e9 and 1e11 (medians of three).
 """
 from __future__ import annotations
 
@@ -16,7 +23,22 @@ __all__ = [
     "primes_between",
 ]
 
-SEG = 1 << 22  # odd numbers per segment
+SEG = 1 << 21  # odd numbers per segment
+
+_WHEEL = (3, 5, 7, 11, 13)
+_PERIOD = math.prod(_WHEEL)  # the wheel pattern repeats every 15015 odds
+
+
+def _wheel_pattern() -> np.ndarray:
+    """Mask over the odd numbers 2k + 1, k = 0.._PERIOD - 1: False where a
+    wheel prime divides (the wheel primes themselves included)."""
+    keep = np.ones(_PERIOD, dtype=bool)
+    for p in _WHEEL:
+        keep[(p - 1) // 2::p] = False  # 2k + 1 = p (mod 2p)
+    return keep
+
+
+_PATTERN = _wheel_pattern()
 
 
 def _simple_primes(n: int) -> np.ndarray:
@@ -28,7 +50,7 @@ def _simple_primes(n: int) -> np.ndarray:
     for p in range(2, math.isqrt(n) + 1):
         if mask[p]:
             mask[p * p::p] = False
-    return np.flatnonzero(mask).astype(np.int64)
+    return np.flatnonzero(mask)
 
 
 def prime_array_segments(lo: int, hi: int) -> Iterator[np.ndarray]:
@@ -37,28 +59,32 @@ def prime_array_segments(lo: int, hi: int) -> Iterator[np.ndarray]:
     hi = int(hi)
     if hi < lo:
         return
-    base = _simple_primes(math.isqrt(hi))
     if lo <= 2 <= hi:
         yield np.array([2], dtype=np.int64)
     start = lo if lo % 2 else lo + 1  # first odd >= lo
-    if start > hi:
+    last = hi if hi % 2 else hi - 1  # last odd <= hi
+    if start > last:
         return
-    odd_base = base[base > 2]
-    while start <= hi:
-        end = min(start + 2 * SEG - 2, hi if hi % 2 else hi - 1)  # last odd covered
+    base = _simple_primes(math.isqrt(hi))
+    sieving = base[base > _WHEEL[-1]]
+    # the segment for the odds from `start` on is the pattern from phase
+    # start // 2 on; tile one segment past the largest phase, no further
+    tile = np.resize(_PATTERN, _PERIOD + min(SEG, (last - start) // 2 + 1))
+    while start <= last:
+        end = min(start + 2 * SEG - 2, last)  # last odd covered
         n_odd = (end - start) // 2 + 1
-        mask = np.ones(n_odd, dtype=bool)
-        for p in odd_base:
-            p = int(p)
-            if p * p > end:
-                break
-            m = max(p * p, ((start + p - 1) // p) * p)  # first multiple >= start
-            if m % 2 == 0:
-                m += p  # align to the odd lattice
-            if m > end:
-                continue
-            mask[(m - start) // 2::p] = False
-        yield start + 2 * np.flatnonzero(mask).astype(np.int64)
+        phase = (start // 2) % _PERIOD
+        mask = tile[phase:phase + n_odd].copy()
+        for p in _WHEEL:
+            if start <= p <= end:
+                mask[(p - start) // 2] = True
+        ps = sieving[:np.searchsorted(sieving, math.isqrt(end), "right")]
+        # first odd multiple >= max(p^2, start), as an index into the mask
+        first = np.maximum(ps * ps, (start + ps - 1) // ps * ps)
+        first += (1 - first % 2) * ps
+        for o, p in zip(((first - start) >> 1).tolist(), ps.tolist()):
+            mask[o::p] = False
+        yield start + 2 * np.flatnonzero(mask)
         start = end + 2
 
 

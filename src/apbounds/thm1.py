@@ -98,7 +98,7 @@ def x0_of(params: ParamSet, q, sqrt_mode: bool = False):
     reproduces the scalar call bit for bit; np.log and np.square round a
     few of them differently.
     """
-    m = params.m_sqrt if sqrt_mode else params.m
+    _a, m, _ell = _hatted(params, sqrt_mode)
 
     def x0(q, phi):
         return (m * phi * math.log(q)) ** 2
@@ -160,7 +160,7 @@ def verify_thm1_at(q, x, params: ParamSet, sqrt_mode: bool = False,
     numpy pass, with phi from one totient sieve.
     """
     alpha, delta, rho = params.alpha, params.delta, params.rho
-    a = alpha + 1.0 if sqrt_mode else alpha
+    a, _m, _ell = _hatted(params, sqrt_mode)
     q, x, phi, xp = _operands(q, x)
     beta, T = _beta_T(params, q, x, sqrt_mode, phi, xp)
     F = _F(q, x, phi, beta, T, xp)

@@ -22,9 +22,9 @@ RS_Q8 = (0.5, 1.0, 30.0, 8, 1169230, 1295310)
 
 def naive_check1(alpha, delta, rho, q, x0, x_end):
     """Per-prime reference loop, dict state, no vectorization."""
-    phi = sum(1 for a in range(1, q) if math.gcd(a, q) == 1)
+    phi = sum(1 for a in range(q) if math.gcd(a, q) == 1)
     M = {a: x0 + h1(alpha, delta, rho, q, float(x0))
-         for a in range(1, q) if math.gcd(a, q) == 1}
+         for a in range(q) if math.gcd(a, q) == 1}
     hi = math.floor(x_end + h1(alpha, delta, rho, q, float(x_end)))
     failures, count = [], 0
     for p in primes_between(x0, hi).tolist():
@@ -45,7 +45,7 @@ def naive_check_sqrt(alpha, delta, rho, q, x0, x_end):
     """Countdown reference for the thinned scan: inspect every N-th class
     prime, N = isqrt(floor(deadline)) + 1."""
     M = {a: x0 + hsqrt(alpha, delta, rho, q, float(x0))
-         for a in range(1, q) if math.gcd(a, q) == 1}
+         for a in range(q) if math.gcd(a, q) == 1}
     N = {a: math.isqrt(math.floor(M[a])) + 1 for a in M}
     hi = math.floor(x_end + hsqrt(alpha, delta, rho, q, float(x_end)))
     failures = []
@@ -227,6 +227,62 @@ def test_check_sqrt_count_override_starves_scan():
     m0 = 81589 + hsqrt(0.5, 1.0, 30.0, 3, 81589.0)
     for _, d in rep.failures:
         assert d == pytest.approx(m0, rel=1e-12)
+
+
+# ---------------------------------------------------------------- class split
+
+# Rows that reach the corners of the one-pass residue-class split: q >= 256
+# (16-bit residues), q = 1 (the one class is residue 0), a scan from x0 = 2
+# (the primes dividing q sit in non-coprime residues), and windows narrow
+# enough that failures are forced.  The scanners evaluate h1/hsqrt on the
+# same class primes as the naive loops (check1 on arrays, and a numpy ufunc
+# gives an array element the bits it gives the lone value), so the failure
+# tuples must match exactly, not just to rounding.
+SPLIT_ROWS_1 = [
+    (0.0, 0.0, 0.05, 300, 10**5, 2 * 10**5),    # 1542 failures
+    (0.5, 1.0, 30.0, 1, 23656, 193269),          # passes
+    (0.0, 0.0, 0.001, 1, 23656, 193269),         # fails at every prime
+    (0.0, 0.0, 0.3, 30, 2, 10**5),
+]
+SPLIT_ROWS_SQRT = [
+    (-1.0, 0.0, 20.0, 300, 10**5, 2 * 10**5),   # 59 failures
+    (-1.0, 0.0, 5.0, 300, 10**5, 2 * 10**5),    # passes
+    (-1.0, 0.0, 1.0, 1, 23656, 193269),
+    (-1.0, 0.0, 2.0, 30, 2, 10**5),
+]
+
+
+@pytest.mark.parametrize("args", SPLIT_ROWS_1)
+def test_check1_class_split_matches_naive(args):
+    want_fail, want_count, _ = naive_check1(*args)
+    rep = check1(*args)
+    assert list(rep.failures) == want_fail
+    assert rep.primes_scanned == want_count
+
+
+@pytest.mark.parametrize("args", SPLIT_ROWS_SQRT)
+def test_check_sqrt_class_split_matches_naive(args):
+    assert list(check_sqrt(*args).failures) == naive_check_sqrt(*args)
+
+
+def test_split_rows_reach_their_corners():
+    # the rows above do what their comments say
+    assert len(check1(*SPLIT_ROWS_1[0]).failures) == 1542
+    assert check1(*SPLIT_ROWS_1[1]).failures == ()
+    assert len(check_sqrt(*SPLIT_ROWS_SQRT[0]).failures) == 59
+    assert check_sqrt(*SPLIT_ROWS_SQRT[1]).failures == ()
+    # q = 1 scans every prime in the row's range
+    rep = check1(*SPLIT_ROWS_1[1])
+    assert rep.primes_scanned == primes_between(23656, checkers._Scan1(
+        *SPLIT_ROWS_1[1]).hi).size
+
+
+@pytest.mark.parametrize("q", [0, -3])
+def test_row_scan_rejects_modulus_below_one(q):
+    with pytest.raises(ValueError, match="at least 1"):
+        check1(0.5, 1.0, 30.0, q, 23656, 193269)
+    with pytest.raises(ValueError, match="at least 1"):
+        check_sqrt(0.5, 1.0, 30.0, q, 81589, 332263)
 
 
 # ---------------------------------------------------------------- table driver

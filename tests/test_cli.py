@@ -192,6 +192,19 @@ def test_check_t6_block2_jobs(tmp_path):
     assert len(recs) == 1 and recs[0]["pass"]
 
 
+def test_check_custom_q1_scans_every_prime(tmp_path):
+    # residue 0 is the one coprime class mod 1: the scan must see every
+    # prime, and windows this narrow must fail
+    out = tmp_path / "q1.jsonl"
+    rc = main(["check", "custom", "--q", "1", "--x0", "23656",
+               "--x", "193269", "--params", "0.0001,0,0.001",
+               "--out", str(out)])
+    assert rc == 1
+    (rec,) = read_records(out)
+    assert not rec["pass"]
+    assert rec["inputs"]["primes_scanned"] == 14805
+
+
 def test_check_jobs_matches_serial(tmp_path):
     for table in ("t5", "t6"):
         one, two = tmp_path / f"{table}-1.jsonl", tmp_path / f"{table}-2.jsonl"
@@ -289,6 +302,14 @@ def test_table_flags_rejected_elsewhere(argv, capsys):
     (["check", "custom", "--q", "3", "--x", "193269"],
      "check custom needs --q, --x0 and --x"),
     (["check", "custom"], "check custom needs --q, --x0 and --x"),
+    (["check", "custom", "--q", "0", "--x0", "23656", "--x", "193269"],
+     "--q must be at least 1"),
+    (["check", "custom", "--q", "-3", "--x0", "23656", "--x", "193269"],
+     "--q must be at least 1"),
+    (["verify", "thm1-at", "--q", "0", "--x", "1e7"],
+     "--q must be at least 1"),
+    (["check", "custom", "--q", "3", "--x0", "193270", "--x", "193269"],
+     "--x0 193270 lies past --x"),
 ])
 def test_ignored_flags_rejected(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -4,7 +4,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 
+from apbounds import sieve
 from apbounds.sieve import phi_table, prime_array_segments, primes_between
 
 
@@ -17,14 +19,21 @@ def naive_primes(lo: int, hi: int) -> list[int]:
     return out
 
 
-def segmented_count(hi: int) -> int:
-    """Second, independent sieve kept in tests: plain byte sieve."""
+def byte_primes(lo: int, hi: int) -> list[int]:
+    """Second, independent sieve kept in tests: primes in [lo, hi] from a
+    plain byte sieve."""
+    if hi < 2:
+        return []
     mask = np.ones(hi + 1, dtype=bool)
     mask[:2] = False
     for p in range(2, math.isqrt(hi) + 1):
         if mask[p]:
             mask[p * p :: p] = False
-    return int(mask.sum())
+    return [n for n in np.flatnonzero(mask).tolist() if n >= lo]
+
+
+def segmented_count(hi: int) -> int:
+    return len(byte_primes(0, hi))
 
 
 def test_prime_counts():
@@ -64,6 +73,47 @@ def test_segments_cover_range_in_order():
     assert np.all(np.diff(flat) > 0)
     assert flat[0] >= 100 and flat[-1] <= 10**6
     assert flat.size == primes_between(100, 10**6).size
+
+
+def _segments_checked(lo: int, hi: int) -> list[int]:
+    """Flatten the segments of [lo, hi], asserting each is increasing int64."""
+    out: list[int] = []
+    for seg in prime_array_segments(lo, hi):
+        assert seg.dtype == np.int64, (lo, hi, seg.dtype)
+        assert np.all(np.diff(seg) > 0), (lo, hi)
+        out += seg.tolist()
+    return out
+
+
+# The wheel strikes 3, 5, 7, 11, 13 and repeats every 15015 odd numbers.
+WHEEL_PERIOD = 15015
+
+
+def test_segments_match_byte_sieve_around_wheel_primes():
+    # every lo in 0..20 puts a range end on each side of each wheel prime
+    for lo in range(21):
+        for hi in list(range(lo, 60)) + [2 * WHEEL_PERIOD + 57]:
+            assert _segments_checked(lo, hi) == byte_primes(lo, hi), (lo, hi)
+
+
+def test_segments_match_byte_sieve_past_two_periods():
+    for lo, hi in ((0, 2 * WHEEL_PERIOD + 1), (17, 3 * WHEEL_PERIOD + 13),
+                   (10**6 + 1, 10**6 + 5 * WHEEL_PERIOD)):
+        assert _segments_checked(lo, hi) == byte_primes(lo, hi), (lo, hi)
+
+
+@pytest.mark.parametrize("seg", [7, WHEEL_PERIOD, WHEEL_PERIOD + 1])
+def test_segments_match_byte_sieve_at_every_phase(monkeypatch, seg):
+    # each segment moves the wheel phase on by SEG mod 15015.  With SEG = 7,
+    # the ranges from lo = 0, 2, .., 14 start at phases 1..7 and so reach
+    # every phase within two periods; 15015 keeps the phase, 15016 steps it
+    # by one
+    monkeypatch.setattr(sieve, "SEG", seg)
+    for lo in range(0, 15, 2):
+        hi = lo + 2 * WHEEL_PERIOD + 14
+        assert _segments_checked(lo, hi) == byte_primes(lo, hi), (seg, lo)
+    lo, hi = 10**6 + 3, 10**6 + 4 * WHEEL_PERIOD
+    assert _segments_checked(lo, hi) == byte_primes(lo, hi), seg
 
 
 def test_phi_table_matches_factorize():
