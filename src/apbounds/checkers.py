@@ -8,13 +8,19 @@ row's primes, `finish()` runs the end-of-range sweep and returns the
 `CheckReport`.
 
 * The every-prime scanner (`check1`) walks every class prime and carries
-  the current deadline x + h1(x); a prime at or past its class deadline, or
-  a deadline that dies before the end of the range, is a failure.
+  the current deadline x + h1(x); a prime at or past its class deadline is
+  a failure.
 
 * The thinned scanner (`check_sqrt`) does the same for the taller hsqrt
   windows but only inspects every N-th class prime,
   N = isqrt(floor(deadline)) + 1: the thinned scan proves the (slightly
   weaker) claim at sqrt-count density in a fraction of the work.
+
+* The end-of-range sweep in `finish()` is an exact integer test.  By then
+  every prime up to hi = floor(x_end + h(x_end)) has been fed, so a class
+  whose last inspected point (its last inspected class prime, or x0 if
+  none) is at most x_end has no inspected prime in (x_end, hi]: the claim
+  fails at x = x_end, and the class is flagged with its last deadline.
 
 Each segment is split into its residue classes in one pass: one stable
 (radix) sort on the residues mod q, in the smallest unsigned dtype that
@@ -23,12 +29,13 @@ contiguous, increasing slice of the sorted segment, and each scanner
 reads its slices; the per-class window calls see the same class primes,
 in the same runs, as a per-class mask would give them.
 
-`check1` and `check_sqrt` scan one row from their own prime source.  The
-exception-table driver `run_exception_tables` instead sieves the union of
-its rows' ranges once and hands each prime segment to every row that
-overlaps it, so overlapping rows share one sieve.  Results are invariant
-under how the stream is chunked, which the tests exercise with
-deliberately awkward chunk sizes and by comparing both routes.
+One driver, `_scan_shared`, runs every scan: it sieves the union of its
+rows' ranges once and hands each prime segment to every row that overlaps
+it.  `check1` and `check_sqrt` run it on one row, and
+`run_exception_tables` on a table's rows, so overlapping rows share one
+sieve.  Results are invariant under how the stream is chunked, which the
+tests exercise by substituting `prime_array_segments` with one that yields
+deliberately awkward chunk sizes.
 """
 from __future__ import annotations
 
@@ -56,9 +63,9 @@ GUARD = 1e-6
 # u = 2^-53 (log, sqrt, three products, two sums) and h(p) <= p + h(p),
 # so its error stays below 8u(p + h(p)) <= 8 ulp; the final sum adds
 # ulp/2.  A comparison only hangs on rounding when the deadline lies next
-# to a prime or to x_end, both <= hi, so all of this is at most about
-# 9.5 ulp(hi), and 16 ulps leave room.  Below 2^29 (every bundled row)
-# 16 ulp(hi) <= 2^-20 < GUARD, so the guard there is exactly GUARD.
+# to a prime, which is <= hi, so all of this is at most about 9.5 ulp(hi),
+# and 16 ulps leave room.  Below 2^29 (every bundled row) 16 ulp(hi) <=
+# 2^-20 < GUARD, so the guard there is exactly GUARD.
 _GUARD_ULPS = 16
 
 
@@ -84,12 +91,9 @@ class CheckReport:
     wall_time: float
 
 
-def _coprime_classes(q: int) -> list[int]:
-    return [a for a in range(q) if math.gcd(a, q) == 1]
-
-
 class _RowScan:
-    """One row's scan state: per-class deadlines, failures, primes seen.
+    """One row's scan state: per-class deadlines and last inspected
+    points, failures, primes seen.
 
     The row covers the primes in [lo, hi], lo = max(x0, 2) and
     hi = floor(x_end + h(x_end)).  Subclasses supply `mode`, the window
@@ -104,14 +108,18 @@ class _RowScan:
         t_start = time.perf_counter()
         if q < 1:
             raise ValueError(f"modulus q must be at least 1, got {q}")
+        if x0 < 1:
+            raise ValueError(f"scan start x0 must be at least 1, got {x0}")
         self.params = (alpha, delta, rho, q)
         self.q, self.x0, self.x_end = q, x0, x_end
         self.lo = max(int(x0), 2)
         self.hi = math.floor(x_end + self.h(*self.params, float(x_end)))
         self.guard = row_guard(self.hi)
-        self.classes = _coprime_classes(q)
+        self.classes = [a for a in range(q) if math.gcd(a, q) == 1]
         init = float(x0 + self.h(*self.params, float(x0)))
         self.deadline = dict.fromkeys(self.classes, init)
+        # last inspected point of each class: x0, then its class primes
+        self.last = dict.fromkeys(self.classes, x0)
         self.failures: list[tuple[int, float]] = []
         self.scanned = 0
         self.busy = time.perf_counter() - t_start
@@ -132,10 +140,11 @@ class _RowScan:
         self.busy += time.perf_counter() - t_start
 
     def finish(self) -> CheckReport:
-        """Flag every class whose last deadline dies before x_end."""
+        """Flag every class with no inspected prime in (x_end, hi]: its
+        window at x = x_end holds no prime of the class."""
         t_start = time.perf_counter()
         for a in self.classes:
-            if self.deadline[a] - self.guard < self.x_end:
+            if self.last[a] <= self.x_end:
                 self.failures.append((a, self.deadline[a]))
         self.failures.sort()
         return CheckReport(q=self.q, x0=self.x0, x_end=self.x_end,
@@ -152,6 +161,7 @@ class _Scan1(_RowScan):
 
     def _scan(self, a: int, cp: np.ndarray) -> None:
         alpha, delta, rho, q = self.params
+        self.last[a] = int(cp[-1])
         cp = cp.astype(np.float64)
         self.scanned += cp.size
         dl = np.empty_like(cp)
@@ -170,15 +180,13 @@ class _ScanSqrt(_RowScan):
     h = staticmethod(hsqrt)
 
     def __init__(self, alpha: float, delta: float, rho: float, q: int,
-                 x0: int, x_end: int, count_override: int | None = None):
-        self.count_override = count_override
+                 x0: int, x_end: int) -> None:
         super().__init__(alpha, delta, rho, q, x0, x_end)
         # 1-based countdown to the next inspected class prime
         self.todo = {a: self._jump(d) for a, d in self.deadline.items()}
 
-    def _jump(self, deadline: float) -> int:
-        if self.count_override is not None:
-            return self.count_override
+    @staticmethod
+    def _jump(deadline: float) -> int:
         return math.isqrt(math.floor(deadline)) + 1
 
     def _scan(self, a: int, cp: np.ndarray) -> None:
@@ -188,6 +196,7 @@ class _ScanSqrt(_RowScan):
         self.scanned += n
         idx = self.todo[a] - 1  # 0-based position of the next inspection
         while idx < n:
+            self.last[a] = int(cp[idx])
             p = float(cp[idx])
             if deadline[a] - guard <= p:
                 self.failures.append((a, deadline[a]))
@@ -196,33 +205,21 @@ class _ScanSqrt(_RowScan):
         self.todo[a] = idx - n + 1
 
 
-def _drive(scan: _RowScan, prime_source) -> CheckReport:
-    source = prime_source if prime_source is not None else prime_array_segments
-    for seg in source(scan.x0, scan.hi):
-        scan.feed(seg)
-    return scan.finish()
-
-
 def check1(alpha: float, delta: float, rho: float, q: int,
-           x0: int, x_end: int, *, prime_source=None) -> CheckReport:
+           x0: int, x_end: int) -> CheckReport:
     """Every-prime scan of [x0, x_end] with window length h1."""
-    return _drive(_Scan1(alpha, delta, rho, q, x0, x_end), prime_source)
+    return _scan_shared([_Scan1(alpha, delta, rho, q, x0, x_end)])[0]
 
 
 def check_sqrt(alpha: float, delta: float, rho: float, q: int,
-               x0: int, x_end: int, *, prime_source=None,
-               count_override: int | None = None) -> CheckReport:
+               x0: int, x_end: int) -> CheckReport:
     """Thinned scan of [x0, x_end] with window length hsqrt.
 
     Between inspections, isqrt(floor(deadline)) class primes pass unexamined
     — enough headroom that the thinned claim survives any placement of the
-    skipped primes.  `count_override` replaces the computed jump with a
-    fixed one (1 inspects everything; huge values starve the scan, leaving
-    the final-sweep check to fire).
+    skipped primes.
     """
-    scan = _ScanSqrt(alpha, delta, rho, q, x0, x_end,
-                     count_override=count_override)
-    return _drive(scan, prime_source)
+    return _scan_shared([_ScanSqrt(alpha, delta, rho, q, x0, x_end)])[0]
 
 
 # ---------------------------------------------------------------------------

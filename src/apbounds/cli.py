@@ -25,9 +25,10 @@ encoder writes for the dict rows, and the stdout summary takes its counts
 and worst margin from numpy (a NaN margin counts as the worst).
 
 A flag that the chosen target would ignore is a usage error (exit 2), and
-so is a value out of range: `--slack` must be finite and >= 0,
-`--q`, `--sample-grid` and `--jobs` at least 1, `--block` a block of the
-table, `--params` three numbers, and `--x0` at most `--x`.
+so is a value out of range: `--slack` must be finite and >= 0, `--x`
+finite and > 0, `--q`, `--x0`, `--sample-grid` and `--jobs` at least 1,
+`--block` a block of the table, `--params` three finite numbers, and
+`--x0` at most `--x`.
 `regen-report --full` includes the sqrt-count refresh rows that are known
 to fail (m = 19, 20, 21), so it exits 1 by design; the default battery is
 all-green.
@@ -116,8 +117,10 @@ def _grid(lo: float, hi: float, n: int, skip=()) -> list[int]:
 
 
 def _window_params(text: str) -> tuple[float, float, float]:
-    """(alpha, delta, rho) from "a,d,r"; ValueError unless three numbers."""
+    """Finite (alpha, delta, rho) from "a,d,r", else ValueError."""
     alpha, delta, rho = (float(t) for t in text.split(","))
+    if not all(map(math.isfinite, (alpha, delta, rho))):
+        raise ValueError(f"non-finite window parameter in {text!r}")
     return alpha, delta, rho
 
 
@@ -410,13 +413,15 @@ def main(argv=None) -> int:
                 and target not in scope.get(ns.command, ()):
             ap.error(f"--{flag.replace('_', '-')} only applies to "
                      f"{_scope_text(scope)}")
-    for flag in ("q", "jobs", "sample_grid"):
+    for flag in ("q", "x0", "jobs", "sample_grid"):
         value = getattr(ns, flag)
         if value is not None and value < 1:
             ap.error(f"--{flag.replace('_', '-')} must be at least 1, "
                      f"got {value}")
     if ns.slack is not None and not 0.0 <= ns.slack < math.inf:  # NaN too
         ap.error(f"--slack must be a finite number >= 0, got {ns.slack}")
+    if ns.x is not None and not 0.0 < ns.x < math.inf:  # NaN too
+        ap.error(f"--x must be a finite number > 0, got {ns.x}")
     if ns.block is not None:
         n_blocks = len(load_table5() if target == "t5" else load_table6())
         if not 1 <= ns.block <= n_blocks:
@@ -427,7 +432,7 @@ def main(argv=None) -> int:
             _window_params(ns.params)
         except ValueError:
             ap.error(f'--params takes three numbers "alpha,delta,rho", '
-                     f'got {ns.params!r}')
+                     f'all finite, got {ns.params!r}')
     if (ns.command, target) == ("check", "custom") \
             and None in (ns.q, ns.x0, ns.x):
         ap.error("check custom needs --q, --x0 and --x")

@@ -57,16 +57,26 @@ def ell_q(q) -> float:
 
 
 class Thm2Context(NamedTuple):
-    """Inputs of one rho = 100 evaluation, with phi(q) and E(q)."""
+    """Inputs of one rho = 100 evaluation, with phi(q), E(q) and the window
+    quantities that its bounds share."""
 
     q: int
     log_x: float
     phi: int
     E_q: float
+    L: float  # log(q^2 x)
+    phi_over_sx: float  # phi(q) / sqrt(x)
+
+    def shift(self, sqrt_mode: bool) -> float:
+        """rho, plus log x for the sqrt-count claim."""
+        return RHO2 + (self.log_x if sqrt_mode else 0.0)
 
 
 def thm2_context(q: int, log_x: float) -> Thm2Context:
-    return Thm2Context(q=q, log_x=log_x, phi=phi_of(q), E_q=E_of(q))
+    phi = phi_of(q)
+    return Thm2Context(q=q, log_x=log_x, phi=phi, E_q=E_of(q),
+                       L=2.0 * log(q) + log_x,
+                       phi_over_sx=exp(log(phi) - log_x / 2.0))
 
 
 def thm2_FG(ctx: Thm2Context) -> tuple[float, float, float]:
@@ -74,8 +84,7 @@ def thm2_FG(ctx: Thm2Context) -> tuple[float, float, float]:
     q, log_x, phi = ctx.q, ctx.log_x, ctx.phi
     lq = log(q)
     lphi = log(phi)
-    phi_over_sx = exp(lphi - log_x / 2.0)
-    L = 2.0 * lq + log_x
+    phi_over_sx, L = ctx.phi_over_sx, ctx.L
     lr2 = log(2.0 / pi) + 2.0 * lq + log_x / 2.0 - lphi  # log((2/pi) q^2 sx / phi)
     lr1 = log(2.0 / pi) + log_x / 2.0 - lphi             # log((2/pi) sx / phi)
     prod = lr2 * lr1 / pi
@@ -94,17 +103,15 @@ def _sqrt_claim(F: float, G: float, log_x: float) -> float:
     return G + F * log_x + log(11.0 / 6.0)
 
 
-def verify_thm2_at(q: int, log_x: float, rho: float = RHO2,
-                   sqrt_mode: bool = False,
+def verify_thm2_at(q: int, log_x: float, sqrt_mode: bool = False,
                    slack: float = DEFAULT_SLACK) -> list[BoundEval]:
     """Exact rho = 100 check at one (q, x): main bound plus side conditions."""
     ctx = thm2_context(q, log_x)
     F, G, Gs = thm2_FG(ctx)
-    phi_over_sx = exp(log(ctx.phi) - log_x / 2.0)
-    L = 2.0 * log(q) + log_x
-    shift = rho + (log_x if sqrt_mode else 0.0)
+    phi_over_sx, L = ctx.phi_over_sx, ctx.L
+    shift = ctx.shift(sqrt_mode)
     return [
-        BoundEval("main", (1.0 - F) * rho, Gs if sqrt_mode else G, slack),
+        BoundEval("main", (1.0 - F) * RHO2, Gs if sqrt_mode else G, slack),
         BoundEval("inv_T", 1.0 / 20.0,
                   (pi * phi_over_sx) * (0.5 + shift / L), slack),
         BoundEval("h_over_x", 5.0 / 6.0, phi_over_sx * (L / 2.0 + shift), slack),
@@ -130,8 +137,7 @@ class Thm2Tilde(NamedTuple):
     hx: float
 
 
-def thm2_tilde(m: float, q, rho: float = RHO2,
-               sqrt_mode: bool = False) -> Thm2Tilde:
+def thm2_tilde(m: float, q, sqrt_mode: bool = False) -> Thm2Tilde:
     lq = log(q)
     llq = log(lq)
     ell = lq * llq
@@ -149,13 +155,13 @@ def thm2_tilde(m: float, q, rho: float = RHO2,
     if sqrt_mode:
         G0t = G0t + F0t * 2.0 * log(m * q * ell) + log(11.0 / 6.0)
         invT = 1.0 / 20.0 - (pi / ml) * (
-            0.5 + (rho / 2.0 + log(m * q * ell)) / log(m * q**1.5 * ell))
-        hx = 5.0 / 6.0 - (log(m * q * q * ell) + 2.0 * log(m * q * ell) + rho) / ml
+            0.5 + (RHO2 / 2.0 + log(m * q * ell)) / log(m * q**1.5 * ell))
+        hx = 5.0 / 6.0 - (log(m * q * q * ell) + 2.0 * log(m * q * ell) + RHO2) / ml
     else:
         invT = 1.0 / 20.0 - (pi / ml) * (
-            0.5 + (rho / 2.0) / log(m * q**1.5 * ell))
-        hx = 5.0 / 6.0 - (log(m * q * q * ell) + rho) / ml
-    main = (1.0 - F0t) * rho - G0t
+            0.5 + (RHO2 / 2.0) / log(m * q**1.5 * ell))
+        hx = 5.0 / 6.0 - (log(m * q * q * ell) + RHO2) / ml
+    main = (1.0 - F0t) * RHO2 - G0t
     return Thm2Tilde(F0t=F0t, G0t=G0t, main=main, invT=invT, hx=hx)
 
 
@@ -178,17 +184,15 @@ def tilde_threshold(m: float, q0: int, sqrt_mode: bool = False) -> int:
     return hi
 
 
-def _a47(q: int, log_x: float, phi: int, sqrt_mode: bool,
-         rho: float = RHO2) -> float:
-    """Refined replacement for the flat surcharge E(q), at x = exp(log_x).
+def _a47(ctx: Thm2Context, sqrt_mode: bool) -> float:
+    """Refined replacement for the flat surcharge E(q), at the context's x.
 
     Uses the T >= 20 floor for the truncation term and keeps every
     x-dependent piece in log space.
     """
-    L = 2.0 * log(q) + log_x
+    q, log_x, phi, L = ctx.q, ctx.log_x, ctx.phi, ctx.L
     beta = L / pi
-    shift = rho + (log_x if sqrt_mode else 0.0)
-    h_over_x32 = phi * (L / 2.0 + shift) * exp(-log_x)
+    h_over_x32 = phi * (L / 2.0 + ctx.shift(sqrt_mode)) * exp(-log_x)
     return (log(2.0 / pi) + 2.53 + 1.638 / phi
             + (2.0 * log(2.0 * pi) / (pi * beta)) * (1.0 - 1.0 / beta)
             + 1.0 / beta
@@ -200,7 +204,7 @@ def _a47(q: int, log_x: float, phi: int, sqrt_mode: bool,
 
 def _refined_G(ctx: Thm2Context, G: float, sqrt_mode: bool) -> float:
     """G with the flat surcharge E(q) swapped for the refined _a47."""
-    return G - ctx.E_q + _a47(ctx.q, ctx.log_x, ctx.phi, sqrt_mode)
+    return G - ctx.E_q + _a47(ctx, sqrt_mode)
 
 
 class RefreshDetail(NamedTuple):

@@ -25,6 +25,7 @@ def naive_check1(alpha, delta, rho, q, x0, x_end):
     phi = sum(1 for a in range(q) if math.gcd(a, q) == 1)
     M = {a: x0 + h1(alpha, delta, rho, q, float(x0))
          for a in range(q) if math.gcd(a, q) == 1}
+    last = dict.fromkeys(M, x0)
     hi = math.floor(x_end + h1(alpha, delta, rho, q, float(x_end)))
     failures, count = [], 0
     for p in primes_between(x0, hi).tolist():
@@ -35,8 +36,10 @@ def naive_check1(alpha, delta, rho, q, x0, x_end):
         if M[a] - GUARD <= p:
             failures.append((a, M[a]))
         M[a] = p + h1(alpha, delta, rho, q, float(p))
+        last[a] = p
+    # a class with no prime in (x_end, hi] misses the window at x_end
     for a in M:
-        if M[a] - GUARD < x_end:
+        if last[a] <= x_end:
             failures.append((a, M[a]))
     return sorted(failures), count, phi
 
@@ -47,6 +50,7 @@ def naive_check_sqrt(alpha, delta, rho, q, x0, x_end):
     M = {a: x0 + hsqrt(alpha, delta, rho, q, float(x0))
          for a in range(q) if math.gcd(a, q) == 1}
     N = {a: math.isqrt(math.floor(M[a])) + 1 for a in M}
+    last = dict.fromkeys(M, x0)
     hi = math.floor(x_end + hsqrt(alpha, delta, rho, q, float(x_end)))
     failures = []
     for p in primes_between(x0, hi).tolist():
@@ -60,8 +64,10 @@ def naive_check_sqrt(alpha, delta, rho, q, x0, x_end):
             failures.append((a, M[a]))
         M[a] = p + hsqrt(alpha, delta, rho, q, float(p))
         N[a] = math.isqrt(math.floor(M[a])) + 1
+        last[a] = p
+    # a class with no inspected prime in (x_end, hi] misses x_end's window
     for a in M:
-        if M[a] - GUARD < x_end:
+        if last[a] <= x_end:
             failures.append((a, M[a]))
     return sorted(failures)
 
@@ -97,7 +103,7 @@ def test_check1_deterministic():
            (b.q, b.x0, b.x_end, b.mode, b.failures, b.primes_scanned)
 
 
-def test_check1_split_invariance():
+def test_check1_split_invariance(monkeypatch):
     def choppy(lo, hi):
         # hand the scan awkwardly sized chunks; results must not move
         P = primes_between(lo, hi)
@@ -110,8 +116,9 @@ def test_check1_split_invariance():
             k += n
             i += 1
 
-    rep = check1(*R1, prime_source=choppy)
     ref = check1(*R1)
+    monkeypatch.setattr(checkers, "prime_array_segments", choppy)
+    rep = check1(*R1)
     assert rep.failures == ref.failures
     assert rep.primes_scanned == ref.primes_scanned
 
@@ -185,24 +192,28 @@ def test_check_sqrt_matches_naive_countdown():
         assert a == wa and d == pytest.approx(wd, rel=1e-12)
 
 
-def test_check_sqrt_split_invariance():
+def test_check_sqrt_split_invariance(monkeypatch):
     def tiny(lo, hi):
         P = primes_between(lo, hi)
         for k in range(0, P.size, 709):
             yield P[k:k + 709]
 
-    rep = check_sqrt(*RS, prime_source=tiny)
     ref = check_sqrt(*RS)
+    monkeypatch.setattr(checkers, "prime_array_segments", tiny)
+    rep = check_sqrt(*RS)
     assert rep.failures == ref.failures
     assert rep.primes_scanned == ref.primes_scanned
 
 
-def test_check_sqrt_count_override_every_prime():
+def test_check_sqrt_jump_of_one_inspects_every_prime(monkeypatch):
     # forcing the jump to 1 inspects every class prime; that must agree with
     # a check1-style scan run with the taller interval function
+    monkeypatch.setattr(checkers._ScanSqrt, "_jump",
+                        staticmethod(lambda deadline: 1))
     alpha, delta, rho, q, x0, xe = 0.5, 1.0, 30.0, 3, 81589, 150000
-    rep = check_sqrt(alpha, delta, rho, q, x0, xe, count_override=1)
+    rep = check_sqrt(alpha, delta, rho, q, x0, xe)
     M = {a: x0 + hsqrt(alpha, delta, rho, q, float(x0)) for a in (1, 2)}
+    last = dict.fromkeys(M, x0)
     hi = math.floor(xe + hsqrt(alpha, delta, rho, q, float(xe)))
     want = []
     for p in primes_between(x0, hi).tolist():
@@ -212,16 +223,19 @@ def test_check_sqrt_count_override_every_prime():
         if M[a] - GUARD <= p:
             want.append((a, M[a]))
         M[a] = p + hsqrt(alpha, delta, rho, q, float(p))
+        last[a] = p
     for a in (1, 2):
-        if M[a] - GUARD < xe:
+        if last[a] <= xe:
             want.append((a, M[a]))
     assert list(rep.failures) == sorted(want)
 
 
-def test_check_sqrt_count_override_starves_scan():
+def test_check_sqrt_huge_jump_starves_scan(monkeypatch):
     # a jump longer than the whole prime list means nothing is ever
     # inspected, so every class must be flagged by the final sweep
-    rep = check_sqrt(0.5, 1.0, 30.0, 3, 81589, 332263, count_override=10**9)
+    monkeypatch.setattr(checkers._ScanSqrt, "_jump",
+                        staticmethod(lambda deadline: 10**9))
+    rep = check_sqrt(0.5, 1.0, 30.0, 3, 81589, 332263)
     assert len(rep.failures) == 2
     assert [a for a, _ in rep.failures] == [1, 2]
     m0 = 81589 + hsqrt(0.5, 1.0, 30.0, 3, 81589.0)
@@ -239,14 +253,14 @@ def test_check_sqrt_count_override_starves_scan():
 # gives an array element the bits it gives the lone value), so the failure
 # tuples must match exactly, not just to rounding.
 SPLIT_ROWS_1 = [
-    (0.0, 0.0, 0.05, 300, 10**5, 2 * 10**5),    # 1542 failures
+    (0.0, 0.0, 0.05, 300, 10**5, 2 * 10**5),    # 1550 failures
     (0.5, 1.0, 30.0, 1, 23656, 193269),          # passes
     (0.0, 0.0, 0.001, 1, 23656, 193269),         # fails at every prime
     (0.0, 0.0, 0.3, 30, 2, 10**5),
 ]
 SPLIT_ROWS_SQRT = [
-    (-1.0, 0.0, 20.0, 300, 10**5, 2 * 10**5),   # 59 failures
-    (-1.0, 0.0, 5.0, 300, 10**5, 2 * 10**5),    # passes
+    (-1.0, 0.0, 20.0, 300, 10**5, 2 * 10**5),   # 80 failures
+    (-1.0, 0.0, 60.0, 300, 10**5, 2 * 10**5),   # passes
     (-1.0, 0.0, 1.0, 1, 23656, 193269),
     (-1.0, 0.0, 2.0, 30, 2, 10**5),
 ]
@@ -267,14 +281,37 @@ def test_check_sqrt_class_split_matches_naive(args):
 
 def test_split_rows_reach_their_corners():
     # the rows above do what their comments say
-    assert len(check1(*SPLIT_ROWS_1[0]).failures) == 1542
+    assert len(check1(*SPLIT_ROWS_1[0]).failures) == 1550
     assert check1(*SPLIT_ROWS_1[1]).failures == ()
-    assert len(check_sqrt(*SPLIT_ROWS_SQRT[0]).failures) == 59
+    assert len(check_sqrt(*SPLIT_ROWS_SQRT[0]).failures) == 80
     assert check_sqrt(*SPLIT_ROWS_SQRT[1]).failures == ()
     # q = 1 scans every prime in the row's range
     rep = check1(*SPLIT_ROWS_1[1])
     assert rep.primes_scanned == primes_between(23656, checkers._Scan1(
         *SPLIT_ROWS_1[1]).hi).size
+
+
+def test_end_sweep_flags_a_row_with_nothing_inspected():
+    # every class mod 300 has about 283 primes in [1e5, hi], fewer than its
+    # first jump of 476, so no class prime is ever inspected.  The first
+    # deadline lies past x_end, yet no window past x_end was checked: each
+    # class fails at x_end, reported with that first deadline
+    alpha, delta, rho, q, x0, xe = -1.0, 0.0, 5.0, 300, 10**5, 2 * 10**5
+    m0 = x0 + hsqrt(alpha, delta, rho, q, float(x0))
+    assert m0 > xe
+    rep = check_sqrt(alpha, delta, rho, q, x0, xe)
+    assert rep.failures == tuple((a, m0) for a in range(q)
+                                 if math.gcd(a, q) == 1)
+
+
+def test_end_sweep_flags_a_class_with_no_prime_past_x_end():
+    # h is about 2 on [97, 98] and the primes after 97 are 101 and 103, so
+    # no window (x, x + h(x)] there holds a prime of either class mod 3,
+    # though both deadlines (97 + h(97)) clear x_end
+    rep = check1(0.0, 0.0, 0.101, 3, 97, 98)
+    assert [a for a, _ in rep.failures] == [1, 2]
+    assert all(d > 98 for _, d in rep.failures)
+    assert rep.primes_scanned == 1  # 97 itself
 
 
 @pytest.mark.parametrize("q", [0, -3])
@@ -283,6 +320,14 @@ def test_row_scan_rejects_modulus_below_one(q):
         check1(0.5, 1.0, 30.0, q, 23656, 193269)
     with pytest.raises(ValueError, match="at least 1"):
         check_sqrt(0.5, 1.0, 30.0, q, 81589, 332263)
+
+
+@pytest.mark.parametrize("x0", [0, -5])
+def test_row_scan_rejects_start_below_one(x0):
+    with pytest.raises(ValueError, match="at least 1"):
+        check1(0.0, 0.0, 0.001, 3, x0, 5)
+    with pytest.raises(ValueError, match="at least 1"):
+        check_sqrt(0.0, 0.0, 0.001, 3, x0, 5)
 
 
 # ---------------------------------------------------------------- table driver

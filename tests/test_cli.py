@@ -310,6 +310,23 @@ def test_table_flags_rejected_elsewhere(argv, capsys):
      "--q must be at least 1"),
     (["check", "custom", "--q", "3", "--x0", "193270", "--x", "193269"],
      "--x0 193270 lies past --x"),
+    # non-finite points and parameters, and scans that start below 1 (where
+    # h(x0) is NaN)
+    (["check", "custom", "--q", "3", "--x0", "2", "--x", "nan"],
+     "--x must be a finite number > 0"),
+    (["check", "custom", "--q", "3", "--x0", "2", "--x", "inf"],
+     "--x must be a finite number > 0"),
+    (["verify", "thm1-at", "--x", "nan"], "--x must be a finite number > 0"),
+    (["verify", "thm1-at", "--q", "3", "--x", "-5"],
+     "--x must be a finite number > 0"),
+    (["check", "custom", "--q", "3", "--x0", "0", "--x", "5",
+      "--params", "0,0,0.001"], "--x0 must be at least 1"),
+    (["check", "custom", "--q", "3", "--x0", "-4", "--x", "5", "--sqrt"],
+     "--x0 must be at least 1"),
+    (["check", "custom", "--q", "3", "--x0", "23656", "--x", "193269",
+      "--params", "nan,0,0"], "--params takes three numbers"),
+    (["check", "custom", "--q", "3", "--x0", "23656", "--x", "193269",
+      "--params", "inf,0,0"], "--params takes three numbers"),
 ])
 def test_ignored_flags_rejected(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -351,6 +368,16 @@ def test_check_custom_forced_failure(tmp_path):
     assert rc == 1
     recs = read_records(out)
     assert len(recs) == 1 and not recs[0]["pass"]
+
+
+def test_check_custom_end_of_range_fails_closed(tmp_path):
+    # h is about 2 on [97, 98]: no window there reaches 101 or 103
+    out = tmp_path / "end.jsonl"
+    rc = main(["check", "custom", "--q", "3", "--x0", "97", "--x", "98",
+               "--params", "0,0,0.101", "--out", str(out)])
+    assert rc == 1
+    (rec,) = read_records(out)
+    assert rec["lhs"] == -2.0
 
 
 def test_check_custom_sqrt():

@@ -102,6 +102,15 @@ def test_segments_match_byte_sieve_past_two_periods():
         assert _segments_checked(lo, hi) == byte_primes(lo, hi), (lo, hi)
 
 
+def test_primes_between_matches_byte_sieve_for_every_hi():
+    # the base primes of [0, hi] are primes_between(2, isqrt(hi)): every hi
+    # up to 2000 steps across each p^2 boundary of that recursion (17^2 to
+    # 43^2 past the wheel) and through its empty base cases
+    ref = byte_primes(0, 2000)
+    for hi in range(2001):
+        assert primes_between(0, hi).tolist() == [p for p in ref if p <= hi], hi
+
+
 @pytest.mark.parametrize("seg", [7, WHEEL_PERIOD, WHEEL_PERIOD + 1])
 def test_segments_match_byte_sieve_at_every_phase(monkeypatch, seg):
     # each segment moves the wheel phase on by SEG mod 15015.  With SEG = 7,
