@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from apbounds.majorant import (F_majorant, MajorantConstants, S_of, g_of,
-                               pairing_threshold, s_sign_sweep,
-                               verify_constants, verify_majorant)
+from apbounds.majorant import (F_majorant, S_of, g_of, pairing_threshold,
+                               s_sign_sweep, verify_constants, verify_majorant)
+from apbounds.tables import load_table2
 
-C = MajorantConstants.published()
-print(f"kernel: {len(C.a_scaled)} terms, weights a_j (x 10^7): "
-      f"{C.a_scaled[:4]} ... {C.a_scaled[-2:]}")
+A = load_table2()
+print(f"kernel: {len(A)} terms, weights a_j (x 10^7): "
+      f"{A[:4]} ... {A[-2:]}")
 
 # --- domination near the origin, nonnegativity beyond ----------------------
 print("\nF vs g on a few points (F must dominate g for gamma <= 5):")

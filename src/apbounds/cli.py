@@ -28,7 +28,8 @@ A flag that the chosen target would ignore is a usage error (exit 2), and
 so is a value out of range: `--slack` must be finite and >= 0, `--x`
 finite and > 0, `--q`, `--x0`, `--sample-grid` and `--jobs` at least 1,
 `--block` a block of the table, `--params` three finite numbers, and
-`--x0` at most `--x`.
+`--x0` at most `--x`.  A `verify thm1-at` point needs a window:
+0 < phi(q) log q < sqrt(x).
 `regen-report --full` includes the sqrt-count refresh rows that are known
 to fail (m = 19, 20, 21), so it exits 1 by design; the default battery is
 all-green.
@@ -46,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arith import phi_of
 from .checkers import check1, check_sqrt, run_exception_tables
 from .majorant import GAMMA_MAX, verify_constants, verify_majorant
 from .margins import DEFAULT_SLACK, BoundEval, ColumnBlock, worst_margin
@@ -83,10 +85,10 @@ _FLAG_SCOPE = {
     "sample_grid": {"verify": ("thm1-at", "thm3", "corollary"),
                     "regen-report": (None,)},
     "full": {"verify": ("thm1-at",), "regen-report": (None,)},
-    # lemma5's certificate is exact, so it has no slack to set (regen-report
-    # --full runs it with its fixed pass rule)
+    # lemma5's certificate and the check scans are exact, so they have no
+    # slack to set (regen-report --full runs lemma5 with its fixed pass rule)
     "slack": {"verify": tuple(t for t in _VERIFY_TARGETS if t != "lemma5"),
-              "check": _CHECK_TARGETS, "regen-report": (None,)},
+              "regen-report": (None,)},
 }
 
 
@@ -252,7 +254,6 @@ _BATTERIES = {
 # ---------------------------------------------------------------- check
 
 def _run_check(cfg: RunConfig, recs: list[dict]) -> None:
-    slack = _slack(cfg)
     if cfg.target in ("t5", "t6"):
         suite = f"check:{cfg.target}"
         reports = run_exception_tables(cfg.target, block=cfg.block,
@@ -263,7 +264,8 @@ def _run_check(cfg: RunConfig, recs: list[dict]) -> None:
         scan = check_sqrt if cfg.sqrt else check1
         reports = [scan(alpha, delta, rho, cfg.q, cfg.x0, int(cfg.x))]
     for rep in reports:
-        ev = BoundEval("coverage", -float(len(rep.failures)), -0.5, slack)
+        # an exact count: the default slack cannot move its verdict
+        ev = BoundEval("coverage", -float(len(rep.failures)), -0.5)
         inputs = {"q": rep.q, "x0": rep.x0, "x_end": rep.x_end,
                   "mode": rep.mode, "primes_scanned": rep.primes_scanned}
         recs.append(ev.record(suite, inputs))
@@ -447,6 +449,11 @@ def main(argv=None) -> int:
         if ns.full and ns.sample_grid is not None:
             ap.error("verify thm1-at: --full and --sample-grid "
                      "exclude each other")
+        q = 3 if ns.q is None else ns.q
+        if ns.x is not None \
+                and not 0 < phi_of(q) * math.log(q) < math.sqrt(ns.x):
+            ap.error("verify thm1-at: a point needs 0 < phi(q) log q < "
+                     f"sqrt(x), got q={q}, x={ns.x:g}")
     params = DEFAULT_PARAMS if ns.params is None else ns.params
     cfg = RunConfig(command=ns.command, target=target,
                     q=ns.q, x=ns.x, x0=ns.x0, params=params, sqrt=ns.sqrt,

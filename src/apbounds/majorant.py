@@ -5,8 +5,11 @@ The weight g(gamma) = gamma^2 / sqrt((1/4 + gamma^2)(9/4 + gamma^2)) is
 dominated for 0 <= gamma <= 5 by F(gamma) = sum_j a_j f(s_j, gamma), a
 combination of the scaled Cauchy kernels f(s, gamma) = 4(2s-1) /
 ((2s-1)^2 + 4 gamma^2) at the half-integer points s_j = 3/4 + j/2.  The
-coefficients a_j are read from ``data/table2.txt``.  Because every a_j is an
-exact multiple of 1e-7, both claims
+coefficients a_j are read from ``data/table2.txt`` by ``load_table2()``, as
+the tuple of integers a_scaled[j - 1] = a_j * SCALE.  Every function that
+takes coefficients takes that tuple (None means the published one), so a
+test can pass a perturbed copy.  Because every a_j is an exact multiple of
+1e-7, both claims
 
     F >= 0 on [0, inf)        and        F >= g for gamma^2 <= 25
 
@@ -22,7 +25,6 @@ integer rational form rather than term by term.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -36,7 +38,6 @@ from .tables import load_table2
 __all__ = [
     "GAMMA_MAX",
     "SCALE",
-    "MajorantConstants",
     "SValue",
     "F_majorant",
     "S_of",
@@ -64,21 +65,6 @@ ROOT_DEPTH = 64
 GAMMA_MAX = 1e6
 
 
-@dataclass(frozen=True)
-class MajorantConstants:
-    """Exact majorant data: the scaled integer coefficients a_scaled[j - 1]
-    of the kernels at s_j = 3/4 + j/2, j = 1..23."""
-
-    a_scaled: tuple[int, ...]
-
-    @classmethod
-    def published(cls) -> "MajorantConstants":
-        return cls(a_scaled=load_table2())
-
-    def a_floats(self) -> list[float]:
-        return [a / SCALE for a in self.a_scaled]
-
-
 def g_of(gamma):
     """Ordinate weight gamma^2 / sqrt((1/4 + gamma^2)(9/4 + gamma^2));
     scalar in, scalar out; array in, array out."""
@@ -89,15 +75,16 @@ def g_of(gamma):
     return out
 
 
-def F_majorant(gamma, constants: MajorantConstants | None = None):
+def F_majorant(gamma, a_scaled: tuple[int, ...] | None = None):
     """sum_j a_j f(s_j, gamma); scalar in, scalar out; array in, array out.
 
     Evaluated as (8/SCALE) N(t)/Q(t) with t = gamma^2: the termwise kernel
     sum loses ~18 digits to cancellation, while the integer polynomials are
     well enough conditioned for plain Horner.
     """
-    c = constants if constants is not None else MajorantConstants.published()
-    n_desc, q_desc = _float_polys(c)
+    if a_scaled is None:
+        a_scaled = load_table2()
+    n_desc, q_desc = _float_polys(a_scaled)
     t = np.asarray(gamma, dtype=float) ** 2
     out = (8.0 / SCALE) * np.polyval(n_desc, t) / np.polyval(q_desc, t)
     if np.ndim(gamma) == 0:
@@ -187,7 +174,7 @@ def count_roots(p: list[int], hi: int | None = None) -> int | None:
 
 
 def build_certificate_polys(
-        constants: MajorantConstants) -> tuple[list[int], list[int]]:
+        a_scaled: tuple[int, ...]) -> tuple[list[int], list[int]]:
     """Integer polynomials (N, Q) with F(gamma) = (8/SCALE) N(t)/Q(t), t = gamma^2.
 
     Writing f(s_j, gamma) = 8(2j+1) / ((2j+1)^2 + 16 t) for s_j = 3/4 + j/2,
@@ -199,7 +186,7 @@ def build_certificate_polys(
     for d in D:
         Q = _poly_mul(Q, d)
     N = [0]
-    for j, a in enumerate(constants.a_scaled):
+    for j, a in enumerate(a_scaled):
         part = [a * (2 * (j + 1) + 1)]
         for i in range(23):
             if i != j:
@@ -209,22 +196,22 @@ def build_certificate_polys(
 
 
 @lru_cache(maxsize=4)
-def _float_polys(constants: MajorantConstants) -> tuple[np.ndarray, np.ndarray]:
+def _float_polys(a_scaled: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """(N, Q) as descending-order float coefficient arrays for np.polyval."""
-    N, Q = build_certificate_polys(constants)
+    N, Q = build_certificate_polys(a_scaled)
     return np.array(N[::-1], dtype=float), np.array(Q[::-1], dtype=float)
 
 
-def _certificate_gate(constants: MajorantConstants) -> str | None:
+def _certificate_gate(a_scaled: tuple[int, ...]) -> str | None:
     """Run the exact-arithmetic gates in order; name of the first failure."""
-    N, Q = build_certificate_polys(constants)
+    N, Q = build_certificate_polys(a_scaled)
     if not _poly_eval(N, 0) > 0:
         return "N0_positive"
     # flipping a coefficient sign can *loosen* the majorant without breaking
     # F >= g, so the tail mass the envelope constants were computed from is
     # pinned as well (it is N's leading coefficient over 16^22)
     if sum(a * (2 * (j + 1) + 1)
-           for j, a in enumerate(constants.a_scaled)) != TAIL_MASS_SCALED:
+           for j, a in enumerate(a_scaled)) != TAIL_MASS_SCALED:
         return "tail_mass"
     n_roots = count_roots(N)
     if n_roots is None:
@@ -247,7 +234,7 @@ def _certificate_gate(constants: MajorantConstants) -> str | None:
     return None
 
 
-def verify_majorant(constants: MajorantConstants | None = None) -> BoundEval:
+def verify_majorant(a_scaled: tuple[int, ...] | None = None) -> BoundEval:
     """Certify F >= 0 everywhere and F >= g for gamma in [0, 5].
 
     The verdict rests on the exact root-count certificate; a millionth-point
@@ -257,15 +244,17 @@ def verify_majorant(constants: MajorantConstants | None = None) -> BoundEval:
     reported as a single eval with a token positive margin, since the
     certificate itself is exact and has no meaningful float margin.
     """
-    c = constants if constants is not None else MajorantConstants.published()
-    gate = _certificate_gate(c)
+    if a_scaled is None:
+        a_scaled = load_table2()
+    gate = _certificate_gate(a_scaled)
     if gate is None:
         lo = np.linspace(0.0, 5.0, 200_000)
-        if np.min(F_majorant(lo, c) - g_of(lo)) < -1e-12:
+        if np.min(F_majorant(lo, a_scaled) - g_of(lo)) < -1e-12:
             gate = "sweep"
         else:
             hi = np.geomspace(5.0, GAMMA_MAX, 800_000)
-            n_asc = _float_polys(c)[0][::-1]  # ascending = descending in 1/t
+            # N ascending in t is N descending in 1/t
+            n_asc = _float_polys(a_scaled)[0][::-1]
             if np.min(np.polyval(n_asc, 1.0 / hi**2)) < 0.0:
                 gate = "sweep"
     if gate is not None:
@@ -290,12 +279,12 @@ def S_of(n: int) -> SValue:
     cancels badly (the error estimate says so), and the sum is redone at 40
     working digits before rounding once to a float.
     """
-    c = MajorantConstants.published()
-    return _S(n, c, c.a_floats())
+    a_scaled = load_table2()
+    return _S(n, a_scaled, [c / SCALE for c in a_scaled])
 
 
-def _S(n: int, c: MajorantConstants, a: list[float]) -> SValue:
-    """S(n) from the constants `c` and their floats `a` = c.a_floats()."""
+def _S(n: int, a_scaled: tuple[int, ...], a: list[float]) -> SValue:
+    """S(n) from the coefficients and their floats a[j] = a_scaled[j] / SCALE."""
     if n < 2:
         raise ValueError(f"tail sums start at n = 2, got {n}")
     u = n ** -0.5
@@ -312,7 +301,7 @@ def _S(n: int, c: MajorantConstants, a: list[float]) -> SValue:
         with mp.workdps(40):
             exact = mp.fsum(
                 (mp.mpf(ai) / SCALE) * mp.power(n, -(mp.mpf(3) / 4 + mp.mpf(j) / 2))
-                for j, ai in enumerate(c.a_scaled, start=1))
+                for j, ai in enumerate(a_scaled, start=1))
             value = float(exact)
         err = 4.0 * eps * abs(value)  # one rounding to binary64, padded
     return SValue(value, err)
@@ -320,9 +309,10 @@ def _S(n: int, c: MajorantConstants, a: list[float]) -> SValue:
 
 def s_sign_sweep(lo: int, hi: int) -> tuple[int, ...]:
     """All n in [lo, hi] where S(n) >= 0 (expected: n = 4 alone)."""
-    c = MajorantConstants.published()
-    a = c.a_floats()
-    return tuple(n for n in range(lo, hi + 1) if _S(n, c, a).value >= 0.0)
+    a_scaled = load_table2()
+    a = [c / SCALE for c in a_scaled]
+    return tuple(n for n in range(lo, hi + 1)
+                 if _S(n, a_scaled, a).value >= 0.0)
 
 
 def pairing_threshold() -> float:
@@ -331,7 +321,7 @@ def pairing_threshold() -> float:
     Past max_k (a_{2k} / |a_{2k-1}|)^2 each positive term is dominated by its
     negative predecessor, so S(n) < 0 without evaluation.
     """
-    a = MajorantConstants.published().a_scaled
+    a = load_table2()
     return max((a[2 * k - 1] / abs(a[2 * k - 2])) ** 2
                for k in range(1, (len(a) + 1) // 2))
 
@@ -340,20 +330,21 @@ def pairing_threshold() -> float:
 # companion constant sums
 # ---------------------------------------------------------------------------
 
-def verify_constants(constants: MajorantConstants | None = None,
+def verify_constants(a_scaled: tuple[int, ...] | None = None,
                      slack: float = 1e-12) -> list[BoundEval]:
     """Replay the six coefficient-sum inequalities the envelope relies on.
 
     The rational sums are exact; the digamma and zeta sums are taken at 40
     working digits and rounded once at the end.
     """
-    c = constants if constants is not None else MajorantConstants.published()
-    total = Fraction(sum(c.a_scaled), SCALE)
+    if a_scaled is None:
+        a_scaled = load_table2()
+    total = Fraction(sum(a_scaled), SCALE)
     s_frac = [Fraction(3, 4) + Fraction(j, 2) for j in range(1, 24)]
     ratio = sum(Fraction(a, SCALE) * (2 / s + 2 / (s - 1))
-                for a, s in zip(c.a_scaled, s_frac))
+                for a, s in zip(a_scaled, s_frac))
     with mp.workdps(40):
-        a_mp = [mp.mpf(a) / SCALE for a in c.a_scaled]
+        a_mp = [mp.mpf(a) / SCALE for a in a_scaled]
         s_mp = [mp.mpf(3) / 4 + mp.mpf(j) / 2 for j in range(1, 24)]
         dig_half = mp.fsum(a * mp.digamma(s / 2) for a, s in zip(a_mp, s_mp))
         dig_shift = mp.fsum(a * mp.digamma((s + 1) / 2)

@@ -8,11 +8,12 @@ the two sides and floors at the absolute slack itself.
 
 `BoundEval` holds one comparison; `BoundColumn` holds the same comparison
 taken at a column of inputs, as equal-length arrays.  Both judge through
-`slack_threshold`.  `_record` is the one report row layout: `BoundEval.record`
-fills it in, and a `ColumnBlock` (BoundColumns over shared points, with
-their inputs as columns) gives the same rows as dicts (`records`) or as
-JSON text written straight from its arrays (`lines`), byte for byte what
-the stdlib encoder writes for those dicts.  `worst_margin` is the one rule
+`slack_threshold`, one numpy expression for a point and a column alike.
+`_record` is the one report row layout: `BoundEval.record` fills it in,
+and a `ColumnBlock` (BoundColumns over shared points, with their inputs as
+columns) gives the same rows as dicts (`records`) or as JSON text written
+straight from its arrays (`lines`), byte for byte what the stdlib encoder
+writes for those dicts.  `worst_margin` is the one rule
 for the worst of several margins: a NaN margin is the worst.
 """
 from __future__ import annotations
@@ -30,13 +31,9 @@ DEFAULT_SLACK = 1e-9
 def slack_threshold(lhs, rhs, slack: float = DEFAULT_SLACK):
     """slack * max(|lhs|, |rhs|, 1), elementwise when a side is an array.
 
-    Scalars take the plain-Python route, about three times cheaper than
-    numpy on one value.  A NaN side gives a NaN margin, which no threshold
-    passes on either route.
+    A NaN side gives a NaN margin (and threshold), which nothing passes.
     """
-    if isinstance(lhs, np.ndarray) or isinstance(rhs, np.ndarray):
-        return slack * np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
-    return slack * max(abs(lhs), abs(rhs), 1.0)
+    return slack * np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
 
 
 def _record(suite: str, name: str, inputs: dict, lhs: float, rhs: float,

@@ -10,8 +10,10 @@ formulas are written once, over a backend that is `math` for a point and
 numpy for arrays); it is their only caller, and their window-height guard
 raises on any x with no window.  ``verify_thm1_largeq``
 certifies all q at and beyond a threshold by evaluating a majorized form of
-the inequality in terms of log q alone and then proving that form monotone,
-either by a one-shot slope test or by a segmented walk over log q.
+the inequality in terms of log q alone and then proving that form monotone
+(``_guard``): one walk over log q, each segment's minimum proved positive,
+until a slope test clears; one that clears at the threshold itself is the
+direct route.  Every test of the walk is judged at the run's slack.
 """
 from __future__ import annotations
 
@@ -111,18 +113,20 @@ def x0_of(params: ParamSet, q, sqrt_mode: bool = False):
 def _beta_T(params: ParamSet, q, x, sqrt_mode: bool, phi, xp):
     """Zero-density window height beta and integration cutoff T = beta x / h.
 
-    Raises unless sqrt(x) > phi(q) log q (window height > 0).  A NaN x
-    fails the test too; a negative one already fails math.sqrt on the
-    scalar route and gives a NaN root on the array route.
+    Raises ValueError unless 0 < phi(q) log q < sqrt(x) (window height > 0;
+    q = 1 has none).  A NaN x fails the test too; a negative one already
+    fails math.sqrt on the scalar route and gives a NaN root on the array
+    route.
     """
     sx, ref = xp.sqrt(x), phi * xp.log(q)
-    ok = sx > ref
+    ok = (0 < ref) & (ref < sx)
     if not (ok if xp is math else ok.all()):
         if xp is np:
             sx, ref, ok = np.broadcast_arrays(sx, ref, ok)
             i = np.argmin(ok)  # the first failing point
             sx, ref = sx.flat[i], ref.flat[i]
-        raise ValueError(f"sqrt(x)={sx:g} must exceed phi(q) log q = {ref:g}")
+        raise ValueError(f"needs 0 < phi(q) log q < sqrt(x), got "
+                         f"phi(q) log q = {ref:g}, sqrt(x) = {sx:g}")
     a, _m, ell = _hatted(params, sqrt_mode)
     beta = ell * xp.log(sx / ref)
     T = beta * sx / (phi * (a * xp.log(x) + params.delta * xp.log(q)
@@ -245,37 +249,41 @@ def _coeffs(params: ParamSet, logq: float,
     return A, K, C, S, mult, F0t
 
 
-def _guard(params: ParamSet, logq0: float, sqrt_mode: bool, du: float = 0.05,
-           max_steps: int = 4000) -> tuple[str, float, float, int]:
+# the guard walk's segment width in log q, and its step budget
+_GUARD_DU, _GUARD_STEPS = 0.05, 4000
+
+
+def _guard(params: ParamSet, logq0: float, sqrt_mode: bool,
+           slack: float) -> BoundEval:
     """Certify the majorized inequality for every log q >= logq0.
 
-    First try the one-shot slope test A log q >= K - S * mult at logq0
-    ('direct').  Failing that, walk log q upward in du-sized segments,
-    proving each segment's minimum of z(u) = A u - K log u - C positive using
-    the coefficients frozen at the segment's left end, until the slope test
-    clears ('segmented').  Returns (route, lhs, rhs, steps) where lhs - rhs
-    is the certified margin.
+    Walk log q upward from logq0 in _GUARD_DU-sized segments.  At each
+    segment's left end u, the slope test A u >= K - S * mult proves the
+    form monotone from u on and ends the walk ('direct' when u = logq0);
+    otherwise the segment's minimum of z(u) = A u - K log u - C, with the
+    coefficients frozen at u, must be positive.  Every test is judged at
+    `slack`, the record's own pass rule.  The eval's margin is the slope
+    margin (direct), the walk's smallest margin, or the test that failed.
     """
-    A, K, C, S, mult, _ = _coeffs(params, logq0, sqrt_mode)
-    lhs, rhs = A * logq0, K - S * mult
-    if lhs - rhs > slack_threshold(lhs, rhs):
-        return "direct", lhs, rhs, 0
     u = logq0
     worst = math.inf
-    for k in range(max_steps):
+    for k in range(_GUARD_STEPS):
         A, K, C, S, mult, _ = _coeffs(params, u, sqrt_mode)
         lhs, rhs = A * u, K - S * mult
-        if lhs - rhs > slack_threshold(lhs, rhs):
-            return "segmented", min(worst, lhs - rhs), 0.0, k
-        cands = [u, u + du]
-        if A > 0.0 and u < K / A < u + du:
+        if lhs - rhs > slack_threshold(lhs, rhs, slack):
+            if k == 0:
+                return BoundEval("mono_guard[direct]", lhs, rhs, slack)
+            return BoundEval(f"mono_guard[segmented:{k}]",
+                             min(worst, lhs - rhs), 0.0, slack)
+        cands = [u, u + _GUARD_DU]
+        if A > 0.0 and u < K / A < u + _GUARD_DU:
             cands.append(K / A)  # interior stationary point of z
         zmin = min(A * v - K * log(v) - C for v in cands)
-        if not zmin > slack_threshold(zmin, 0.0):
-            return "segmented-FAIL", zmin, 0.0, k
+        if not zmin > slack_threshold(zmin, 0.0, slack):
+            return BoundEval(f"mono_guard[segmented:{k}]", zmin, 0.0, slack)
         worst = min(worst, zmin)
-        u += du
-    return "segmented-FAIL", lhs, rhs, max_steps
+        u += _GUARD_DU
+    return BoundEval(f"mono_guard[segmented:{_GUARD_STEPS}]", lhs, rhs, slack)
 
 
 def verify_thm1_largeq(params: ParamSet, sqrt_mode: bool = False,
@@ -287,13 +295,10 @@ def verify_thm1_largeq(params: ParamSet, sqrt_mode: bool = False,
     logq0 = math.log(q0)
     llq0 = log(logq0)
     A, K, C, _S, _mult, F0t = _coeffs(params, logq0, sqrt_mode)
-    route, glhs, grhs, steps = _guard(params, logq0, sqrt_mode)
-    gname = "mono_guard[direct]" if route == "direct" \
-        else f"mono_guard[segmented:{steps}]"
     num = 2.0 * a * (log(m) + logq0 + llq0) + delta * logq0 + rho
     evals = [
         BoundEval("main", A * logq0 - K * llq0 - C, 0.0, slack),
-        BoundEval(gname, glhs, grhs, slack),
+        _guard(params, logq0, sqrt_mode, slack),
         BoundEval("inv_T", 1.0 / 20.0, num / (ell * m * log(m) * logq0), slack),
         BoundEval("h_over_x", 5.0 / 6.0, num / (m * logq0), slack),
     ]

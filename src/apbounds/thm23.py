@@ -8,6 +8,11 @@ two multiplier bands up to a few thousand, and a phi-free majorized form
 past the tabulated thresholds, with an exact per-modulus refresh scan
 covering any window where the majorized form has not yet caught up.
 
+Every exact rho = 100 check (`verify_thm2_at`, both passes of
+`exact_refresh_scan` and `verify_thm3`) takes its relative error F and its
+additive cost G from `thm2_FG`, which builds G for the claim at hand: the
+flat surcharge E(q) or the refined `_a47`, plus the sqrt-count term.
+
 Everything evaluates in log x to stay finite at exponential scales: the
 code never forms exp(log_x / 2) with a large argument, only
 exp(log(phi) - log_x / 2) and friends.
@@ -79,8 +84,14 @@ def thm2_context(q: int, log_x: float) -> Thm2Context:
                        phi_over_sx=exp(log(phi) - log_x / 2.0))
 
 
-def thm2_FG(ctx: Thm2Context) -> tuple[float, float, float]:
-    """(F, G, G_sqrt) at the context's point, evaluated in log space."""
+def thm2_FG(ctx: Thm2Context, sqrt_mode: bool = False,
+            refined: bool = False) -> tuple[float, float]:
+    """(F, G) at the context's point, evaluated in log space.
+
+    G is the claim's whole additive cost: with `refined`, the flat
+    surcharge E(q) is swapped for the sharper _a47; in `sqrt_mode` the
+    sqrt-count claim adds F log x + log(11/6) to that.
+    """
     q, log_x, phi = ctx.q, ctx.log_x, ctx.phi
     lq = log(q)
     lphi = log(phi)
@@ -95,23 +106,22 @@ def thm2_FG(ctx: Thm2Context) -> tuple[float, float, float]:
          - 0.747 * lq
          + (81.86 + 84.1 / phi) * L * phi_over_sx / 2.0
          + tail / 2.0)
-    return F, G, _sqrt_claim(F, G, log_x)
-
-
-def _sqrt_claim(F: float, G: float, log_x: float) -> float:
-    """The sqrt-count claim's additive cost, from the single-prime one's G."""
-    return G + F * log_x + log(11.0 / 6.0)
+    if refined:
+        G = G - ctx.E_q + _a47(ctx, sqrt_mode)
+    if sqrt_mode:
+        G = G + F * log_x + log(11.0 / 6.0)
+    return F, G
 
 
 def verify_thm2_at(q: int, log_x: float, sqrt_mode: bool = False,
                    slack: float = DEFAULT_SLACK) -> list[BoundEval]:
     """Exact rho = 100 check at one (q, x): main bound plus side conditions."""
     ctx = thm2_context(q, log_x)
-    F, G, Gs = thm2_FG(ctx)
+    F, G = thm2_FG(ctx, sqrt_mode)
     phi_over_sx, L = ctx.phi_over_sx, ctx.L
     shift = ctx.shift(sqrt_mode)
     return [
-        BoundEval("main", (1.0 - F) * RHO2, Gs if sqrt_mode else G, slack),
+        BoundEval("main", (1.0 - F) * RHO2, G, slack),
         BoundEval("inv_T", 1.0 / 20.0,
                   (pi * phi_over_sx) * (0.5 + shift / L), slack),
         BoundEval("h_over_x", 5.0 / 6.0, phi_over_sx * (L / 2.0 + shift), slack),
@@ -202,11 +212,6 @@ def _a47(ctx: Thm2Context, sqrt_mode: bool) -> float:
             + 1.7 * h_over_x32)
 
 
-def _refined_G(ctx: Thm2Context, G: float, sqrt_mode: bool) -> float:
-    """G with the flat surcharge E(q) swapped for the refined _a47."""
-    return G - ctx.E_q + _a47(ctx, sqrt_mode)
-
-
 class RefreshDetail(NamedTuple):
     """Outcome of the exact per-modulus scan between q0 and the tilde threshold."""
 
@@ -232,14 +237,12 @@ def exact_refresh_scan(m: float, q0: int, qstar: int,
         phi = phi_of(q)
         log_x = 2.0 * log(m * phi * ell_q(q))
         ctx = thm2_context(q, log_x)
-        F, G, Gs = thm2_FG(ctx)
-        margin = (1.0 - F) * RHO2 - (Gs if sqrt_mode else G)
+        F, G = thm2_FG(ctx, sqrt_mode)
+        margin = (1.0 - F) * RHO2 - G
         if margin <= 0.0:
             n_plain += 1
-            G_ref = _refined_G(ctx, G, sqrt_mode)
-            if sqrt_mode:
-                G_ref = _sqrt_claim(F, G_ref, log_x)
-            margin = (1.0 - F) * RHO2 - G_ref
+            F, G = thm2_FG(ctx, sqrt_mode, refined=True)
+            margin = (1.0 - F) * RHO2 - G
             if margin <= 0.0:
                 n_refined += 1
                 failures.append((q, margin))
@@ -310,15 +313,10 @@ def verify_thm3(q: int, mode: str = "first-claim",
     if q < 14:
         raise ValueError(f"exponential-scale claims start at q = 14, got {q}")
     sqrt_mode = mode == "sqrt-claim"
-    log_x = float(q)
-    ctx = thm2_context(q, log_x)
-    F, G, Gs = thm2_FG(ctx)
-    if refined:
-        G = _refined_G(ctx, G, sqrt_mode)
-        Gs = _sqrt_claim(F, G, log_x)
+    F, G = thm2_FG(thm2_context(q, float(q)), sqrt_mode, refined)
     return [
         BoundEval("F_lt_1", 1.0, F, slack),
-        BoundEval("main", 0.0, Gs if sqrt_mode else G, slack),
+        BoundEval("main", 0.0, G, slack),
     ]
 
 

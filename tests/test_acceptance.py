@@ -11,7 +11,6 @@ import pytest
 from apbounds.arith import factorize, phi_of, theta_of
 from apbounds.checkers import check1, run_exception_tables
 from apbounds.majorant import (
-    MajorantConstants,
     S_of,
     pairing_threshold,
     s_sign_sweep,
@@ -19,7 +18,8 @@ from apbounds.majorant import (
     verify_majorant,
 )
 from apbounds.sieve import phi_table, primes_between
-from apbounds.tables import load_table4, load_table5, load_table7, load_table8
+from apbounds.tables import (load_table2, load_table4, load_table5, load_table7,
+                             load_table8)
 from apbounds.thm1 import (
     h1,
     verify_thm1_at,
@@ -247,8 +247,7 @@ def test_accept_oscillation_envelope():
 
 def test_accept_majorant_and_constant_sums():
     t0 = time.perf_counter()
-    const = MajorantConstants.published()
-    total = sum(const.a_scaled)
+    total = sum(load_table2())
     assert 14_999_000_000 <= total * 1000 <= 15_000_000_000  # 1.4999 <= sum <= 1.5
     evals = verify_constants()
     assert all(e.passed for e in evals), [(e.name, e.margin) for e in evals]

@@ -42,6 +42,14 @@ def test_verify_thm1_at_point_fail():
     assert main(["verify", "thm1-at", "--q", "3", "--x", "23656"]) == 1
 
 
+def test_verify_thm1_at_point_domain_edge(capsys):
+    # q = 2 has a window (phi(2) log 2 > 0); just past sqrt(x) = phi(3) log 3
+    # a point is judged, not rejected
+    assert main(["verify", "thm1-at", "--q", "2", "--x", "1e6"]) == 0
+    assert main(["verify", "thm1-at", "--q", "3", "--x", "4.83"]) == 1
+    assert "total: 5 checks" in capsys.readouterr().out
+
+
 def test_verify_thm1_at_point_sqrt(tmp_path):
     out = tmp_path / "pt.jsonl"
     rc = main(["verify", "thm1-at", "--q", "3", "--x", "332263", "--sqrt",
@@ -287,7 +295,7 @@ def test_table_flags_rejected_elsewhere(argv, capsys):
      "--slack must be a finite number >= 0"),
     (["verify", "thm2", "--slack", "nan"],
      "--slack must be a finite number >= 0"),
-    (["check", "t5", "--block", "2", "--slack", "inf"],
+    (["verify", "corollary", "--slack", "inf"],
      "--slack must be a finite number >= 0"),
     (["verify", "thm1-at", "--sample-grid", "0"],
      "--sample-grid must be at least 1"),
@@ -327,6 +335,19 @@ def test_table_flags_rejected_elsewhere(argv, capsys):
       "--params", "nan,0,0"], "--params takes three numbers"),
     (["check", "custom", "--q", "3", "--x0", "23656", "--x", "193269",
       "--params", "inf,0,0"], "--params takes three numbers"),
+    # a scan's verdict is an exact count: it has no slack to override
+    (["check", "t5", "--block", "2", "--slack", "0.5"], "--slack only applies"),
+    (["check", "t6", "--block", "1", "--slack", "0"], "--slack only applies"),
+    (["check", "custom", "--q", "3", "--x0", "23656", "--x", "193269",
+      "--slack", "1e-9"], "--slack only applies"),
+    (["check", "t5", "--block", "2", "--slack", "inf"], "--slack only applies"),
+    # a point with no window: sqrt(x) <= phi(q) log q, or phi(1) log 1 = 0
+    (["verify", "thm1-at", "--q", "3", "--x", "4"],
+     "a point needs 0 < phi(q) log q < sqrt(x)"),
+    (["verify", "thm1-at", "--x", "4.8"],
+     "a point needs 0 < phi(q) log q < sqrt(x)"),
+    (["verify", "thm1-at", "--q", "1", "--x", "1e6", "--sqrt"],
+     "a point needs 0 < phi(q) log q < sqrt(x)"),
 ])
 def test_ignored_flags_rejected(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -339,7 +360,10 @@ def test_zero_slack_is_accepted(capsys):
     # zero is the majorant's own slack; the six known FAILs still fail
     assert main(["verify", "thm2-tables", "--slack", "0"]) == 1
     assert "total: 68 checks, 6 failed" in capsys.readouterr().out
-    assert main(["check", "t5", "--block", "2", "--slack", "0"]) == 0
+    # a scan takes no slack at all, zero included
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "t5", "--block", "2", "--slack", "0"])
+    assert exc.value.code == 2
 
 
 def test_flags_kept_where_they_apply(tmp_path):

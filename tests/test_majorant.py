@@ -2,7 +2,6 @@
 certificate, and the companion constant sums."""
 from __future__ import annotations
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -11,7 +10,6 @@ import pytest
 
 from apbounds import majorant
 from apbounds.majorant import (
-    MajorantConstants,
     F_majorant,
     S_of,
     build_certificate_polys,
@@ -24,7 +22,7 @@ from apbounds.majorant import (
 )
 from apbounds.tables import load_table2
 
-C = MajorantConstants.published()
+C = load_table2()
 
 
 def by_name(evals, name):
@@ -37,9 +35,8 @@ def by_name(evals, name):
 # ---------------------------------------------------------------- constants
 
 def test_published_constants():
-    assert C.a_scaled == load_table2()
-    assert len(C.a_scaled) == 23
-    assert sum(C.a_scaled) == 14999779  # sum a_j = 1.4999779 exactly
+    assert len(C) == 23
+    assert sum(C) == 14999779  # sum a_j = 1.4999779 exactly
 
 
 # ---------------------------------------------------------------- pointwise
@@ -117,27 +114,28 @@ def test_verify_majorant_passes():
 def shifted(i, d):
     """Move d units of weight from a_i to a_{i+1}, keeping the tail mass
     sum_j a_j (2j+3) (0-based j) fixed so the gates past tail_mass run."""
-    a = list(C.a_scaled)
+    a = list(C)
     a[i] -= (2 * i + 5) * d
     a[i + 1] += (2 * i + 3) * d
-    return dataclasses.replace(C, a_scaled=tuple(a))
+    return tuple(a)
 
 
 def test_verify_majorant_detects_broken_constants():
     # each case stops at its first failing gate, in the gate order
     cases = [
         # one coefficient flipped: loosens the tail, caught before any count
-        (dataclasses.replace(C, a_scaled=(-C.a_scaled[0],) + C.a_scaled[1:]),
-         "tail_mass"),
-        (dataclasses.replace(C, a_scaled=(0,) * 23), "N0_positive"),
+        ((-C[0],) + C[1:], "tail_mass"),
+        ((0,) * 23, "N0_positive"),
+        # an empty tuple is no coefficients, not the published ones
+        ((), "N0_positive"),
         # F changes sign twice near t = 62.4: N has two roots in (0, inf)
         (shifted(9, 10), "N_roots"),
         # F stays positive but dips under g: exact H changes sign near
         # t = 0.24, 0.25, 2.23 and 2.27
         (shifted(2, 3), "H_roots"),
     ]
-    for constants, gate in cases:
-        ev = verify_majorant(constants)
+    for a_scaled, gate in cases:
+        ev = verify_majorant(a_scaled)
         assert not ev.passed
         assert ev.name == f"majorant[certificate-failed:{gate}]"
 
@@ -225,8 +223,7 @@ def test_verify_constants():
 
 
 def test_verify_constants_catches_perturbation():
-    bumped = list(C.a_scaled)
+    bumped = list(C)
     bumped[3] += 10**9  # ~100 in a_j units
-    bad = dataclasses.replace(C, a_scaled=tuple(bumped))
-    evals = verify_constants(bad)
+    evals = verify_constants(tuple(bumped))
     assert not all(e.passed for e in evals)

@@ -104,6 +104,8 @@ def test_T_is_beta_x_over_h():
 def test_beta_domain_error():
     with pytest.raises(ValueError):
         pointwise(3, 4.0)  # sqrt(x) <= phi(q) log q
+    with pytest.raises(ValueError):
+        pointwise(1, 1e6)  # phi(1) log 1 = 0: no window at any x
 
 
 # ---------------------------------------------------------------- F and Gbar
@@ -416,3 +418,30 @@ def test_largeq_reports_failure_when_slope_collapses():
     g = guard_of(evals)
     assert not g.passed
     assert not all(e.passed for e in evals)
+
+
+def test_guard_walk_is_judged_at_the_run_slack(monkeypatch):
+    # A form whose slope test never clears, with z > 0 by only 5e-10 on the
+    # first segment and z = -1 on the next: the walk must stop at the second
+    # segment when 5e-10 clears the slack, and at the first when it does not,
+    # and fail either way.
+    logq0 = math.log(ROWS[0].q0)
+
+    def coeffs(params, u, sqrt_mode):
+        # (A, K, C, S, mult, F0t): z(u) = -C, slope test 0 >= 0
+        return 0.0, 0.0, -5e-10 if u == logq0 else 1.0, 0.0, 1.0, 0.0
+
+    monkeypatch.setattr(thm1, "_coeffs", coeffs)
+    g = guard_of(verify_thm1_largeq(ROWS[0], slack=0.0))
+    assert (g.name, g.passed, g.lhs) == ("mono_guard[segmented:1]", False, -1.0)
+    g = guard_of(verify_thm1_largeq(ROWS[0]))
+    assert (g.name, g.passed, g.lhs) == ("mono_guard[segmented:0]", False, 5e-10)
+
+
+def test_guard_slope_test_takes_the_run_slack():
+    # row 2's sqrt slope test at log q0 clears at slack 0 but not at 1e-9
+    row = ROWS[1]
+    assert guard_of(verify_thm1_largeq(row, sqrt_mode=True)).name \
+        == "mono_guard[segmented:1]"
+    g = guard_of(verify_thm1_largeq(row, sqrt_mode=True, slack=0.0))
+    assert g.name == "mono_guard[direct]" and g.passed

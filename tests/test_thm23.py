@@ -2,6 +2,8 @@
 and the explicit totient cap."""
 from __future__ import annotations
 
+import contextlib
+import io
 import math
 from pathlib import Path
 
@@ -11,6 +13,7 @@ from apbounds.arith import phi_of
 from apbounds.tables import load_table7, load_table8
 from apbounds.thm23 import (
     E_of,
+    _a47,
     corollary_default_n,
     ell_q,
     exact_refresh_scan,
@@ -80,6 +83,8 @@ def test_ell_q():
 
 
 def test_FG_recomputed_independently():
+    # one (F, G) route for every claim: the refined swap E(q) -> _a47 first,
+    # then the sqrt-count term
     q, log_x = 5, math.log(1e7)
     phi = phi_of(q)
     sx = math.sqrt(1e7)
@@ -93,10 +98,17 @@ def test_FG_recomputed_independently():
               - 0.747 * math.log(q)
               + (81.86 + 84.1 / phi) * L * phi / (2 * sx)
               + (0.79 + 16.08 / L) * math.pi**2 * phi / (2 * sx))
-    F, G, Gs = thm2_FG(thm2_context(q, log_x))
-    assert F == pytest.approx(F_want, rel=1e-14)
-    assert G == pytest.approx(G_want, rel=1e-14)
-    assert Gs == pytest.approx(G_want + F_want * log_x + math.log(11 / 6), rel=1e-14)
+    ctx = thm2_context(q, log_x)
+    for sqrt_mode in (False, True):
+        for refined in (False, True):
+            want = G_want
+            if refined:
+                want = want - 9.3 + _a47(ctx, sqrt_mode)
+            if sqrt_mode:
+                want = want + F_want * log_x + math.log(11 / 6)
+            F, G = thm2_FG(ctx, sqrt_mode, refined)
+            assert F == pytest.approx(F_want, rel=1e-14)
+            assert G == pytest.approx(want, rel=1e-14), (sqrt_mode, refined)
 
 
 # ---------------------------------------------------------------- anchors
@@ -169,8 +181,8 @@ def test_tilde_is_pessimistic_against_exact():
             t = thm2_tilde(m, q, sqrt_mode=sqrt_mode)
             log_x = 2.0 * math.log(m * phi_of(q) * ell_q(q))
             ctx = thm2_context(q, log_x)
-            F, G, Gs = thm2_FG(ctx)
-            exact_main = (1 - F) * 100.0 - (Gs if sqrt_mode else G)
+            F, G = thm2_FG(ctx, sqrt_mode)
+            exact_main = (1 - F) * 100.0 - G
             assert t.F0t >= F - 1e-12, (m, q, sqrt_mode)
             assert t.main <= exact_main + 1e-12, (m, q, sqrt_mode)
 
@@ -211,11 +223,13 @@ def test_exact_refresh_sqrt_20_21_fail_honestly():
     assert (d21.worst_q, round(d21.worst_margin, 4)) == (1399, -0.8225)
 
 
+NOTE = Path(__file__).resolve().parents[1] / "notes" / "decisions.md"
+
+
 def test_decisions_note_lists_the_refresh_failures():
     # notes/decisions.md writes down the counterexamples behind the strict
     # xfail of the acceptance gate; it must list exactly what the scan finds
-    note = (Path(__file__).resolve().parents[1] / "notes" / "decisions.md")
-    text = note.read_text(encoding="utf-8")
+    text = NOTE.read_text(encoding="utf-8")
     for m, q0 in load_table8()[1]:
         if m not in (19, 20, 21):
             continue
@@ -230,6 +244,22 @@ def test_decisions_note_lists_the_refresh_failures():
         assert [q for q, _ in listed] == [q for q, _ in d.failures]
         for (_, got), (_, want) in zip(listed, d.failures):
             assert got == pytest.approx(want, abs=5e-7)
+
+
+def test_decisions_note_recipe_prints_its_lists():
+    # the note's python recipe must still run against the library and print
+    # its three lists, "m q margin" per line, as they stand in the note
+    text = NOTE.read_text(encoding="utf-8")
+    recipe = text.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(recipe, str(NOTE), "exec"), {})
+    listed = []
+    for m in (19, 20, 21):
+        body = text.split(f"### m = {m}: ", 1)[1].split("```\n", 1)[1]
+        listed += [f"{m} {ln}" for ln in body.split("```", 1)[0].splitlines()]
+    assert len(listed) == 214
+    assert out.getvalue().splitlines() == listed
 
 
 PLAIN_PAIRS, SQRT_PAIRS = load_table8()
