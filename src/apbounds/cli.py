@@ -450,8 +450,12 @@ def main(argv=None) -> int:
             ap.error("verify thm1-at: --full and --sample-grid "
                      "exclude each other")
         q = 3 if ns.q is None else ns.q
-        if ns.x is not None \
-                and not 0 < phi_of(q) * math.log(q) < math.sqrt(ns.x):
+        try:
+            window = ns.x is None \
+                or 0 < phi_of(q) * math.log(q) < math.sqrt(ns.x)
+        except OverflowError:  # phi(q) past the float range tops any sqrt(x)
+            window = False
+        if not window:
             ap.error("verify thm1-at: a point needs 0 < phi(q) log q < "
                      f"sqrt(x), got q={q}, x={ns.x:g}")
     params = DEFAULT_PARAMS if ns.params is None else ns.params

@@ -4,16 +4,17 @@ Two modes run through everything here.  Plain mode bounds the gap to the
 next prime in a progression by an interval of half-width
 ``h1 = (alpha log x + delta log q + rho) phi(q) sqrt(x)``; sqrt mode inflates
 the slope by one (``hsqrt``) and in exchange certifies a sqrt(x)-sized count
-of primes in the interval.  ``verify_thm1_at`` checks one (q, x) pair
-exactly, or equal-length arrays of them in one numpy pass (the pointwise
-formulas are written once, over a backend that is `math` for a point and
-numpy for arrays); it is their only caller, and their window-height guard
-raises on any x with no window.  ``verify_thm1_largeq``
-certifies all q at and beyond a threshold by evaluating a majorized form of
-the inequality in terms of log q alone and then proving that form monotone
-(``_guard``): one walk over log q, each segment's minimum proved positive,
-until a slope test clears; one that clears at the threshold itself is the
-direct route.  Every test of the walk is judged at the run's slack.
+of primes in the interval.  The error terms are written once, ``_F`` and
+``_Gbar``, as plain arithmetic on log-space operands.  ``verify_thm1_at``
+gives them the exact operands at one (q, x) pair, or at equal-length arrays
+of them in one numpy pass (the backend is `math` for a point and numpy for
+arrays), and raises on any x with no window.  ``tilde_thm1`` gives them
+one-sided operands at the reference scale, in terms of log q alone;
+``verify_thm1_largeq`` certifies all q at and beyond a threshold from that
+majorized form and proves it monotone (``_guard``): one walk over log q,
+each segment's minimum proved positive, until a slope test clears; one that
+clears at the threshold itself is the direct route.  Every test of the walk
+is judged at the run's slack.
 """
 from __future__ import annotations
 
@@ -140,18 +141,21 @@ def _kappa(beta, T):
         + 4.0 * _C_T / (pi * beta * T)
 
 
-def _F(q, x, phi, beta, T, xp):
-    br = (xp.log(q * q * T) * xp.log(T) / pi
-          + _C_LOG * xp.log(q) + _C_ABS + _C_PHI / phi
-          + (_C_B1 * xp.log(q * T) + _C_B0) / beta**2
-          + (1.0 + _C_T / T) * xp.log(q * T) / (pi * T))
-    return br * phi / xp.sqrt(x)
+def _F(lq, lT, T, inv_phi, beta, phi_over_sx):
+    """Relative error F from lq = log q, lT = log T, T, 1 / phi(q), beta
+    and phi(q) / sqrt(x); plain arithmetic, so it runs on either backend."""
+    br = ((2.0 * lq + lT) * lT / pi
+          + _C_LOG * lq + _C_ABS + _C_PHI * inv_phi
+          + (_C_B1 * (lq + lT) + _C_B0) / beta**2
+          + (1.0 + _C_T / T) * (lq + lT) / (pi * T))
+    return br * phi_over_sx
 
 
-def _Gbar(q, x, params: ParamSet, sqrt_mode: bool, phi, beta, T, xp):
+def _Gbar(lq, log_sx_phi, params: ParamSet, sqrt_mode: bool, beta, T):
+    """Additive cost Gbar from lq = log q, log(sqrt(x) / phi(q)), beta, T."""
     a, _m, ell = _hatted(params, sqrt_mode)
-    return _kappa(beta, T) * xp.log(q * ell * xp.sqrt(x) / (2.0 * a * phi)) \
-        + 0.253 * xp.log(q) + 2.0
+    return _kappa(beta, T) * (lq + log(ell / (2.0 * a)) + log_sx_phi) \
+        + 0.253 * lq + 2.0
 
 
 def verify_thm1_at(q, x, params: ParamSet, sqrt_mode: bool = False,
@@ -163,21 +167,18 @@ def verify_thm1_at(q, x, params: ParamSet, sqrt_mode: bool = False,
     one BoundColumn over the points, evaluated by the same formulas in one
     numpy pass, with phi from one totient sieve.
     """
-    alpha, delta, rho = params.alpha, params.delta, params.rho
-    a, _m, _ell = _hatted(params, sqrt_mode)
     q, x, phi, xp = _operands(q, x)
     beta, T = _beta_T(params, q, x, sqrt_mode, phi, xp)
-    F = _F(q, x, phi, beta, T, xp)
-    G = _Gbar(q, x, params, sqrt_mode, phi, beta, T, xp)
-    lq, lx = xp.log(q), xp.log(x)
-    main_lhs = (1.0 - F) * (alpha * lx + delta * lq + rho)
+    lq, lx, sx = xp.log(q), xp.log(x), xp.sqrt(x)
+    F = _F(lq, xp.log(T), T, 1.0 / phi, beta, phi / sx)
+    G = _Gbar(lq, xp.log(sx / phi), params, sqrt_mode, beta, T)
+    main_lhs = (1.0 - F) * (params.alpha * lx + params.delta * lq + params.rho)
     main_rhs = G + (F * lx + log(11.0 / 6.0) if sqrt_mode else 0.0)
-    h_over_x = (a * lx + delta * lq + rho) * phi / xp.sqrt(x)
     bound = BoundEval if xp is math else BoundColumn
     return [
         bound("main", main_lhs, main_rhs, slack),
         bound("inv_T", 1.0 / 20.0, 1.0 / T, slack),
-        bound("h_over_x", 5.0 / 6.0, h_over_x, slack),
+        bound("h_over_x", 5.0 / 6.0, beta / T, slack),  # T = beta x / h
         # half-unit shim so the integer floor itself passes cleanly
         bound("x_floor", x, X_FLOOR - 0.5, slack),
         bound("T_floor", T, 20.0, slack),
@@ -201,40 +202,44 @@ class TildeThm1(NamedTuple):
 
 def tilde_thm1(params: ParamSet, u: float,
                sqrt_mode: bool = False) -> TildeThm1:
-    """Evaluate the reference-scale majorants at u = log q."""
+    """Evaluate the reference-scale majorants at u = log q.
+
+    F0t and G0t are `_F` and `_Gbar` at one-sided operands.  At
+    x0 = (m phi(q) log q)^2 two operands are exact, beta = beta0 = ell log m
+    and sqrt(x0) / phi(q) = m u, and T = beta0 m u / (2a log(m phi(q) u)
+    + delta u + rho).  Everything else rests on one arithmetic fact,
+    q <= phi(q) log q: it gives 1 / phi(q) <= u e^-u in F0t, and
+    log(m phi(q) u) >= u, so T <= T_plus; phi(q) <= q gives T >= T_minus.
+    `_coeffs`' slope needs the same fact, for it replaces log phi(q) by
+    log q and drops the log log q part of log x0.  The fact holds past every
+    table-4 threshold by Rosser and Schoenfeld (1962), Theorem 15:
+    q / phi(q) < e^gamma log log q + 2.51 / log log q for q >= 3.
+    """
     a, m, ell = _hatted(params, sqrt_mode)
-    delta, rho = params.delta, params.rho
     lm = log(m)
-    llq = log(u)
     beta0 = ell * lm
-    T_plus = beta0 * m / (2.0 * a + delta)
-    T_minus = beta0 * m * u / (2.0 * a * (lm + u + llq) + delta * u + rho)
-    q_inv = math.exp(-u) if u < 700.0 else 0.0
+    T_plus = beta0 * m / (2.0 * a + params.delta)
+    T_minus = beta0 * m * u / (2.0 * a * (lm + u + log(u)) + params.delta * u
+                               + params.rho)
     lTp = log(T_plus)
-    F0t = ((2.0 * u + lTp) * lTp / (pi * u)
-           + _C_LOG + _C_ABS / u + _C_PHI * q_inv
-           + (_C_B1 * (u + lTp) + _C_B0) / (beta0**2 * u)
-           + (1.0 + _C_T / T_minus) * (u + lTp) / (pi * T_minus * u)) / m
-    K = _kappa(beta0, T_minus)
-    G0t = K * (log(ell * m / (2.0 * a)) + u + llq) + 0.253 * u + 2.0
+    F0t = _F(u, lTp, T_minus, u * math.exp(-u), beta0, 1.0 / (m * u))
+    G0t = _Gbar(u, lm + log(u), params, sqrt_mode, beta0, T_minus)
     S = (lTp**2 / pi + _C_ABS + (_C_B1 * lTp + _C_B0) / beta0**2) / m
     return TildeThm1(F0t, G0t, beta0, T_minus, T_plus, S)
 
 
-def _coeffs(params: ParamSet, logq: float,
-            sqrt_mode: bool) -> tuple[float, float, float, float, float, float]:
+def _coeffs(params: ParamSet, logq: float, sqrt_mode: bool
+            ) -> tuple[float, float, float, float, float, TildeThm1]:
     """Linear-in-log-q normal form of the majorized main inequality.
 
     The inequality becomes  A log q - K log log q - C > 0; mult is the
     coefficient the decay envelope S multiplies in the monotonicity shortcut.
-    Returns (A, K, C, S, mult, F0t).
+    Returns (A, K, C, S, mult, t), t the majorants at logq.
     """
     alpha, delta, rho = params.alpha, params.delta, params.rho
     a, m, ell = _hatted(params, sqrt_mode)
     t = tilde_thm1(params, logq, sqrt_mode)
-    K = _kappa(t.beta0, t.T_minus)
-    F0t, S = t.F0t, t.S
-    lm = log(m)
+    F0t, K, lm = t.F0t, _kappa(t.beta0, t.T_minus), log(m)
     if not sqrt_mode:
         A = (1.0 - F0t) * (2.0 * alpha + delta) - (1.253 + (K - 1.0))
         C = (F0t - 1.0) * (2.0 * alpha * lm + rho) \
@@ -246,7 +251,7 @@ def _coeffs(params: ParamSet, logq: float,
         C = ((F0t - 1.0) * (2.0 * alpha * lm + rho) + K * log(ell * m / (2.0 * a))
              + 2.0 * F0t * lm + 2.0 + log(11.0 / 6.0))
         mult = 2.0 * alpha + delta + 2.0
-    return A, K, C, S, mult, F0t
+    return A, K, C, t.S, mult, t
 
 
 # the guard walk's segment width in log q, and its step budget
@@ -289,20 +294,18 @@ def _guard(params: ParamSet, logq0: float, sqrt_mode: bool,
 def verify_thm1_largeq(params: ParamSet, sqrt_mode: bool = False,
                        slack: float = DEFAULT_SLACK) -> list[BoundEval]:
     """Certify the single-interval claim for every modulus at or past q0."""
-    alpha, delta, rho = params.alpha, params.delta, params.rho
-    a, m, ell = _hatted(params, sqrt_mode)
     q0 = params.q0_sqrt if sqrt_mode else params.q0
     logq0 = math.log(q0)
-    llq0 = log(logq0)
-    A, K, C, _S, _mult, F0t = _coeffs(params, logq0, sqrt_mode)
-    num = 2.0 * a * (log(m) + logq0 + llq0) + delta * logq0 + rho
+    A, K, C, _S, _mult, t = _coeffs(params, logq0, sqrt_mode)
     evals = [
-        BoundEval("main", A * logq0 - K * llq0 - C, 0.0, slack),
+        BoundEval("main", A * logq0 - K * log(logq0) - C, 0.0, slack),
         _guard(params, logq0, sqrt_mode, slack),
-        BoundEval("inv_T", 1.0 / 20.0, num / (ell * m * log(m) * logq0), slack),
-        BoundEval("h_over_x", 5.0 / 6.0, num / (m * logq0), slack),
+        # T >= T_minus, and h / x = beta0 / T at x0
+        BoundEval("inv_T", 1.0 / 20.0, 1.0 / t.T_minus, slack),
+        BoundEval("h_over_x", 5.0 / 6.0, t.beta0 / t.T_minus, slack),
     ]
     if sqrt_mode:
-        evals.append(BoundEval("F_cap", alpha / (alpha + 1.0), F0t, slack))
+        evals.append(BoundEval("F_cap", params.alpha / (params.alpha + 1.0),
+                               t.F0t, slack))
     return evals
 

@@ -6,16 +6,15 @@ parameters of the general single-interval bound for sharper constants.  Its
 verification splits by modulus size: exact per-modulus anchors for q <= 12,
 two multiplier bands up to a few thousand, and a phi-free majorized form
 past the tabulated thresholds, with an exact per-modulus refresh scan
-covering any window where the majorized form has not yet caught up.
+covering any window where the majorized form has not yet caught up; the
+scan and the hand-off judge each margin at the run's slack.
 
-Every exact rho = 100 check (`verify_thm2_at`, both passes of
-`exact_refresh_scan` and `verify_thm3`) takes its relative error F and its
-additive cost G from `thm2_FG`, which builds G for the claim at hand: the
-flat surcharge E(q) or the refined `_a47`, plus the sqrt-count term.
-
-Everything evaluates in log x to stay finite at exponential scales: the
-code never forms exp(log_x / 2) with a large argument, only
-exp(log(phi) - log_x / 2) and friends.
+Each error term is written once: `thm2_FG` (F, and the claim's whole
+additive cost G) and `_side_evals` read a `Thm2Context`, of exact operands
+(`thm2_context`) or of one-sided ones at x0 (`_tilde_context`, the
+majorized form).  Everything evaluates in log x to stay finite at
+exponential scales: the code never forms exp(log_x / 2) with a large
+argument, only exp(-log(sqrt(x) / phi)) and friends.
 """
 from __future__ import annotations
 
@@ -24,7 +23,7 @@ from math import exp, log, pi, sqrt
 from typing import NamedTuple
 
 from .arith import omega_of, phi_of
-from .margins import DEFAULT_SLACK, BoundEval
+from .margins import DEFAULT_SLACK, BoundEval, slack_threshold
 
 __all__ = [
     "E_of",
@@ -62,15 +61,21 @@ def ell_q(q) -> float:
 
 
 class Thm2Context(NamedTuple):
-    """Inputs of one rho = 100 evaluation, with phi(q), E(q) and the window
-    quantities that its bounds share."""
+    """Operands of one rho = 100 evaluation: exact from `thm2_context`, or
+    from `_tilde_context` one-sided, each on the side that worsens every
+    margin."""
 
     q: int
-    log_x: float
-    phi: int
+    log_x: float  # log x, or an upper bound
+    phi: float  # phi(q), or a lower bound (read only as 84.1 / phi and in _a47)
     E_q: float
-    L: float  # log(q^2 x)
-    phi_over_sx: float  # phi(q) / sqrt(x)
+    L: float  # log(q^2 x), or a lower bound: the tail and inv_T
+    LG: float  # log(q sqrt(x)), or an upper bound: G and h_over_x
+    log_sx_phi: float  # log(sqrt(x) / phi(q))
+
+    @property
+    def phi_over_sx(self) -> float:
+        return exp(-self.log_sx_phi)
 
     def shift(self, sqrt_mode: bool) -> float:
         """rho, plus log x for the sqrt-count claim."""
@@ -79,38 +84,45 @@ class Thm2Context(NamedTuple):
 
 def thm2_context(q: int, log_x: float) -> Thm2Context:
     phi = phi_of(q)
-    return Thm2Context(q=q, log_x=log_x, phi=phi, E_q=E_of(q),
-                       L=2.0 * log(q) + log_x,
-                       phi_over_sx=exp(log(phi) - log_x / 2.0))
+    L = 2.0 * log(q) + log_x
+    return Thm2Context(q=q, log_x=log_x, phi=phi, E_q=E_of(q), L=L,
+                       LG=L / 2.0, log_sx_phi=log_x / 2.0 - log(phi))
 
 
 def thm2_FG(ctx: Thm2Context, sqrt_mode: bool = False,
             refined: bool = False) -> tuple[float, float]:
-    """(F, G) at the context's point, evaluated in log space.
+    """(F, G) from the context's operands, evaluated in log space.
 
     G is the claim's whole additive cost: with `refined`, the flat
     surcharge E(q) is swapped for the sharper _a47; in `sqrt_mode` the
     sqrt-count claim adds F log x + log(11/6) to that.
     """
-    q, log_x, phi = ctx.q, ctx.log_x, ctx.phi
-    lq = log(q)
-    lphi = log(phi)
-    phi_over_sx, L = ctx.phi_over_sx, ctx.L
-    lr2 = log(2.0 / pi) + 2.0 * lq + log_x / 2.0 - lphi  # log((2/pi) q^2 sx / phi)
-    lr1 = log(2.0 / pi) + log_x / 2.0 - lphi             # log((2/pi) sx / phi)
-    prod = lr2 * lr1 / pi
+    lq, L, LG, phi_over_sx = log(ctx.q), ctx.L, ctx.LG, ctx.phi_over_sx
+    lr1 = log(2.0 / pi) + ctx.log_sx_phi  # log((2/pi) sx / phi)
+    prod = (lr1 + 2.0 * lq) * lr1 / pi    # times log((2/pi) q^2 sx / phi)
     tail = (0.79 + 16.08 / L) * pi * pi * phi_over_sx
-    F = (prod + 13.42 * lq + 81.86 + 84.1 / phi) * phi_over_sx + tail / L
+    F = (prod + 13.42 * lq + 81.86 + 84.1 / ctx.phi) * phi_over_sx + tail / L
     G = (ctx.E_q
-         + (prod + 13.42 * lq) * (lq + log_x / 2.0) * phi_over_sx
+         + (prod + 13.42 * lq) * LG * phi_over_sx
          - 0.747 * lq
-         + (81.86 + 84.1 / phi) * L * phi_over_sx / 2.0
+         + (81.86 + 84.1 / ctx.phi) * LG * phi_over_sx
          + tail / 2.0)
     if refined:
         G = G - ctx.E_q + _a47(ctx, sqrt_mode)
     if sqrt_mode:
-        G = G + F * log_x + log(11.0 / 6.0)
+        G = G + F * ctx.log_x + log(11.0 / 6.0)
     return F, G
+
+
+def _side_evals(ctx: Thm2Context, sqrt_mode: bool,
+                slack: float) -> list[BoundEval]:
+    """The side conditions 1/T < 1/20 and h/x < 5/6 at the context."""
+    phi_over_sx, shift = ctx.phi_over_sx, ctx.shift(sqrt_mode)
+    return [
+        BoundEval("inv_T", 1.0 / 20.0,
+                  (pi * phi_over_sx) * (0.5 + shift / ctx.L), slack),
+        BoundEval("h_over_x", 5.0 / 6.0, phi_over_sx * (ctx.LG + shift), slack),
+    ]
 
 
 def verify_thm2_at(q: int, log_x: float, sqrt_mode: bool = False,
@@ -118,67 +130,53 @@ def verify_thm2_at(q: int, log_x: float, sqrt_mode: bool = False,
     """Exact rho = 100 check at one (q, x): main bound plus side conditions."""
     ctx = thm2_context(q, log_x)
     F, G = thm2_FG(ctx, sqrt_mode)
-    phi_over_sx, L = ctx.phi_over_sx, ctx.L
-    shift = ctx.shift(sqrt_mode)
-    return [
-        BoundEval("main", (1.0 - F) * RHO2, G, slack),
-        BoundEval("inv_T", 1.0 / 20.0,
-                  (pi * phi_over_sx) * (0.5 + shift / L), slack),
-        BoundEval("h_over_x", 5.0 / 6.0, phi_over_sx * (L / 2.0 + shift), slack),
-    ]
+    return [BoundEval("main", (1.0 - F) * RHO2, G, slack),
+            *_side_evals(ctx, sqrt_mode, slack)]
 
 
 # ---------------------------------------------------------------------------
 # phi-free majorized layer for large moduli
 # ---------------------------------------------------------------------------
 
-class Thm2Tilde(NamedTuple):
-    """Majorized quantities at x0 = (m phi(q) ell(q))^2, free of phi.
+def _tilde_context(m: float, q) -> Thm2Context:
+    """One-sided operands at x0 = (m phi(q) ell(q))^2, free of phi.
 
-    phi is replaced by q where that weakens the bound and by sqrt(q) where
-    a lower bound on phi is needed, so every field is a one-sided envelope:
-    main, invT, hx are margins guaranteed *no better* than the exact ones.
+    sqrt(x0) / phi = m ell(q) holds exactly; sqrt(q) <= phi(q) <= q (every
+    q but 2 and 6) gives the rest: phi >= sqrt(q), L = log(q^2 x0) >=
+    2 log(m q^1.5 ell), LG = log(q sqrt(x0)) <= log(m q^2 ell) and
+    log x0 <= 2 log(m q ell).
     """
+    lq, lml = log(q), log(m * ell_q(q))
+    return Thm2Context(q=q, log_x=2.0 * (lml + lq), phi=sqrt(q), E_q=E_of(q),
+                       L=2.0 * (lml + 1.5 * lq), LG=lml + 2.0 * lq,
+                       log_sx_phi=lml)
+
+
+class Thm2Tilde(NamedTuple):
+    """Majorized F and G at x0, and the main margin they give, which is no
+    better than the exact one."""
 
     F0t: float
     G0t: float
     main: float
-    invT: float
-    hx: float
 
 
 def thm2_tilde(m: float, q, sqrt_mode: bool = False) -> Thm2Tilde:
-    lq = log(q)
-    llq = log(lq)
-    ell = lq * llq
-    ml = m * ell  # sqrt(x0)/phi exactly
-    prod = (1.0 / pi) * log((2.0 / pi) * q * q * ml) * log((2.0 / pi) * ml)
-    L_minus = 2.0 * log(m * q**1.5 * ell)   # lower bound of log(q^2 x0)
-    LG = log(m * q * q * ell)               # upper bound of log(q sqrt(x0))
-    F0t = ((prod + 13.42 * lq + 81.86 + 84.1 / sqrt(q)) / ml
-           + (0.79 + 16.08 / L_minus) * pi * pi / (L_minus * ml))
-    G0t = (E_of(q)
-           + (prod + 13.42 * lq) * LG / ml
-           - 0.747 * lq
-           + (81.86 + 84.1 / sqrt(q)) * LG / ml
-           + (0.79 + 16.08 / L_minus) * pi * pi / (2.0 * ml))
-    if sqrt_mode:
-        G0t = G0t + F0t * 2.0 * log(m * q * ell) + log(11.0 / 6.0)
-        invT = 1.0 / 20.0 - (pi / ml) * (
-            0.5 + (RHO2 / 2.0 + log(m * q * ell)) / log(m * q**1.5 * ell))
-        hx = 5.0 / 6.0 - (log(m * q * q * ell) + 2.0 * log(m * q * ell) + RHO2) / ml
-    else:
-        invT = 1.0 / 20.0 - (pi / ml) * (
-            0.5 + (RHO2 / 2.0) / log(m * q**1.5 * ell))
-        hx = 5.0 / 6.0 - (log(m * q * q * ell) + RHO2) / ml
-    main = (1.0 - F0t) * RHO2 - G0t
-    return Thm2Tilde(F0t=F0t, G0t=G0t, main=main, invT=invT, hx=hx)
+    F0t, G0t = thm2_FG(_tilde_context(m, q), sqrt_mode)
+    return Thm2Tilde(F0t, G0t, (1.0 - F0t) * RHO2 - G0t)
 
 
-def tilde_threshold(m: float, q0: int, sqrt_mode: bool = False) -> int:
-    """Smallest integer q >= q0 where the majorized main margin goes positive."""
+def _clears(margin: float, slack: float) -> bool:
+    """A margin against 0, judged as its record is."""
+    return bool(margin > slack_threshold(margin, 0.0, slack))
+
+
+def tilde_threshold(m: float, q0: int, sqrt_mode: bool = False,
+                    slack: float = DEFAULT_SLACK) -> int:
+    """Smallest integer q >= q0 where the majorized main margin clears
+    `slack`."""
     def ok(q: int) -> bool:
-        return thm2_tilde(m, q, sqrt_mode=sqrt_mode).main > 0.0
+        return _clears(thm2_tilde(m, q, sqrt_mode=sqrt_mode).main, slack)
 
     if ok(q0):
         return int(q0)
@@ -202,7 +200,7 @@ def _a47(ctx: Thm2Context, sqrt_mode: bool) -> float:
     """
     q, log_x, phi, L = ctx.q, ctx.log_x, ctx.phi, ctx.L
     beta = L / pi
-    h_over_x32 = phi * (L / 2.0 + ctx.shift(sqrt_mode)) * exp(-log_x)
+    h_over_x32 = phi * (ctx.LG + ctx.shift(sqrt_mode)) * exp(-log_x)
     return (log(2.0 / pi) + 2.53 + 1.638 / phi
             + (2.0 * log(2.0 * pi) / (pi * beta)) * (1.0 - 1.0 / beta)
             + 1.0 / beta
@@ -224,26 +222,26 @@ class RefreshDetail(NamedTuple):
 
 
 def exact_refresh_scan(m: float, q0: int, qstar: int,
-                       sqrt_mode: bool = False) -> RefreshDetail:
+                       sqrt_mode: bool = False,
+                       slack: float = DEFAULT_SLACK) -> RefreshDetail:
     """Exact-phi rho = 100 test at x0(q) for every integer q in [q0, qstar).
 
     Moduli failing with the flat surcharge E(q) are retried with the refined
-    replacement _a47; a modulus failing both lands in `failures`.
+    replacement _a47; a modulus failing both lands in `failures`.  Each
+    margin is judged at `slack`, as the refresh record is.
     """
     min_margin = math.inf
     n_plain = n_refined = 0
     failures: list[tuple[int, float]] = []
     for q in range(int(q0), int(qstar)):
-        phi = phi_of(q)
-        log_x = 2.0 * log(m * phi * ell_q(q))
-        ctx = thm2_context(q, log_x)
+        ctx = thm2_context(q, 2.0 * log(m * phi_of(q) * ell_q(q)))
         F, G = thm2_FG(ctx, sqrt_mode)
         margin = (1.0 - F) * RHO2 - G
-        if margin <= 0.0:
+        if not _clears(margin, slack):
             n_plain += 1
             F, G = thm2_FG(ctx, sqrt_mode, refined=True)
             margin = (1.0 - F) * RHO2 - G
-            if margin <= 0.0:
+            if not _clears(margin, slack):
                 n_refined += 1
                 failures.append((q, margin))
         min_margin = min(min_margin, margin)
@@ -259,22 +257,22 @@ def verify_thm2_largeq(m: float, q0: int, sqrt_mode: bool = False,
                        slack: float = DEFAULT_SLACK) -> list[BoundEval]:
     """Certify the rho = 100 claim for every modulus at or past q0.
 
-    The phi-free majorized margin is tried at q0 first; if it is not yet
-    positive there, the exact per-modulus refresh scan covers [q0, q*) and
+    The phi-free majorized margin is tried at q0 first; if it does not
+    clear the slack there, the exact per-modulus refresh scan covers [q0, q*) and
     the majorized form takes over from its own threshold q*.  Either way a
     200-point monotonicity scan pins the majorized margin as increasing up
     to the hand-off point.
     """
-    t = thm2_tilde(m, q0, sqrt_mode=sqrt_mode)
-    tilde_main = BoundEval("main", t.main, 0.0, slack)
+    tilde_main = BoundEval("main", thm2_tilde(m, q0, sqrt_mode).main, 0.0,
+                           slack)
     refresh: BoundEval | None = None
     grid_hi = int(q0)
     if tilde_main.passed:
         main = tilde_main
     else:
-        qstar = tilde_threshold(m, q0, sqrt_mode=sqrt_mode)
+        qstar = tilde_threshold(m, q0, sqrt_mode, slack)
         grid_hi = max(grid_hi, qstar)
-        d = exact_refresh_scan(m, q0, qstar, sqrt_mode=sqrt_mode)
+        d = exact_refresh_scan(m, q0, qstar, sqrt_mode, slack)
         main = BoundEval("main", d.min_margin, 0.0, slack)
         refresh = BoundEval(f"exact_refresh[{int(q0)},{qstar})",
                             d.min_margin, 0.0, slack)
@@ -282,12 +280,8 @@ def verify_thm2_largeq(m: float, q0: int, sqrt_mode: bool = False,
     qs = [3.0 * (grid_hi / 3.0) ** (i / (n - 1)) for i in range(n)]
     mains = [thm2_tilde(m, qq, sqrt_mode=sqrt_mode).main for qq in qs]
     worst_step = min(b - a for a, b in zip(mains, mains[1:]))
-    evals = [
-        main,
-        BoundEval("inv_T", 1.0 / 20.0, 1.0 / 20.0 - t.invT, slack),
-        BoundEval("h_over_x", 5.0 / 6.0, 5.0 / 6.0 - t.hx, slack),
-        BoundEval("mono_scan", worst_step, 0.0, slack),
-    ]
+    evals = [main, *_side_evals(_tilde_context(m, q0), sqrt_mode, slack),
+             BoundEval("mono_scan", worst_step, 0.0, slack)]
     if refresh is not None:
         evals.append(refresh)
     return evals

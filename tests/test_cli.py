@@ -348,6 +348,9 @@ def test_table_flags_rejected_elsewhere(argv, capsys):
      "a point needs 0 < phi(q) log q < sqrt(x)"),
     (["verify", "thm1-at", "--q", "1", "--x", "1e6", "--sqrt"],
      "a point needs 0 < phi(q) log q < sqrt(x)"),
+    # phi(q) past the float range
+    (["verify", "thm1-at", "--q", str(10**400), "--x", "1e50"],
+     "a point needs 0 < phi(q) log q < sqrt(x)"),
 ])
 def test_ignored_flags_rejected(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:

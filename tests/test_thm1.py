@@ -36,8 +36,9 @@ def pointwise(q, x, params=P1, sqrt_mode=False):
     """(beta, T, F, Gbar) at (q, x): the formulas verify_thm1_at runs."""
     q, x, phi, xp = thm1._operands(q, x)
     beta, T = thm1._beta_T(params, q, x, sqrt_mode, phi, xp)
-    return (beta, T, thm1._F(q, x, phi, beta, T, xp),
-            thm1._Gbar(q, x, params, sqrt_mode, phi, beta, T, xp))
+    lq, sx = xp.log(q), xp.sqrt(x)
+    return (beta, T, thm1._F(lq, xp.log(T), T, 1.0 / phi, beta, phi / sx),
+            thm1._Gbar(lq, xp.log(sx / phi), params, sqrt_mode, beta, T))
 
 
 def guard_of(evals):
@@ -326,10 +327,30 @@ def test_tilde_F_majorizes_exact_F_at_reference_scale():
             q0 = row.q0_sqrt if sqrt_mode else row.q0
             for k in range(12):
                 q = int(round(q0 * 10 ** (k / 11)))
-                F0t = tilde_thm1(row, math.log(q), sqrt_mode=sqrt_mode).F0t
-                Fx = pointwise(q, x0_of(row, q, sqrt_mode=sqrt_mode), row,
-                               sqrt_mode)[2]
-                assert F0t >= Fx - 1e-12, (row, sqrt_mode, q)
+                t = tilde_thm1(row, math.log(q), sqrt_mode=sqrt_mode)
+                _beta, T, F, G = pointwise(
+                    q, x0_of(row, q, sqrt_mode=sqrt_mode), row, sqrt_mode)
+                assert t.F0t >= F - 1e-12, (row, sqrt_mode, q)
+                assert t.G0t >= G - 1e-12, (row, sqrt_mode, q)
+                assert t.T_minus <= T, (row, sqrt_mode, q)
+
+
+def test_q_at_most_phi_log_q_past_every_threshold():
+    # both Theorem 1 majorants rest on q <= phi(q) log q.  Rosser and
+    # Schoenfeld (1962, Theorem 15): q / phi(q) < e^gamma log log q +
+    # 2.51 / log log q for q >= 3; that bound is at most log q at every
+    # table-4 threshold, and the gap grows past it
+    def bound(u):  # at u = log q
+        return math.exp(np.euler_gamma) * math.log(u) + 2.51 / math.log(u)
+
+    assert min(min(r.q0, r.q0_sqrt) for r in ROWS) == 53_259
+    assert bound(math.log(53_259)) == pytest.approx(5.3, abs=0.01)
+    for row in ROWS:
+        for q0 in (row.q0, row.q0_sqrt):
+            us = [math.log(q0) * 2.0 ** (k / 4) for k in range(80)]
+            gaps = [u - bound(u) for u in us]
+            assert gaps[0] >= 0.0, (row, q0)
+            assert all(b > a for a, b in zip(gaps, gaps[1:])), (row, q0)
 
 
 def test_tilde_pass_implies_exact_pass_at_reference_scale():
@@ -428,8 +449,9 @@ def test_guard_walk_is_judged_at_the_run_slack(monkeypatch):
     logq0 = math.log(ROWS[0].q0)
 
     def coeffs(params, u, sqrt_mode):
-        # (A, K, C, S, mult, F0t): z(u) = -C, slope test 0 >= 0
-        return 0.0, 0.0, -5e-10 if u == logq0 else 1.0, 0.0, 1.0, 0.0
+        # (A, K, C, S, mult, t): z(u) = -C, slope test 0 >= 0
+        return (0.0, 0.0, -5e-10 if u == logq0 else 1.0, 0.0, 1.0,
+                thm1.tilde_thm1(params, u, sqrt_mode))
 
     monkeypatch.setattr(thm1, "_coeffs", coeffs)
     g = guard_of(verify_thm1_largeq(ROWS[0], slack=0.0))

@@ -14,6 +14,8 @@ from apbounds.tables import load_table7, load_table8
 from apbounds.thm23 import (
     E_of,
     _a47,
+    _side_evals,
+    _tilde_context,
     corollary_default_n,
     ell_q,
     exact_refresh_scan,
@@ -28,6 +30,7 @@ from apbounds.thm23 import (
 )
 
 T7 = load_table7()
+PLAIN_PAIRS, SQRT_PAIRS = load_table8()
 
 # Frozen at the minimal starting points: the reciprocal-length side condition
 # is the binding one, with these margins (60-digit recomputation, reproduced
@@ -174,17 +177,25 @@ def test_pass_is_monotone_in_x():
 # ---------------------------------------------------------------- tilde layer
 
 def test_tilde_is_pessimistic_against_exact():
-    for m, q0, sqrt_mode in [(15, 5670, False), (12, 240344, False),
-                             (19, 4200, True), (16, 142565, True)]:
-        for k in range(10):
-            q = int(round(q0 * 10 ** (k / 9)))
-            t = thm2_tilde(m, q, sqrt_mode=sqrt_mode)
-            log_x = 2.0 * math.log(m * phi_of(q) * ell_q(q))
-            ctx = thm2_context(q, log_x)
-            F, G = thm2_FG(ctx, sqrt_mode)
-            exact_main = (1 - F) * 100.0 - G
-            assert t.F0t >= F - 1e-12, (m, q, sqrt_mode)
-            assert t.main <= exact_main + 1e-12, (m, q, sqrt_mode)
+    # every table-8 row, ten moduli from q0 to 10 q0: at x0(q) the majorized
+    # F is no smaller, and no majorized margin is better, than the exact one
+    for sqrt_mode, pairs in ((False, PLAIN_PAIRS), (True, SQRT_PAIRS)):
+        for m, q0 in pairs:
+            for k in range(10):
+                q = int(round(q0 * 10 ** (k / 9)))
+                log_x = 2.0 * math.log(m * phi_of(q) * ell_q(q))
+                F, _G = thm2_FG(thm2_context(q, log_x), sqrt_mode)
+                exact = {e.name: e.margin
+                         for e in verify_thm2_at(q, log_x, sqrt_mode)}
+                t = thm2_tilde(m, q, sqrt_mode=sqrt_mode)
+                tilde = {e.name: e.margin for e in
+                         _side_evals(_tilde_context(m, q), sqrt_mode, 0.0)}
+                assert set(tilde) == {"inv_T", "h_over_x"}
+                tilde["main"] = t.main
+                assert t.F0t >= F - 1e-12, (m, q, sqrt_mode)
+                for name, margin in tilde.items():
+                    assert margin <= exact[name] + 1e-12, (m, q, sqrt_mode,
+                                                           name)
 
 
 def test_tilde_threshold_frozen():
@@ -192,6 +203,26 @@ def test_tilde_threshold_frozen():
     assert tilde_threshold(19, 4200, sqrt_mode=True) == 6154
     assert tilde_threshold(20, 2310, sqrt_mode=True) == 3276
     assert tilde_threshold(21, 1398, sqrt_mode=True) == 1947
+
+
+def test_refresh_and_handoff_take_the_run_slack():
+    # at slack 1e-3 the majorized margin at the default hand-off q* = 6709
+    # (8.3e-4) would fail its own record, so the hand-off moves on
+    assert 0.0 < thm2_tilde(15, 6709).main < 1e-3
+    qstar = tilde_threshold(15, 5670, slack=1e-3)
+    assert qstar == 6710 and thm2_tilde(15, qstar).main > 1e-3
+    evals = verify_thm2_largeq(15, 5670, slack=1e-3)
+    assert [e.name for e in evals][-1] == "exact_refresh[5670,6710)"
+    assert all(e.passed for e in evals), [(e.name, e.margin) for e in evals]
+    # a refresh margin in (0, threshold] is a failure: at twice the smallest
+    # margin one more modulus needs the refined form, and at slack 1 no
+    # margin clears (the threshold is at least |margin|)
+    d = exact_refresh_scan(15, 5670, 6709)
+    assert d.min_margin > 0.0
+    assert exact_refresh_scan(15, 5670, 6709,
+                              slack=2.0 * d.min_margin).n_plain_fail == 330
+    d1 = exact_refresh_scan(15, 5670, 6709, slack=1.0)
+    assert d1.n_plain_fail == d1.n_refined_fail == len(d1.failures) == 6709 - 5670
 
 
 def test_exact_refresh_rescues_m15():
@@ -261,8 +292,6 @@ def test_decisions_note_recipe_prints_its_lists():
     assert len(listed) == 214
     assert out.getvalue().splitlines() == listed
 
-
-PLAIN_PAIRS, SQRT_PAIRS = load_table8()
 
 
 @pytest.mark.parametrize("m,q0", PLAIN_PAIRS)
