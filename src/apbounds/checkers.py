@@ -22,12 +22,26 @@ row's primes, `finish()` runs the end-of-range sweep and returns the
   none) is at most x_end has no inspected prime in (x_end, hi]: the claim
   fails at x = x_end, and the class is flagged with its last deadline.
 
-Each segment is split into its residue classes in one pass: one stable
-(radix) sort on the residues mod q, in the smallest unsigned dtype that
-holds q, and one `bincount` for the class bounds.  Every class is then a
-contiguous, increasing slice of the sorted segment, and each scanner
-reads its slices; the per-class window calls see the same class primes,
-in the same runs, as a per-class mask would give them.
+No scanner sorts a segment into its classes.  Each cut of a row (the
+part of a segment inside the row's range) gets its residues mod q once and
+one count table: the cut falls into blocks of B = 2^k consecutive primes,
+B >= q, and one `bincount` over block * q + residue counts each class in
+each block, at most n + q entries.
+
+* The every-prime scanner proves the cut from the table when it can: if
+  every class occurs in every interior block, consecutive class primes lie
+  in the same or adjacent blocks, so no in-cut gap exceeds the widest run
+  of two blocks; if that run, the guard and a rounding allowance stay
+  below h1 at the cut's first prime, no in-cut gap can fail (the
+  soundness argument is at `_Scan1._proves`).  A proved cut costs each
+  class two lookups: its first prime meets the carried-in deadline, its
+  last prime sets the next one.  Any other cut takes the exact path: one
+  stable (radix) sort on the residues makes every class a contiguous,
+  increasing slice, and each slice is scanned prime by prime.
+
+* The thinned scanner counts each class down through the table and finds
+  each inspected class prime in its block, so it reads B residues per
+  inspection and never the whole class.
 
 One driver, `_scan_shared`, runs every scan: it sieves the union of its
 rows' ranges once and hands each prime segment to every row that overlaps
@@ -80,6 +94,9 @@ class CheckReport:
 
     `wall_time` is the row's own scanning time (its scanner's `feed` and
     `finish` calls); generating the primes, shared or not, is excluded.
+    `primes_proved` counts the class primes of the cuts that the block
+    proof settled (always 0 for the thinned scan).  Neither goes into a
+    record.
     """
 
     q: int
@@ -88,17 +105,21 @@ class CheckReport:
     mode: str  # "single" or "sqrt"
     failures: tuple[tuple[int, float], ...]  # (residue, missed deadline)
     primes_scanned: int
+    primes_proved: int
     wall_time: float
 
 
 class _RowScan:
-    """One row's scan state: per-class deadlines and last inspected
+    """One row's scan state: per-residue deadlines and last inspected
     points, failures, primes seen.
 
     The row covers the primes in [lo, hi], lo = max(x0, 2) and
-    hi = floor(x_end + h(x_end)).  Subclasses supply `mode`, the window
-    function `h` and `_scan(a, cp)`, which consumes the next non-empty,
-    increasing run `cp` of class-`a` primes.
+    hi = floor(x_end + h(x_end)).  `deadline` and `last` are indexed by
+    residue; only the coprime `classes` are ever read.  Subclasses supply
+    `mode`, the window function `h` and `_cut(seg, res)`, which consumes
+    the next non-empty cut `seg` of the row's primes, with `res` = seg mod
+    q; each sizes its own blocks and builds the cut's count table with
+    `_block_counts`.
     """
 
     mode: str
@@ -115,42 +136,58 @@ class _RowScan:
         self.lo = max(int(x0), 2)
         self.hi = math.floor(x_end + self.h(*self.params, float(x_end)))
         self.guard = row_guard(self.hi)
-        self.classes = [a for a in range(q) if math.gcd(a, q) == 1]
-        init = float(x0 + self.h(*self.params, float(x0)))
-        self.deadline = dict.fromkeys(self.classes, init)
+        self.classes = np.array([a for a in range(q) if math.gcd(a, q) == 1])
+        self.deadline = np.full(q, float(x0 + self.h(*self.params,
+                                                     float(x0))))
         # last inspected point of each class: x0, then its class primes
-        self.last = dict.fromkeys(self.classes, x0)
+        self.last = np.full(q, x0, dtype=np.int64)
         self.failures: list[tuple[int, float]] = []
-        self.scanned = 0
+        self.scanned = self.proved = 0
         self.busy = time.perf_counter() - t_start
 
     def feed(self, seg) -> None:
-        """Scan the next increasing array of primes from [lo, hi], one
-        residue-class slice at a time (see the module docstring)."""
+        """Scan the next increasing array of primes from [lo, hi] (see
+        the module docstring)."""
         t_start = time.perf_counter()
         seg = np.asarray(seg)
         if seg.size:
-            # uint8 below q = 256, uint16 below 65536: keys numpy radix-sorts
-            res = (seg % self.q).astype(np.min_scalar_type(self.q))
-            split = seg[np.argsort(res, kind="stable")]
-            bounds = [0, *np.bincount(res, minlength=self.q).cumsum().tolist()]
-            for a in self.classes:
-                if bounds[a + 1] > bounds[a]:
-                    self._scan(a, split[bounds[a]:bounds[a + 1]])
+            # seg - q (seg // q): numpy's integer % is slower
+            res = seg // self.q
+            res *= self.q
+            self._cut(seg, np.subtract(seg, res, out=res))
         self.busy += time.perf_counter() - t_start
 
     def finish(self) -> CheckReport:
         """Flag every class with no inspected prime in (x_end, hi]: its
         window at x = x_end holds no prime of the class."""
         t_start = time.perf_counter()
-        for a in self.classes:
-            if self.last[a] <= self.x_end:
-                self.failures.append((a, self.deadline[a]))
+        late = self.classes[self.last[self.classes] <= self.x_end]
+        self.failures.extend(zip(late.tolist(), self.deadline[late].tolist()))
         self.failures.sort()
         return CheckReport(q=self.q, x0=self.x0, x_end=self.x_end,
                            mode=self.mode, failures=tuple(self.failures),
                            primes_scanned=self.scanned,
+                           primes_proved=self.proved,
                            wall_time=self.busy + time.perf_counter() - t_start)
+
+
+def _block_counts(res: np.ndarray, q: int, shift: int) -> np.ndarray:
+    """The cut's block count table: counts[j, a] is the number of class-a
+    primes among the B = 2^shift entries from jB on.  With B >= q it has
+    at most n + q entries."""
+    size = (((res.size - 1) >> shift) + 1) * q
+    keys = np.repeat(np.arange(0, size, q), 1 << shift)[:res.size]
+    keys += res
+    return np.bincount(keys, minlength=size).reshape(-1, q)
+
+
+def _span(seg: np.ndarray, shift: int) -> int:
+    """The widest run of two blocks: max over j of
+    seg[min((j + 2)B, n) - 1] - seg[jB], B = 2^shift."""
+    starts, ends = seg[::1 << shift], seg[(2 << shift) - 1::1 << shift]
+    m = ends.size  # the runs from block m on end at seg[-1]
+    return max(int((ends - starts[:m]).max(initial=0)),
+               int(seg[-1] - starts[m]))
 
 
 class _Scan1(_RowScan):
@@ -159,18 +196,99 @@ class _Scan1(_RowScan):
     mode = "single"
     h = staticmethod(h1)
 
+    def __init__(self, alpha: float, delta: float, rho: float, q: int,
+                 x0: int, x_end: int) -> None:
+        super().__init__(alpha, delta, rho, q, x0, x_end)
+        # see `_proves`: h1 grows and is rounded without cancellation, and
+        # every prime of the row is a float
+        self.provable = (min(alpha, delta, rho) >= 0 and self.hi < 2**53)
+
+    def _cut(self, seg, res) -> None:
+        """Prove the cut's in-class gaps from its block table, or scan it
+        exactly (`_split`).  Either way the carried-in deadline is tested
+        on each class's first prime, and the last prime sets `last` and
+        the next deadline."""
+        q, n = self.q, int(seg.size)
+        h0 = float(h1(*self.params, float(seg[0])))
+        # blocks as large as keep two of them within about half a window,
+        # so that a class is all but sure to occur in every block
+        shift = (q - 1).bit_length()
+        gap = (int(seg[-1]) - int(seg[0])) / max(n - 1, 1)
+        while shift < (n - 1).bit_length() and 8 * gap * 2**shift <= h0:
+            shift += 1
+        counts = _block_counts(res, q, shift)
+        total = counts.sum(axis=0)
+        found = total[self.classes]
+        self.scanned += int(found.sum())
+        if not self._proves(seg, h0, shift, counts):
+            self._split(seg, res, total)
+            return
+        self.proved += int(found.sum())
+        edge = 2 << shift  # two blocks
+        here = self.classes[found > 0]
+        # every class occurs in every interior block, so its first and
+        # last primes lie among the first and the last 2B of the cut
+        first = np.full(q, n)
+        np.minimum.at(first, res[:edge], np.arange(min(edge, n)))
+        last = np.full(q, -1)
+        np.maximum.at(last, res[-edge:], np.arange(max(n - edge, 0), n))
+        p = seg[first[here]].astype(np.float64)
+        dl = self.deadline[here]
+        late = dl - self.guard <= p
+        self.failures.extend(zip(here[late].tolist(), dl[late].tolist()))
+        p = seg[last[here]]
+        self.last[here] = p
+        p = p.astype(np.float64)
+        self.deadline[here] = p + h1(*self.params, p)
+
+    def _proves(self, seg, h0, shift, counts) -> bool:
+        """True when no gap between two class primes of the cut can fail.
+
+        Soundness.  (1) Adjacent blocks: if every class occurs in every
+        interior block, consecutive class primes p < p' lie in one block
+        or in adjacent ones (a block between them would hold a class
+        prime between them), so p' - p <= `_span`.  (2) Monotonicity:
+        with alpha, delta, rho >= 0, h1 is nondecreasing on x >= 1, so
+        h1(p) >= h1(seg[0]).  (3) Rounding: below 2^53 every prime is a
+        float.  With no negative term the computed h1 is within 12u of
+        h1 (u = 2^-53; about ten roundings: log, products, sums, sqrt),
+        so fl(h1(p)) >= (1 - 24u) h0, h0 = fl(h1(seg[0])).  Rounding is
+        monotone, so the computed deadline minus the guard g is at least
+        ((p + (1 - 24u) h0)(1 - u) - g)(1 - u) >= p + h0 - g - 26u h0
+        - 2u p.  As p' <= p + span, the exact test `deadline - g <= p'`
+        cannot fire when span + g + 26u h0 + 2u p < h0.  Since
+        2u p <= 2 ulp(hi) <= g / 8 (`row_guard`), the test below
+        suffices: 2^-48 h0 = 32u h0 also covers the 2u h0 by which its
+        own float sum may err.
+        """
+        if not self.provable:
+            return False
+        if counts.shape[0] > 2 and not counts[1:-1, self.classes].all():
+            return False
+        return _span(seg, shift) + 2 * self.guard + 2.0**-48 * h0 < h0
+
+    def _split(self, seg, res, total) -> None:
+        """The exact path: one stable (radix) sort of the cut on its
+        residues, in the smallest unsigned dtype that holds q, makes every
+        class a contiguous, increasing slice; each goes to `_scan`."""
+        split = seg[np.argsort(res.astype(np.min_scalar_type(self.q)),
+                               kind="stable")]
+        bounds = [0, *total.cumsum().tolist()]
+        for a in self.classes.tolist():
+            if bounds[a + 1] > bounds[a]:
+                self._scan(a, split[bounds[a]:bounds[a + 1]])
+
     def _scan(self, a: int, cp: np.ndarray) -> None:
         alpha, delta, rho, q = self.params
-        self.last[a] = int(cp[-1])
+        self.last[a] = cp[-1]
         cp = cp.astype(np.float64)
-        self.scanned += cp.size
         dl = np.empty_like(cp)
         dl[0] = self.deadline[a]
         if cp.size > 1:
             dl[1:] = cp[:-1] + h1(alpha, delta, rho, q, cp[:-1])
         for i in np.flatnonzero(dl - self.guard <= cp):
             self.failures.append((a, float(dl[i])))
-        self.deadline[a] = float(cp[-1] + h1(alpha, delta, rho, q, cp[-1]))
+        self.deadline[a] = cp[-1] + h1(alpha, delta, rho, q, cp[-1])
 
 
 class _ScanSqrt(_RowScan):
@@ -183,26 +301,41 @@ class _ScanSqrt(_RowScan):
                  x0: int, x_end: int) -> None:
         super().__init__(alpha, delta, rho, q, x0, x_end)
         # 1-based countdown to the next inspected class prime
-        self.todo = {a: self._jump(d) for a, d in self.deadline.items()}
+        self.todo = {a: self._jump(float(self.deadline[a]))
+                     for a in self.classes.tolist()}
 
     @staticmethod
     def _jump(deadline: float) -> int:
         return math.isqrt(math.floor(deadline)) + 1
 
-    def _scan(self, a: int, cp: np.ndarray) -> None:
+    def _cut(self, seg, res) -> None:
+        """Count down each class through the cut and inspect only the
+        class primes the countdown lands on, each found in its block."""
         alpha, delta, rho, q = self.params
-        deadline, guard = self.deadline, self.guard
-        n = int(cp.size)
-        self.scanned += n
-        idx = self.todo[a] - 1  # 0-based position of the next inspection
-        while idx < n:
-            self.last[a] = int(cp[idx])
-            p = float(cp[idx])
-            if deadline[a] - guard <= p:
-                self.failures.append((a, deadline[a]))
-            deadline[a] = float(p + hsqrt(alpha, delta, rho, q, p))
-            idx += self._jump(deadline[a])
-        self.todo[a] = idx - n + 1
+        # B about sqrt(n q): the table has about n q / B entries and an
+        # inspection reads B residues
+        shift = max((q - 1).bit_length(), (seg.size * q).bit_length() // 2)
+        cum = _block_counts(res, q, shift).cumsum(axis=0)
+        for a in self.classes.tolist():
+            col, d = cum[:, a], float(self.deadline[a])
+            n = int(col[-1])
+            self.scanned += n
+            idx = self.todo[a] - 1  # 0-based position of the next inspection
+            while idx < n:
+                # the idx-th class prime: in the first block whose running
+                # count passes idx, at rank idx - (count before that block)
+                j = int(np.searchsorted(col, idx, "right"))
+                lo = j << shift
+                rank = idx - (int(col[j - 1]) if j else 0)
+                at = lo + np.flatnonzero(res[lo:lo + (1 << shift)] == a)[rank]
+                self.last[a] = seg[at]
+                p = float(seg[at])
+                if d - self.guard <= p:
+                    self.failures.append((a, d))
+                d = float(p + hsqrt(alpha, delta, rho, q, p))
+                idx += self._jump(d)
+            self.deadline[a] = d
+            self.todo[a] = idx - n + 1
 
 
 def check1(alpha: float, delta: float, rho: float, q: int,

@@ -272,7 +272,8 @@ def _run_check(cfg: RunConfig, recs: list[dict]) -> None:
         # wall_time goes to stdout only: records must be reproducible
         print(f"[{suite}] q={rep.q} [{rep.x0}, {rep.x_end}] {rep.mode}: "
               f"{len(rep.failures)} failures over {rep.primes_scanned} "
-              f"primes in {rep.wall_time:.2f}s")
+              f"primes ({rep.primes_proved} by block proof) in "
+              f"{rep.wall_time:.2f}s")
 
 
 # ---------------------------------------------------------------- report

@@ -330,6 +330,209 @@ def test_row_scan_rejects_start_below_one(x0):
         check_sqrt(0.0, 0.0, 0.001, 3, x0, 5)
 
 
+# ---------------------------------------------------------------- block proof
+
+def _chunked(size):
+    """A stand-in for `prime_array_segments` that yields `size` primes at a
+    time, so that one row's cuts can differ in whether they are proved."""
+    def segments(lo, hi):
+        P = primes_between(lo, hi)
+        for k in range(0, P.size, size):
+            yield P[k:k + size]
+    return segments
+
+
+def _top_ratios(q, x0, x_end):
+    """The two largest gap / (phi(q) sqrt(p)) over consecutive class primes
+    p < p' in [x0, x_end]: with alpha = delta = 0 the in-range gap at p
+    fails exactly when rho is at most its ratio."""
+    P = primes_between(x0, x_end)
+    classes = [a for a in range(q) if math.gcd(a, q) == 1]
+    ratios = []
+    for a in classes:
+        cp = P[P % q == a]
+        ratios.append(np.diff(cp) / (len(classes) * np.sqrt(cp[:-1])))
+    r = np.sort(np.concatenate(ratios))
+    return float(r[-1]), float(r[-2])
+
+
+EDGE_WINDOWS = [(10**6, 11 * 10**5), (9 * 10**6, 9 * 10**6 + 10**5)]
+
+
+@pytest.mark.parametrize("x0,xe", EDGE_WINDOWS)
+@pytest.mark.parametrize("q", [1, 3])
+def test_check1_matches_naive_across_the_edge(monkeypatch, x0, xe, q):
+    # rho sweeps from failing rows over the largest gap to rows that pass
+    # with room; cuts of 1500 primes let one row mix proved and exact cuts
+    r1, _ = _top_ratios(q, x0, xe)
+    monkeypatch.setattr(checkers, "prime_array_segments", _chunked(1500))
+    proved, exact, verdicts = False, False, set()
+    for rho in r1 * np.array([0.8, 0.99, 1.01, 1.3, 2.0, 3.0, 5.0, 8.0]):
+        want_fail, want_count, _ = naive_check1(0.0, 0.0, rho, q, x0, xe)
+        rep = check1(0.0, 0.0, rho, q, x0, xe)
+        assert list(rep.failures) == want_fail
+        assert rep.primes_scanned == want_count
+        proved |= rep.primes_proved > 0
+        exact |= rep.primes_proved < rep.primes_scanned
+        verdicts.add(bool(rep.failures))
+    # the sweep takes the proof on some cuts and the exact split on others
+    assert proved and exact and verdicts == {False, True}
+
+
+@pytest.mark.parametrize("x0,xe", [(10**6, 13 * 10**5),
+                                   (9 * 10**6, 9 * 10**6 + 3 * 10**5)])
+@pytest.mark.parametrize("size", [None, 1500])
+def test_check_sqrt_matches_naive_across_the_edge(monkeypatch, x0, xe, size):
+    if size:
+        monkeypatch.setattr(checkers, "prime_array_segments", _chunked(size))
+    verdicts = set()
+    for rho in (8.0, 12.0, 14.0, 16.0, 20.0):
+        want = naive_check_sqrt(-1.0, 0.0, rho, 3, x0, xe)
+        rep = check_sqrt(-1.0, 0.0, rho, 3, x0, xe)
+        assert list(rep.failures) == want
+        assert rep.primes_proved == 0
+        verdicts.add(bool(want))
+    assert verdicts == {False, True}
+
+
+@pytest.mark.parametrize("size", [None, 500, 2000])
+def test_block_proof_falls_back_on_one_failing_gap(monkeypatch, size):
+    # q = 1 keeps the blocks down to a couple of primes at this edge, so
+    # that most cuts are proved.  At rho just above the largest ratio the
+    # row passes; between the two largest exactly one interior gap fails,
+    # and the cut that holds it must take the exact path
+    x0, xe = 9 * 10**6, 9 * 10**6 + 10**5
+    r1, r2 = _top_ratios(1, x0, xe)
+    if size:
+        monkeypatch.setattr(checkers, "prime_array_segments", _chunked(size))
+    ok = check1(0.0, 0.0, r1 * 1.001, 1, x0, xe)
+    assert ok.failures == () and naive_check1(0.0, 0.0, r1 * 1.001, 1,
+                                              x0, xe)[0] == []
+    rho = (r1 + r2) / 2
+    want_fail, want_count, _ = naive_check1(0.0, 0.0, rho, 1, x0, xe)
+    rep = check1(0.0, 0.0, rho, 1, x0, xe)
+    assert len(want_fail) == 1
+    assert list(rep.failures) == want_fail
+    assert rep.primes_scanned == want_count
+    assert rep.primes_proved < rep.primes_scanned
+    if size:
+        assert rep.primes_proved > 0
+
+
+@pytest.mark.parametrize("cuts", [(-49, 1, 51), (-48, 2), (-49, 2), (0, 50)])
+def test_failing_gap_at_a_cut_edge(monkeypatch, cuts):
+    # cut the stream so that the one failing gap p < p' straddles two
+    # cuts (carried in, with the deadline set by a proved cut), ends a cut
+    # of either parity, or opens one; the short cuts around it are
+    # otherwise provable
+    x0, xe = 9 * 10**6, 9 * 10**6 + 10**5
+    r1, r2 = _top_ratios(1, x0, xe)
+    rho = (r1 + r2) / 2
+    P = primes_between(x0, math.floor(xe + h1(0.0, 0.0, rho, 1, float(xe))))
+    i = int(np.argmax(np.diff(P) / np.sqrt(P[:-1])))  # the index of p
+    bounds = [0, *(i + c for c in cuts), P.size]
+
+    def segments(lo, hi):
+        for a, b in zip(bounds, bounds[1:]):
+            yield P[a:b]
+
+    monkeypatch.setattr(checkers, "prime_array_segments", segments)
+    want_fail, want_count, _ = naive_check1(0.0, 0.0, rho, 1, x0, xe)
+    rep = check1(0.0, 0.0, rho, 1, x0, xe)
+    assert len(want_fail) == 1
+    assert list(rep.failures) == want_fail
+    assert rep.primes_scanned == want_count
+    assert rep.primes_proved >= (100 if len(cuts) == 3 else 1)
+
+
+def test_span_is_the_widest_run_of_two_blocks():
+    rng = np.random.default_rng(11)
+    for n in range(1, 40):
+        seg = np.cumsum(rng.integers(1, 50, n))
+        for shift in range(4):
+            B = 1 << shift
+            want = max(int(seg[min((j + 2) * B, n) - 1] - seg[j * B])
+                       for j in range(-(-n // B)))
+            assert checkers._span(seg, shift) == want
+
+
+def test_class_missing_from_an_interior_block_forces_the_exact_path():
+    # twelve integers about 30 apart in blocks of four (q = 3): class 1
+    # occurs only first and last, so block 1 lacks it and its one gap,
+    # about 330, spans three blocks.  Any two blocks span about 210 < h,
+    # yet that gap fails; only the exact path may judge this cut
+    residues = [1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1]
+    seg = np.array([(10**6 + 30 * k) // 3 * 3 + r
+                    for k, r in enumerate(residues)])
+    rho = 0.135  # h1 = rho phi(3) sqrt(x), about 270 here
+    scan = checkers._Scan1(0.0, 0.0, rho, 3, int(seg[0]), int(seg[0]))
+    assert checkers._span(seg, 2) + 2 * GUARD < h1(0.0, 0.0, rho, 3,
+                                                   float(seg[0]))
+    scan.feed(seg)
+    rep = scan.finish()
+    assert rep.primes_proved == 0
+    dl = float(seg[0] + h1(0.0, 0.0, rho, 3, float(seg[0])))
+    assert dl <= seg[-1]
+    assert rep.failures == ((1, dl),)
+
+
+def test_passing_t5_row_needs_no_sort(monkeypatch):
+    # a passing table-5 row is settled by the block proof alone: a silent
+    # fall back to the exact split would reach np.argsort
+    def no_sort(*args, **kwargs):
+        raise AssertionError("np.argsort reached")
+
+    monkeypatch.setattr(checkers.np, "argsort", no_sort)
+    rep = check1(*R1_Q24)
+    assert rep.failures == ()
+    assert rep.primes_proved == rep.primes_scanned == 53206
+
+
+@pytest.mark.parametrize("q", [1, 3])
+def test_block_proof_matches_exact_path_near_1e11(monkeypatch, q):
+    # from 2^33 on a float ulp exceeds GUARD, so the row guard and the
+    # proof's rounding allowance are the ulp-based ones
+    x0, xe = 10**11, 10**11 + 10**5
+    scan = checkers._Scan1(0.5, 1.0, 30.0, q, x0, xe)
+    assert scan.guard == row_guard(scan.hi) > GUARD
+    monkeypatch.setattr(checkers, "prime_array_segments", _chunked(600))
+    r1, _ = _top_ratios(q, x0, xe)
+    rows = [(0.5, 1.0, 30.0, q, x0, xe)] + [
+        (0.0, 0.0, rho, q, x0, xe) for rho in r1 * np.array([0.9, 1.5, 3.0])]
+    proofs = [check1(*args) for args in rows]
+    monkeypatch.setattr(checkers._Scan1, "_proves", lambda *args: False)
+    for args, rep in zip(rows, proofs):
+        exact = check1(*args)
+        assert exact.primes_proved == 0
+        assert _key(rep) == _key(exact)
+    assert proofs[0].primes_proved == proofs[0].primes_scanned > 0
+    assert any(0 < r.primes_proved < r.primes_scanned for r in proofs)
+
+
+@pytest.mark.parametrize("q,rho1,rho_sqrt", [(300, 0.05, 20.0),
+                                             (65537, 1e-4, 0.05)])
+def test_large_moduli_match_naive(monkeypatch, q, rho1, rho_sqrt):
+    # q = 65537 needs uint32 residues; blocks of at least q primes keep
+    # each cut's count table within n + q entries
+    tables = []
+    block_counts = checkers._block_counts
+
+    def recording(res, q, shift):
+        counts = block_counts(res, q, shift)
+        tables.append((res.size, counts.size))
+        return counts
+
+    monkeypatch.setattr(checkers, "_block_counts", recording)
+    x0, xe = 10**6, 10**6 + 3 * 10**4
+    want_fail, want_count, _ = naive_check1(0.0, 0.0, rho1, q, x0, xe)
+    rep = check1(0.0, 0.0, rho1, q, x0, xe)
+    assert list(rep.failures) == want_fail
+    assert rep.primes_scanned == want_count
+    args = (-1.0, 0.0, rho_sqrt, q, x0, xe)
+    assert list(check_sqrt(*args).failures) == naive_check_sqrt(*args)
+    assert tables and all(size <= n + q for n, size in tables)
+
+
 # ---------------------------------------------------------------- table driver
 
 def test_run_exception_tables_t5_block2():

@@ -181,7 +181,7 @@ def test_verify_lemma5(tmp_path):
 
 # ---------------------------------------------------------------- check
 
-def test_check_t5_block2(tmp_path):
+def test_check_t5_block2(tmp_path, capsys):
     out = tmp_path / "c.jsonl"
     rc = main(["check", "t5", "--block", "2", "--out", str(out)])
     assert rc == 0
@@ -190,6 +190,9 @@ def test_check_t5_block2(tmp_path):
     assert [r["inputs"]["q"] for r in recs] == [3, 4, 6]
     assert all(r["pass"] for r in recs)
     assert all(r["inputs"]["primes_scanned"] > 0 for r in recs)
+    # the block-proof share is printed per row, never recorded
+    assert capsys.readouterr().out.count(" by block proof) in ") == 3
+    assert not any("primes_proved" in r["inputs"] for r in recs)
 
 
 def test_check_t6_block2_jobs(tmp_path):
