@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 
-from apbounds.margins import all_passed
 from apbounds.tables import load_table4, load_table5
 from apbounds.thm1 import h1, hsqrt, verify_thm1_at, x0_of
 
@@ -33,7 +32,7 @@ print(f"  hsqrt = {hsqrt(params.alpha, params.delta, params.rho, q, x):,.0f}")
 print("\nanalytic certificate at selected points:")
 for q, x in [(3, 193_269.0), (3, 23_656.0), (101, 1.0e9)]:
     evals = verify_thm1_at(q, x, params)
-    verdict = "holds" if all_passed(evals) else "fails"
+    verdict = "holds" if all(e.passed for e in evals) else "fails"
     worst = min(evals, key=lambda e: e.margin)
     print(f"  q={q:>4}, x={x:>12,.0f}: {verdict:6}  "
           f"(tightest: {worst.name}, margin {worst.margin:+.3e})")
@@ -48,7 +47,7 @@ skip = {row_q for row_q, _, _ in load_table5()[0].rows}
 for q in (23, 97, 1009, 65_537):
     assert q not in skip
     x = x0_of(params, q)
-    ok = all_passed(verify_thm1_at(q, x, params))
+    ok = all(e.passed for e in verify_thm1_at(q, x, params))
     print(f"  q={q:>6}: x0={x:.3e}  ->  {'holds' if ok else 'fails'}")
 
 print("\nmoduli with finite exceptions (scanned, not certified analytically):")

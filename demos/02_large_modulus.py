@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 
-from apbounds.margins import all_passed
 from apbounds.tables import load_table4
 from apbounds.thm1 import tilde_thm1, verify_thm1_largeq
 
@@ -33,7 +32,7 @@ def _show(label: str, sqrt_mode: bool) -> None:
         evals = verify_thm1_largeq(row, sqrt_mode=sqrt_mode)
         guard = next(e for e in evals if e.name.startswith("mono_guard["))
         route = guard.name[len("mono_guard["):-1]
-        ok = "holds" if all_passed(evals) else "FAILS"
+        ok = "holds" if all(e.passed for e in evals) else "FAILS"
         q0 = row.q0_sqrt if sqrt_mode else row.q0
         print(f"{row.alpha:>6.4g} {row.delta:>7.4g} {row.rho:>5}   "
               f"{_fmt_q0(q0):>14}  {ok:7}  {route}")

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 
-from apbounds.margins import all_passed
 from apbounds.tables import load_table7, load_table8
 from apbounds.thm23 import (corollary_default_n, exact_refresh_scan,
                             tilde_threshold, verify_corollary,
@@ -45,7 +44,7 @@ print("\nband certification rows (m, q0): scale-free check + refresh fallback")
 for label, sqrt_mode, rows in (("plain", False, plain8), ("sqrt", True, sqrt8)):
     for m, q0 in rows:
         evals = verify_thm2_largeq(m, q0, sqrt_mode=sqrt_mode)
-        ok = all_passed(evals)
+        ok = all(e.passed for e in evals)
         routes = [e.name for e in evals if e.name.startswith("exact_refresh")]
         note = f" via {routes[0]}" if routes else ""
         print(f"  {label:5} m={m:>2} q0={q0:>5}: "
@@ -67,8 +66,9 @@ for m, q0 in sqrt8:
 print("\nexponential scales (x = e^q), smallest certified q per claim:")
 for mode, q_coarse, q_refined in (("first-claim", 220, 35),
                                   ("sqrt-claim", 500, 67)):
-    ok_c = all_passed(verify_thm3(q_coarse, mode=mode))
-    ok_r = all_passed(verify_thm3(q_refined, mode=mode, refined=True))
+    ok_c = all(e.passed for e in verify_thm3(q_coarse, mode=mode))
+    ok_r = all(e.passed for e in verify_thm3(q_refined, mode=mode,
+                                             refined=True))
     print(f"  {mode:12}: coarse q>={q_coarse} ({'holds' if ok_c else 'FAILS'}), "
           f"refined q>={q_refined} ({'holds' if ok_r else 'FAILS'})")
 
@@ -76,5 +76,5 @@ for mode, q_coarse, q_refined in (("first-claim", 220, 35),
 print("\nprogression-count lower bound, n = ceil(70 * phi(q) * log q):")
 for q in (5, 101, 9973):
     n = corollary_default_n(q)
-    ok = all_passed(verify_corollary(q, n))
+    ok = all(e.passed for e in verify_corollary(q, n))
     print(f"  q={q:>5}: n={n:>9,}  ->  {'holds' if ok else 'FAILS'}")

@@ -1,23 +1,23 @@
-"""The smoothing kernel under the hood: a 23-term rational majorant.
+"""The smoothing kernel under the hood: 23 weights and their two claims.
 
 All window constants trace back to one function F(gamma) — a weighted sum
 of simple kernels f(s_j, gamma) with rigid rational weights a_j — that
 must dominate the comparison curve g(gamma) near the origin and stay
-nonnegative everywhere.  `verify_majorant` proves both facts through an
-exact integer polynomial certificate (root counts by Descartes' rule, no floating
-point in the decisive step), then cross-checks on a dense float sweep.
-
-The same weights feed scalar constants: the alternating sums S(n), whose
-signs drive a pairing argument, and a handful of frozen decimal constants
-re-derived here to 40 digits.
+nonnegative everywhere.  The same weights make the tail sums
+S(n) = sum_j a_j n^{-s_j}, which are negative for every n >= 2 except
+n = 4.  Both claims are proved by exact integer root counts (Descartes'
+rule of signs, no floating point in the decisive step): `verify_majorant`
+for F, `verify_tail_sign` for S(n) at every n at once.  A handful of
+frozen decimal constants are then re-derived to 40 digits.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from mpmath import mp
 
-from apbounds.majorant import (F_majorant, S_of, g_of, pairing_threshold,
-                               s_sign_sweep, verify_constants, verify_majorant)
+from apbounds.majorant import (SCALE, F_majorant, g_of, verify_constants,
+                               verify_majorant, verify_tail_sign)
 from apbounds.tables import load_table2
 
 A = load_table2()
@@ -34,15 +34,25 @@ for gamma in (0.5, 2.0, 5.0, 7.9):
 ev = verify_majorant()
 print(f"\nverify_majorant: {'PASS' if ev.passed else 'FAIL'}  ({ev.name})")
 
-# --- the sign pattern of S(n) ----------------------------------------------
-print("\nS(n) = sum_j a_j n^{-s_j}: sign pattern over n = 2..10,284")
-pos = s_sign_sweep(2, 10_284)
-print(f"  n with S(n) >= 0: {pos}   (exactly n=4)")
-for n in (2, 4, 5, 10_284):
-    s = S_of(n)
-    print(f"  S({n:>6}) = {s.value:+.9e}  (certified error <= {s.err_bound:.1e})")
-print(f"  pairing threshold (largest scale the pair argument covers): "
-      f"{pairing_threshold():,.1f}")
+# --- the sign of S(n) --------------------------------------------------------
+# S(n) = n^{-5/4} R(n^{-1/2}) / SCALE with R(u) = sum_j a_scaled[j] u^j, so
+# S(n) has the sign of R at u = n^{-1/2}, which lies in (0, 1/sqrt2]
+print("\nS(n) = sum_j a_j n^{-s_j} = n^{-5/4} R(n^{-1/2}) / SCALE")
+R = np.polynomial.Polynomial(np.array(A, dtype=float))
+roots = sorted(r.real for r in R.roots()
+               if abs(r.imag) < 1e-9 and 0 < r.real < 1)
+print(f"  roots of R in (0, 1), as floats: "
+      f"{', '.join(f'{r:.4f}' for r in roots)}")
+with mp.workdps(40):
+    for n in (2, 3, 4, 5, 10_284):
+        S = mp.fsum(mp.mpf(a) / SCALE * mp.power(n, -(mp.mpf(3) / 4 + j / 2))
+                    for j, a in enumerate(A, start=1))
+        print(f"  n={n:>6}: u={n ** -0.5:.4f}  S(n) = {float(S):+.9e}")
+ev = verify_tail_sign()
+print(f"verify_tail_sign: {'PASS' if ev.passed else 'FAIL'}  ({ev.name})")
+print("  a pass places one root of R in each of (1/sqrt5, 1/2), (1/2, 1/sqrt3)"
+      "\n  and (1/sqrt2, 1) and none elsewhere in (0, 1): S(n) < 0 for every"
+      " n >= 2 but 4")
 
 # --- frozen scalar constants re-derived --------------------------------------
 print("\nscalar constants re-derived at 40-digit precision:")

@@ -60,12 +60,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sieve import prime_array_segments
+from .sieve import MAX_HI, prime_array_segments
 from .tables import ExceptionBlock, load_table5, load_table6
 from .thm1 import h1, hsqrt
 
 __all__ = ["GUARD", "CheckReport", "check1", "check_sqrt", "row_guard",
-           "run_exception_tables"]
+           "row_top", "run_exception_tables"]
 
 # absorbs float rounding in deadline comparisons: a window is only counted
 # as covering a prime when it clears it by more than this
@@ -86,6 +86,17 @@ _GUARD_ULPS = 16
 def row_guard(hi: int) -> float:
     """Deadline guard for a row whose primes run up to `hi`."""
     return max(GUARD, _GUARD_ULPS * math.ulp(float(hi)))
+
+
+def row_top(h, alpha: float, delta: float, rho: float, q: int,
+            x0: int, x_end: int) -> int:
+    """hi = floor(x_end + h(x_end)) for the window function `h`; ValueError
+    if x0, x_end or hi lies past `sieve.MAX_HI`, the sieve's int64 limit."""
+    top = float(x_end + h(alpha, delta, rho, q, float(x_end)))
+    if not (max(x0, x_end) <= MAX_HI and top <= MAX_HI):  # a NaN top too
+        raise ValueError(f"row [{x0}, {x_end}] needs primes past {MAX_HI}, "
+                         f"the sieve's int64 limit")
+    return math.floor(top)
 
 
 @dataclass(frozen=True)
@@ -134,7 +145,7 @@ class _RowScan:
         self.params = (alpha, delta, rho, q)
         self.q, self.x0, self.x_end = q, x0, x_end
         self.lo = max(int(x0), 2)
-        self.hi = math.floor(x_end + self.h(*self.params, float(x_end)))
+        self.hi = row_top(self.h, *self.params, x0, x_end)
         self.guard = row_guard(self.hi)
         self.classes = np.array([a for a in range(q) if math.gcd(a, q) == 1])
         self.deadline = np.full(q, float(x0 + self.h(*self.params,

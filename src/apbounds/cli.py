@@ -9,7 +9,7 @@ Everything the library verifies is reachable from here:
     apbounds verify thm2-tables
     apbounds verify thm3 [--sample-grid N]
     apbounds verify corollary [--sample-grid N]
-    apbounds verify lemma5          (exact polynomial certificate + sweep)
+    apbounds verify lemma5          (the two exact table-2 certificates)
     apbounds verify lemma8
     apbounds check t5|t6 [--block B] [--jobs J]   (J >= 1 groups of rows)
     apbounds check custom --q Q --x0 X0 --x X [--params "a,d,r"] [--sqrt]
@@ -28,7 +28,8 @@ A flag that the chosen target would ignore is a usage error (exit 2), and
 so is a value out of range: `--slack` must be finite and >= 0, `--x`
 finite and > 0, `--q`, `--x0`, `--sample-grid` and `--jobs` at least 1,
 `--block` a block of the table, `--params` three finite numbers, and
-`--x0` at most `--x`.  A `verify thm1-at` point needs a window:
+`--x0` at most `--x`, with every prime of the row at most `sieve.MAX_HI`
+(about 9.22e18).  A `verify thm1-at` point needs a window:
 0 < phi(q) log q < sqrt(x).
 `regen-report --full` includes the sqrt-count refresh rows that are known
 to fail (m = 19, 20, 21), so it exits 1 by design; the default battery is
@@ -42,21 +43,21 @@ import datetime
 import json
 import math
 import sys
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arith import phi_of
-from .checkers import check1, check_sqrt, run_exception_tables
-from .majorant import GAMMA_MAX, verify_constants, verify_majorant
+from .checkers import check1, check_sqrt, row_top, run_exception_tables
+from .majorant import (GAMMA_MAX, verify_constants, verify_majorant,
+                       verify_tail_sign)
 from .margins import DEFAULT_SLACK, BoundEval, ColumnBlock, worst_margin
 # perfbench's traced run rebinds phi_table here as the sieve layer's entry
 # point, so the name stays bound in this module
 from .sieve import phi_table  # noqa: F401
 from .tables import (load_table4, load_table5, load_table6, load_table7,
                      load_table8)
-from .thm1 import verify_thm1_at, verify_thm1_largeq, x0_of
+from .thm1 import h1, hsqrt, verify_thm1_at, verify_thm1_largeq, x0_of
 from .thm23 import (corollary_default_n, verify_corollary, verify_thm2_at,
                     verify_thm2_largeq, verify_thm3)
 
@@ -85,7 +86,7 @@ _FLAG_SCOPE = {
     "sample_grid": {"verify": ("thm1-at", "thm3", "corollary"),
                     "regen-report": (None,)},
     "full": {"verify": ("thm1-at",), "regen-report": (None,)},
-    # lemma5's certificate and the check scans are exact, so they have no
+    # lemma5's certificates and the check scans are exact, so they have no
     # slack to set (regen-report --full runs lemma5 with its fixed pass rule)
     "slack": {"verify": tuple(t for t in _VERIFY_TARGETS if t != "lemma5"),
               "regen-report": (None,)},
@@ -231,11 +232,14 @@ def _battery_corollary(cfg: RunConfig, recs: list[dict]) -> None:
 def _battery_lemma5(cfg: RunConfig, recs: list[dict]) -> None:
     ev = verify_majorant()
     recs.append(ev.record("verify:lemma5", {"gamma_max": GAMMA_MAX}))
+    ev = verify_tail_sign()
+    recs.append(ev.record("verify:lemma5", {"n_min": 2, "n_positive": 4}))
 
 
 def _battery_lemma8(cfg: RunConfig, recs: list[dict]) -> None:
-    slack = _slack(cfg, 1e-12)
-    for ev in verify_constants(slack=slack):
+    # verify_constants' default slack is the battery's
+    kw = {} if cfg.slack is None else {"slack": cfg.slack}
+    for ev in verify_constants(**kw):
         recs.append(ev.record("verify:lemma8", {}))
 
 
@@ -436,11 +440,17 @@ def main(argv=None) -> int:
         except ValueError:
             ap.error(f'--params takes three numbers "alpha,delta,rho", '
                      f'all finite, got {ns.params!r}')
-    if (ns.command, target) == ("check", "custom") \
-            and None in (ns.q, ns.x0, ns.x):
-        ap.error("check custom needs --q, --x0 and --x")
-    if ns.x0 is not None and ns.x is not None and ns.x0 > ns.x:
-        ap.error(f"check custom: --x0 {ns.x0} lies past --x {ns.x:g}")
+    params = DEFAULT_PARAMS if ns.params is None else ns.params
+    if (ns.command, target) == ("check", "custom"):
+        if None in (ns.q, ns.x0, ns.x):
+            ap.error("check custom needs --q, --x0 and --x")
+        if ns.x0 > ns.x:
+            ap.error(f"check custom: --x0 {ns.x0} lies past --x {ns.x:g}")
+        try:
+            row_top(hsqrt if ns.sqrt else h1, *_window_params(params), ns.q,
+                    ns.x0, int(ns.x))
+        except ValueError as exc:
+            ap.error(f"check custom: {exc}")
     if (ns.command, target) == ("verify", "thm1-at"):
         if ns.x is None and ns.q is not None:
             ap.error("verify thm1-at: --q needs --x (one point)")
@@ -459,7 +469,6 @@ def main(argv=None) -> int:
         if not window:
             ap.error("verify thm1-at: a point needs 0 < phi(q) log q < "
                      f"sqrt(x), got q={q}, x={ns.x:g}")
-    params = DEFAULT_PARAMS if ns.params is None else ns.params
     cfg = RunConfig(command=ns.command, target=target,
                     q=ns.q, x=ns.x, x0=ns.x0, params=params, sqrt=ns.sqrt,
                     block=ns.block, jobs=ns.jobs or 1, out=ns.out,

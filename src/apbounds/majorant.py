@@ -1,33 +1,30 @@
-"""The 23-term rational majorant of the ordinate weight, certified in exact
-arithmetic, plus the companion sums over its coefficients.
+"""The 23 table-2 weights a_j and their two claims, certified in exact
+arithmetic, plus the companion sums over the weights.
 
-The weight g(gamma) = gamma^2 / sqrt((1/4 + gamma^2)(9/4 + gamma^2)) is
-dominated for 0 <= gamma <= 5 by F(gamma) = sum_j a_j f(s_j, gamma), a
-combination of the scaled Cauchy kernels f(s, gamma) = 4(2s-1) /
-((2s-1)^2 + 4 gamma^2) at the half-integer points s_j = 3/4 + j/2.  The
-coefficients a_j are read from ``data/table2.txt`` by ``load_table2()``, as
-the tuple of integers a_scaled[j - 1] = a_j * SCALE.  Every function that
-takes coefficients takes that tuple (None means the published one), so a
-test can pass a perturbed copy.  Because every a_j is an exact multiple of
-1e-7, both claims
+The a_j are read from ``data/table2.txt`` by ``load_table2()`` as the tuple
+of integers a_scaled[j - 1] = a_j * SCALE.  Every function that takes
+coefficients takes that tuple (None means the published one), so a test
+can pass a perturbed copy.  As every a_j is an exact multiple of 1e-7, both
+claims reduce to sign conditions on integer polynomials, settled by one
+exact root counter (`count_roots`: Descartes' rule of signs with
+bisection, on plain integers); each fails closed on an undecided count or
+any count or sign other than the expected one.
 
-    F >= 0 on [0, inf)        and        F >= g for gamma^2 <= 25
-
-reduce to sign conditions on integer polynomials in t = gamma^2, which are
-settled by exact root counts (Descartes' rule of signs with bisection, on
-plain integers) rather than sampling.  A dense numerical sweep is kept as an
-independent cross-check.
-
-The termwise sum over the kernels cancels catastrophically (terms of size
-1e12 collapsing below 1e-6), so F itself is also evaluated through the
-integer rational form rather than term by term.
+* `verify_majorant`: F(gamma) = sum_j a_j f(s_j, gamma), with the scaled
+  Cauchy kernels f(s, gamma) = 4(2s-1) / ((2s-1)^2 + 4 gamma^2) at
+  s_j = 3/4 + j/2, is >= 0 on [0, inf) and dominates g(gamma) = gamma^2 /
+  sqrt((1/4 + gamma^2)(9/4 + gamma^2)) for gamma <= 5; a dense float sweep
+  cross-checks it.  The termwise kernel sum cancels catastrophically, so
+  F is evaluated through its integer rational form in t = gamma^2.
+* `verify_tail_sign`: S(n) = sum_j a_j n^{-s_j} < 0 for every n >= 2 but
+  n = 4.  S(n) = n^{-5/4} R(n^{-1/2}) / SCALE for the integer polynomial
+  R(u) = sum_j a_scaled[j] u^j, so R's roots in (0, 1) and its exact signs
+  at u = 0 and u = 1/sqrt(k), k = 5..1, decide every n at once.
 """
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 from mpmath import mp
@@ -38,16 +35,13 @@ from .tables import load_table2
 __all__ = [
     "GAMMA_MAX",
     "SCALE",
-    "SValue",
     "F_majorant",
-    "S_of",
     "build_certificate_polys",
     "count_roots",
     "g_of",
-    "pairing_threshold",
-    "s_sign_sweep",
     "verify_constants",
     "verify_majorant",
+    "verify_tail_sign",
 ]
 
 SCALE = 10**7  # every coefficient a_j is a_scaled[j] / SCALE exactly
@@ -240,9 +234,7 @@ def verify_majorant(a_scaled: tuple[int, ...] | None = None) -> BoundEval:
     The verdict rests on the exact root-count certificate; a millionth-point
     float sweep up to GAMMA_MAX independently cross-checks it (domination on
     [0, 5], plain positivity beyond — past gamma = 5 the sign of F is read
-    off N(t)/t^22 in a reversed Horner that cannot overflow).  Passing is
-    reported as a single eval with a token positive margin, since the
-    certificate itself is exact and has no meaningful float margin.
+    off N(t)/t^22 in a reversed Horner that cannot overflow).
     """
     if a_scaled is None:
         a_scaled = load_table2()
@@ -257,73 +249,66 @@ def verify_majorant(a_scaled: tuple[int, ...] | None = None) -> BoundEval:
             n_asc = _float_polys(a_scaled)[0][::-1]
             if np.min(np.polyval(n_asc, 1.0 / hi**2)) < 0.0:
                 gate = "sweep"
+    return _certificate_eval("majorant", gate)
+
+
+def _certificate_eval(claim: str, gate: str | None) -> BoundEval:
+    """An exact certificate's eval: a token positive margin if no gate
+    failed (an exact verdict has no float margin), else zero."""
     if gate is not None:
-        return BoundEval(f"majorant[certificate-failed:{gate}]", 0.0, 0.0, 0.0)
-    return BoundEval("majorant[algebraic-certificate]", 0.0, -1e-9, 0.0)
+        return BoundEval(f"{claim}[certificate-failed:{gate}]", 0.0, 0.0, 0.0)
+    return BoundEval(f"{claim}[algebraic-certificate]", 0.0, -1e-9, 0.0)
 
 
 # ---------------------------------------------------------------------------
-# tail sums S(n) = sum_j a_j n^{-s_j}
+# sign of the tail sums S(n) = sum_j a_j n^{-s_j}
 # ---------------------------------------------------------------------------
 
-class SValue(NamedTuple):
-    value: float
-    err_bound: float
+# (k, label, sign of R at u = 1/sqrt(k)); k = None stands for u = 0
+_S_CHECKPOINTS = ((None, "0", -1), (5, "1/sqrt5", -1), (4, "1/2", 1),
+                  (3, "1/sqrt3", -1), (2, "1/sqrt2", -1), (1, "1", 1))
 
 
-def S_of(n: int) -> SValue:
-    """S(n) = sum_j a_j n^{-s_j} by Horner in u = n^{-1/2}, with an error bound.
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
 
-    The bound is the standard Horner running-error estimate; callers use it
-    to confirm the computed sign is the true sign.  For small n the series
-    cancels badly (the error estimate says so), and the sum is redone at 40
-    working digits before rounding once to a float.
+
+def _sign_at_inv_sqrt(p: list[int], k: int) -> int:
+    """Exact sign of sum_i p[i] u^i at u = 1/sqrt(k): E + O / sqrt(k) with
+    E, O rational (u^i = k^-(i // 2), over sqrt(k) for odd i)."""
+    E = sum(Fraction(c, k ** (i // 2)) for i, c in enumerate(p) if i % 2 == 0)
+    O = sum(Fraction(c, k ** (i // 2)) for i, c in enumerate(p) if i % 2)
+    sE, sO = _sign(E), _sign(O)
+    if sE * sO >= 0:  # no cancellation
+        return sE or sO
+    return _sign(E * E * k - O * O) * sE  # which is larger, or 0
+
+
+def _tail_sign_gate(a_scaled: tuple[int, ...]) -> str | None:
+    """First failed gate of the S(n) sign certificate, or None.
+
+    With exactly three roots in (0, 1), the signs `_S_CHECKPOINTS` put one
+    in each of (1/sqrt5, 1/2), (1/2, 1/sqrt3) and (1/sqrt2, 1), so R < 0 on
+    (0, 1/sqrt5] (n >= 5) and at 1/sqrt3, 1/sqrt2, and R(1/2) > 0 (n = 4).
     """
-    a_scaled = load_table2()
-    return _S(n, a_scaled, [c / SCALE for c in a_scaled])
+    p = list(a_scaled)
+    n_roots = count_roots(p, 1)
+    if n_roots is None:
+        return "roots_undecided"
+    if n_roots != 3:
+        return "R_roots"
+    for k, label, want in _S_CHECKPOINTS:
+        got = _sign(p[0]) if k is None else _sign_at_inv_sqrt(p, k)
+        if got != want:
+            return f"R({label})_sign"
+    return None
 
 
-def _S(n: int, a_scaled: tuple[int, ...], a: list[float]) -> SValue:
-    """S(n) from the coefficients and their floats a[j] = a_scaled[j] / SCALE."""
-    if n < 2:
-        raise ValueError(f"tail sums start at n = 2, got {n}")
-    u = n ** -0.5
-    acc = 0.0
-    acc_abs = 0.0
-    for coeff in reversed(a):
-        acc = acc * u + coeff
-        acc_abs = acc_abs * u + abs(coeff)
-    lead = n ** -1.25  # n^{-s_1} with s_1 = 5/4
-    eps = sys.float_info.epsilon
-    value = lead * acc
-    err = (2 * len(a) + 2) * eps * lead * acc_abs
-    if err > abs(value) * 1e-8:
-        with mp.workdps(40):
-            exact = mp.fsum(
-                (mp.mpf(ai) / SCALE) * mp.power(n, -(mp.mpf(3) / 4 + mp.mpf(j) / 2))
-                for j, ai in enumerate(a_scaled, start=1))
-            value = float(exact)
-        err = 4.0 * eps * abs(value)  # one rounding to binary64, padded
-    return SValue(value, err)
-
-
-def s_sign_sweep(lo: int, hi: int) -> tuple[int, ...]:
-    """All n in [lo, hi] where S(n) >= 0 (expected: n = 4 alone)."""
-    a_scaled = load_table2()
-    a = [c / SCALE for c in a_scaled]
-    return tuple(n for n in range(lo, hi + 1)
-                 if _S(n, a_scaled, a).value >= 0.0)
-
-
-def pairing_threshold() -> float:
-    """Where consecutive-term pairing takes over from the sign sweep.
-
-    Past max_k (a_{2k} / |a_{2k-1}|)^2 each positive term is dominated by its
-    negative predecessor, so S(n) < 0 without evaluation.
-    """
-    a = load_table2()
-    return max((a[2 * k - 1] / abs(a[2 * k - 2])) ** 2
-               for k in range(1, (len(a) + 1) // 2))
+def verify_tail_sign(a_scaled: tuple[int, ...] | None = None) -> BoundEval:
+    """Certify S(n) < 0 for every integer n >= 2 but 4, and S(4) > 0."""
+    if a_scaled is None:
+        a_scaled = load_table2()
+    return _certificate_eval("S_sign", _tail_sign_gate(a_scaled))
 
 
 # ---------------------------------------------------------------------------

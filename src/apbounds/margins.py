@@ -258,8 +258,3 @@ class ColumnBlock:
                     args[f] = _array_args(_sides(self.columns[j])[i][lo:hi])
             yield "".join([template % row
                            for row in zip(*(args[f] for f in fields))])
-
-
-def all_passed(evals) -> bool:
-    """True iff every BoundEval, and every element of every BoundColumn, passed."""
-    return all(np.all(e.passed) for e in evals)

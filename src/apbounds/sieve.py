@@ -20,12 +20,17 @@ from typing import Iterator
 import numpy as np
 
 __all__ = [
+    "MAX_HI",
     "phi_table",
     "prime_array_segments",
     "primes_between",
 ]
 
 SEG = 1 << 21  # odd numbers per segment
+
+# The largest top end: each int64 offset `first` below is at most
+# hi + 2 isqrt(hi) - 1, under 2^63 for every hi <= MAX_HI.
+MAX_HI = 2**63 - 1 - 2 * math.isqrt(2**63)
 
 _WHEEL = (3, 5, 7, 11, 13)
 _PERIOD = math.prod(_WHEEL)  # the wheel pattern repeats every 15015 odds
@@ -47,6 +52,8 @@ def prime_array_segments(lo: int, hi: int) -> Iterator[np.ndarray]:
     """Yield increasing int64 arrays that together hold every prime in [lo, hi]."""
     lo = max(int(lo), 2)
     hi = int(hi)
+    if hi > MAX_HI:
+        raise ValueError(f"sieve top end {hi} lies past MAX_HI = {MAX_HI}")
     if hi < lo:
         return
     if lo <= 2 <= hi:

@@ -30,10 +30,12 @@ from .sieve import phi_table
 from .tables import ParamSet
 
 __all__ = [
+    "SQRT_SURCHARGE",
     "TildeThm1",
     "X_FLOOR",
     "h1",
     "hsqrt",
+    "side_conditions",
     "tilde_thm1",
     "verify_thm1_at",
     "verify_thm1_largeq",
@@ -41,6 +43,9 @@ __all__ = [
 ]
 
 X_FLOOR = 23656  # smallest x any single-interval claim covers
+
+# what the sqrt-count claim adds to the cost G on top of F log x
+SQRT_SURCHARGE = log(11.0 / 6.0)
 
 # error-term constants fixed across the whole bound family
 _C_LOG = 13.4
@@ -158,6 +163,13 @@ def _Gbar(lq, log_sx_phi, params: ParamSet, sqrt_mode: bool, beta, T):
         + 0.253 * lq + 2.0
 
 
+def side_conditions(bound, inv_T, h_over_x, slack: float) -> list:
+    """The side conditions 1/T < 1/20 and h/x < 5/6 that every window claim
+    carries, as two `bound`s (BoundEval, or BoundColumn for columns)."""
+    return [bound("inv_T", 1.0 / 20.0, inv_T, slack),
+            bound("h_over_x", 5.0 / 6.0, h_over_x, slack)]
+
+
 def verify_thm1_at(q, x, params: ParamSet, sqrt_mode: bool = False,
                    slack: float = DEFAULT_SLACK):
     """Exact check of the headline inequality and its side conditions at (q, x).
@@ -173,12 +185,11 @@ def verify_thm1_at(q, x, params: ParamSet, sqrt_mode: bool = False,
     F = _F(lq, xp.log(T), T, 1.0 / phi, beta, phi / sx)
     G = _Gbar(lq, xp.log(sx / phi), params, sqrt_mode, beta, T)
     main_lhs = (1.0 - F) * (params.alpha * lx + params.delta * lq + params.rho)
-    main_rhs = G + (F * lx + log(11.0 / 6.0) if sqrt_mode else 0.0)
+    main_rhs = G + (F * lx + SQRT_SURCHARGE if sqrt_mode else 0.0)
     bound = BoundEval if xp is math else BoundColumn
     return [
         bound("main", main_lhs, main_rhs, slack),
-        bound("inv_T", 1.0 / 20.0, 1.0 / T, slack),
-        bound("h_over_x", 5.0 / 6.0, beta / T, slack),  # T = beta x / h
+        *side_conditions(bound, 1.0 / T, beta / T, slack),  # T = beta x / h
         # half-unit shim so the integer floor itself passes cleanly
         bound("x_floor", x, X_FLOOR - 0.5, slack),
         bound("T_floor", T, 20.0, slack),
@@ -249,7 +260,7 @@ def _coeffs(params: ParamSet, logq: float, sqrt_mode: bool
         A = 2.0 * alpha + delta - (2.0 * alpha + delta + 2.0) * F0t \
             - (1.253 + (K - 1.0))
         C = ((F0t - 1.0) * (2.0 * alpha * lm + rho) + K * log(ell * m / (2.0 * a))
-             + 2.0 * F0t * lm + 2.0 + log(11.0 / 6.0))
+             + 2.0 * F0t * lm + 2.0 + SQRT_SURCHARGE)
         mult = 2.0 * alpha + delta + 2.0
     return A, K, C, t.S, mult, t
 
@@ -301,8 +312,8 @@ def verify_thm1_largeq(params: ParamSet, sqrt_mode: bool = False,
         BoundEval("main", A * logq0 - K * log(logq0) - C, 0.0, slack),
         _guard(params, logq0, sqrt_mode, slack),
         # T >= T_minus, and h / x = beta0 / T at x0
-        BoundEval("inv_T", 1.0 / 20.0, 1.0 / t.T_minus, slack),
-        BoundEval("h_over_x", 5.0 / 6.0, t.beta0 / t.T_minus, slack),
+        *side_conditions(BoundEval, 1.0 / t.T_minus, t.beta0 / t.T_minus,
+                         slack),
     ]
     if sqrt_mode:
         evals.append(BoundEval("F_cap", params.alpha / (params.alpha + 1.0),

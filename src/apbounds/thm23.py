@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 from .arith import omega_of, phi_of
 from .margins import DEFAULT_SLACK, BoundEval, slack_threshold
+from .thm1 import SQRT_SURCHARGE, side_conditions
 
 __all__ = [
     "E_of",
@@ -110,19 +111,17 @@ def thm2_FG(ctx: Thm2Context, sqrt_mode: bool = False,
     if refined:
         G = G - ctx.E_q + _a47(ctx, sqrt_mode)
     if sqrt_mode:
-        G = G + F * ctx.log_x + log(11.0 / 6.0)
+        G = G + F * ctx.log_x + SQRT_SURCHARGE
     return F, G
 
 
 def _side_evals(ctx: Thm2Context, sqrt_mode: bool,
                 slack: float) -> list[BoundEval]:
-    """The side conditions 1/T < 1/20 and h/x < 5/6 at the context."""
+    """The side conditions at the context (`thm1.side_conditions`)."""
     phi_over_sx, shift = ctx.phi_over_sx, ctx.shift(sqrt_mode)
-    return [
-        BoundEval("inv_T", 1.0 / 20.0,
-                  (pi * phi_over_sx) * (0.5 + shift / ctx.L), slack),
-        BoundEval("h_over_x", 5.0 / 6.0, phi_over_sx * (ctx.LG + shift), slack),
-    ]
+    return side_conditions(BoundEval,
+                           (pi * phi_over_sx) * (0.5 + shift / ctx.L),
+                           phi_over_sx * (ctx.LG + shift), slack)
 
 
 def verify_thm2_at(q: int, log_x: float, sqrt_mode: bool = False,

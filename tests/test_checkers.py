@@ -9,8 +9,8 @@ import pytest
 
 from apbounds import checkers
 from apbounds.checkers import (GUARD, CheckReport, check1, check_sqrt,
-                               row_guard, run_exception_tables)
-from apbounds.sieve import prime_array_segments, primes_between
+                               row_guard, row_top, run_exception_tables)
+from apbounds.sieve import MAX_HI, prime_array_segments, primes_between
 from apbounds.tables import load_table5, load_table6
 from apbounds.thm1 import h1, hsqrt
 
@@ -328,6 +328,34 @@ def test_row_scan_rejects_start_below_one(x0):
         check1(0.0, 0.0, 0.001, 3, x0, 5)
     with pytest.raises(ValueError, match="at least 1"):
         check_sqrt(0.0, 0.0, 0.001, 3, x0, 5)
+
+
+# rows past the sieve's int64 range: x0 and x_end, or only x_end + h(x_end)
+INT64_ROWS = [(10**19, 10**19), (2, 10**19),
+              (9 * 10**18, int(9.22337203e18))]
+
+
+@pytest.mark.parametrize("x0, x_end", INT64_ROWS)
+def test_row_scan_rejects_primes_past_int64(x0, x_end):
+    with pytest.raises(ValueError, match="needs primes past"):
+        check1(0.5, 1.0, 30.0, 3, x0, x_end)
+    with pytest.raises(ValueError, match="needs primes past"):
+        check_sqrt(0.5, 1.0, 30.0, 3, x0, x_end)
+
+
+def test_row_top_bound_is_exact_at_max_hi():
+    # with h = 0 the top is x_end itself, up to float rounding (which
+    # rounds MAX_HI down): the last int64-safe row passes, one more fails
+    def zero(alpha, delta, rho, q, x):
+        return 0.0
+    top = row_top(zero, 0.0, 0.0, 0.0, 3, MAX_HI, MAX_HI)
+    assert MAX_HI - 1024 < top <= MAX_HI
+    for x0, x_end in ((MAX_HI + 1, MAX_HI + 1), (2, MAX_HI + 1)):
+        with pytest.raises(ValueError):
+            row_top(zero, 0.0, 0.0, 0.0, 3, x0, x_end)
+    # a scan-scale row is untouched: hi = floor(x_end + h1(x_end))
+    assert row_top(h1, 0.5, 1.0, 30.0, 3, 23656, 193269) \
+        == math.floor(193269 + h1(0.5, 1.0, 30.0, 3, 193269.0))
 
 
 # ---------------------------------------------------------------- block proof

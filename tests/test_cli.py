@@ -173,10 +173,14 @@ def test_verify_lemma8(tmp_path):
 
 
 def test_verify_lemma5(tmp_path):
+    # both table-2 claims, each as one exact certificate record
     out = tmp_path / "l5.jsonl"
     assert main(["verify", "lemma5", "--out", str(out)]) == 0
     recs = read_records(out)
-    assert any(r["name"] == "majorant[algebraic-certificate]" for r in recs)
+    assert [(r["name"], r["inputs"], r["pass"]) for r in recs] == [
+        ("majorant[algebraic-certificate]", {"gamma_max": 1e6}, True),
+        ("S_sign[algebraic-certificate]", {"n_min": 2, "n_positive": 4}, True),
+    ]
 
 
 # ---------------------------------------------------------------- check
@@ -354,6 +358,14 @@ def test_table_flags_rejected_elsewhere(argv, capsys):
     # phi(q) past the float range
     (["verify", "thm1-at", "--q", str(10**400), "--x", "1e50"],
      "a point needs 0 < phi(q) log q < sqrt(x)"),
+    # rows whose primes would leave the sieve's int64 range (MAX_HI, just
+    # under 2^63): past it at x0, at x, or only at x + h(x)
+    (["check", "custom", "--q", "3", "--x0", "10000000000000000000",
+      "--x", "1e19"], "needs primes past 9223372030780774809"),
+    (["check", "custom", "--q", "3", "--x0", "2", "--x", "1e19", "--sqrt"],
+     "needs primes past 9223372030780774809"),
+    (["check", "custom", "--q", "3", "--x0", "9000000000000000000",
+      "--x", "9.22337203e18"], "needs primes past 9223372030780774809"),
 ])
 def test_ignored_flags_rejected(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -7,18 +7,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from apbounds import majorant
 from apbounds.majorant import (
+    SCALE,
     F_majorant,
-    S_of,
     build_certificate_polys,
     count_roots,
     g_of,
-    pairing_threshold,
-    s_sign_sweep,
     verify_constants,
     verify_majorant,
+    verify_tail_sign,
 )
 from apbounds.tables import load_table2
 
@@ -182,28 +182,133 @@ def test_count_roots_undecided_fails_closed():
 
 # ---------------------------------------------------------------- tail sums
 
+def S_direct(a_scaled, n):
+    """Float oracle: S(n) = sum_j a_j n^{-s_j} summed term by term over an
+    int array n, and a bound on the rounding error of that sum."""
+    s = 0.75 + np.arange(1, len(a_scaled) + 1) / 2
+    terms = (np.array(a_scaled, dtype=float) / SCALE
+             * np.asarray(n, dtype=float)[:, None] ** -s)
+    eps = np.finfo(float).eps
+    return terms.sum(axis=1), 4 * len(a_scaled) * eps * np.abs(terms).sum(axis=1)
+
+
+N_SWEEP = np.arange(2, 10285)
+
+
 def test_S_values():
-    v4 = S_of(4)
-    assert v4.value == pytest.approx(0.023739882, abs=1e-8)
-    assert v4.value > 0
-    assert S_of(10284).value == pytest.approx(-4.3901546e-6, rel=1e-6)
-    assert S_of(10283).value == pytest.approx(-4.3905589e-6, rel=1e-6)
-    for n in (4, 100, 10283, 10284):
-        sv = S_of(n)
-        assert 0 <= sv.err_bound < abs(sv.value)
-    with pytest.raises(ValueError):
-        S_of(1)
+    # pins from a 40-digit sum; the float oracle meets each within its
+    # error bound (about 9e-6 at n = 4, where the terms reach 1e8)
+    pins = np.array([2.373988156e-2, -4.390558881e-6, -4.390154565e-6])
+    S, err = S_direct(C, np.array([4, 10283, 10284]))
+    assert (np.abs(S - pins) <= err + 1e-9 * np.abs(pins)).all()
+    assert (err < np.abs(S)).all()
 
 
 def test_S_sign_sweep():
-    exceptions = s_sign_sweep(2, 10284)
-    assert exceptions == (4,)
+    # the float oracle agrees with the certificate: positive at n = 4 only,
+    # and every sign is clear of the sum's rounding error
+    S, err = S_direct(C, N_SWEEP)
+    assert (np.abs(S) > err).all()
+    assert N_SWEEP[S >= 0].tolist() == [4]
+    ev = verify_tail_sign()
+    assert ev.name == "S_sign[algebraic-certificate]"
+    assert ev.passed and ev.margin > 0
 
 
-def test_pairing_threshold():
-    thr = pairing_threshold()
-    assert thr == pytest.approx(10283.9167, abs=1e-3)
-    assert thr < 10284  # the sweep hands off cleanly to the pairing argument
+def tail_gate(a_scaled):
+    ev = verify_tail_sign(a_scaled)
+    assert ev.passed == (ev.name == "S_sign[algebraic-certificate]")
+    return None if ev.passed else ev.name.split(":")[1][:-1]
+
+
+def test_tail_sign_fails_closed_on_a_sign_flip():
+    flipped = (-C[0],) + C[1:]
+    S, _ = S_direct(flipped, N_SWEEP)
+    assert (S[:10] > 0).all()  # S(2), ..., S(11) all turn positive
+    assert tail_gate(flipped) == "R_roots"
+
+
+def test_tail_sign_fails_closed_when_S5_turns_nonnegative():
+    # R(1/sqrt5) = -3,436,820.9: this raise of a_1 lifts S(5) above 0
+    bumped = (C[0] + 3_437_821,) + C[1:]
+    S, err = S_direct(bumped, np.array([5]))
+    assert S[0] > err[0]
+    assert tail_gate(bumped) == "R_roots"
+
+
+def test_tail_sign_fails_closed_on_an_undecided_count(monkeypatch):
+    # 9u^2 - 6u + 1 = (3u - 1)^2: a double root at u = 1/3 is never isolated
+    assert tail_gate((1, -6, 9)) == "roots_undecided"
+    assert tail_gate((0,) * 23) == "roots_undecided"  # R = 0
+    assert tail_gate(()) == "roots_undecided"
+    monkeypatch.setattr(majorant, "ROOT_DEPTH", 0)
+    assert tail_gate(C) == "roots_undecided"
+
+
+def poly(*roots):
+    """Integer coefficients of prod (den u - num) over roots num/den."""
+    p = [1]
+    for r in roots:
+        f = Fraction(r)
+        p = majorant._poly_mul(p, [-f.numerator, f.denominator])
+    return tuple(p)
+
+
+def test_tail_sign_checks_every_checkpoint():
+    # each polynomial has three simple roots in (0, 1), so only a
+    # checkpoint sign can fail it; the first wrong one is named
+    assert tail_gate(poly("0.49", "0.55", "0.8")) is None
+    cases = [
+        (tuple(-c for c in poly("0.49", "0.55", "0.8")), "R(0)_sign"),
+        (poly("0.3", "0.55", "0.8"), "R(1/sqrt5)_sign"),
+        # 5u^2 - 1 vanishes at 1/sqrt5: E^2 k = O^2 exactly
+        (tuple(majorant._poly_mul([-1, 0, 5], list(poly("0.55", "0.8")))),
+         "R(1/sqrt5)_sign"),
+        (poly("1/2", "7/10", "9/10"), "R(1/2)_sign"),  # a zero at 1/2
+        (poly("0.46", "0.48", "0.8"), "R(1/2)_sign"),
+        (poly("0.49", "0.6", "0.8"), "R(1/sqrt3)_sign"),
+        (poly("0.49", "0.55", "0.65"), "R(1/sqrt2)_sign"),
+        # a fourth root at u = 1, the open end: still three in (0, 1)
+        (tuple(-c for c in poly("0.49", "0.55", "0.8", "1")), "R(1)_sign"),
+    ]
+    for a_scaled, gate in cases:
+        assert majorant.count_roots(list(a_scaled), 1) == 3
+        assert tail_gate(a_scaled) == gate, (a_scaled, gate)
+
+
+def test_sign_at_inv_sqrt_is_exact():
+    # hand-checked signs, one of them an exact cancellation (k = 4:
+    # 1 - 2u at u = 1/2)
+    cases = [([1, -2], 4, 0), ([1, -1], 2, 1), ([-1, 2], 5, -1),
+             ([2, -3], 2, -1), ([0, 0, 1], 3, 1), ([5], 7, 1),
+             ([-3, 0, 0, 1], 1, -1), ([0, 1], 2, 1), ([0], 3, 0)]
+    for p, k, want in cases:
+        assert majorant._sign_at_inv_sqrt(p, k) == want, (p, k)
+    # against 50 digits where the two terms cancel to a part in 10^10:
+    # 10^10 - a / sqrt(2) with a = round(10^10 sqrt 2) + d
+    with mp.workdps(50):
+        root2 = mp.sqrt(2)
+        base = int(mp.nint(10**10 * root2))
+        for d in range(-3, 4):
+            a = base + d
+            exact = mp.mpf(10**10) - a / root2
+            assert majorant._sign_at_inv_sqrt([10**10, -a], 2) \
+                == int(mp.sign(exact)), d
+
+
+def test_tail_sign_agrees_with_float_sweep_on_perturbations():
+    # each weight scaled by 0.9, 0.99, 1.01 and 1.1: the certificate passes
+    # exactly when the float oracle sees S(n) >= 0 at n = 4 alone
+    passed = 0
+    for j in range(len(C)):
+        for f in (0.9, 0.99, 1.01, 1.1):
+            a = C[:j] + (round(C[j] * f),) + C[j + 1:]
+            S, err = S_direct(a, N_SWEEP)
+            assert (np.abs(S) > err).all(), (j, f)
+            sweep_ok = N_SWEEP[S >= 0].tolist() == [4]
+            assert verify_tail_sign(a).passed == sweep_ok, (j, f)
+            passed += sweep_ok
+    assert passed == 3  # a_1 at 0.99, 1.01 and 1.1
 
 
 # ---------------------------------------------------------------- constant sums

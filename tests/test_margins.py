@@ -7,8 +7,8 @@ import math
 import numpy as np
 
 from apbounds.margins import (CHUNK_POINTS, DEFAULT_SLACK, BoundColumn,
-                              BoundEval, ColumnBlock, all_passed,
-                              slack_threshold, worst_margin)
+                              BoundEval, ColumnBlock, slack_threshold,
+                              worst_margin)
 
 NAN = math.nan
 
@@ -51,8 +51,6 @@ def test_column_broadcasts_scalar_side():
     assert col.lhs.tolist() == [0.05] * 3
     assert col.passed.tolist() == [True, False, False]
     assert col.margin.tolist() == [0.05 - 0.01, 0.0, 0.05 - 0.06]
-    assert all_passed([BoundEval("e", 1.0, 0.0), col]) is False
-    assert all_passed([BoundColumn("c", 1.0, np.zeros(4))]) is True
 
 
 def test_bound_eval_holds_plain_types():

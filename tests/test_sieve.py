@@ -125,6 +125,17 @@ def test_segments_match_byte_sieve_at_every_phase(monkeypatch, seg):
     assert _segments_checked(lo, hi) == byte_primes(lo, hi), seg
 
 
+def test_segments_refuse_a_top_past_max_hi(monkeypatch):
+    # refused before any base prime is sieved
+    def no_base_primes(lo, hi):
+        raise AssertionError("sieved base primes for a refused range")
+    monkeypatch.setattr(sieve, "primes_between", no_base_primes)
+    with pytest.raises(ValueError, match="MAX_HI"):
+        next(prime_array_segments(sieve.MAX_HI - 10, sieve.MAX_HI + 1))
+    # the largest offset the sieve forms, hi + 2 isqrt(hi) - 1, fits int64
+    assert sieve.MAX_HI + 2 * math.isqrt(sieve.MAX_HI) - 1 <= 2**63 - 1
+
+
 def test_phi_table_matches_factorize():
     from apbounds.arith import phi_of
 
