@@ -142,6 +142,8 @@ class _RowScan:
             raise ValueError(f"modulus q must be at least 1, got {q}")
         if x0 < 1:
             raise ValueError(f"scan start x0 must be at least 1, got {x0}")
+        if x0 > x_end:
+            raise ValueError(f"scan start x0 = {x0} lies past x_end = {x_end}")
         self.params = (alpha, delta, rho, q)
         self.q, self.x0, self.x_end = q, x0, x_end
         self.lo = max(int(x0), 2)

@@ -47,7 +47,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import phi_of
 from .checkers import check1, check_sqrt, row_top, run_exception_tables
 from .majorant import (GAMMA_MAX, verify_constants, verify_majorant,
                        verify_tail_sign)
@@ -57,7 +56,8 @@ from .margins import DEFAULT_SLACK, BoundEval, ColumnBlock, worst_margin
 from .sieve import phi_table  # noqa: F401
 from .tables import (load_table4, load_table5, load_table6, load_table7,
                      load_table8)
-from .thm1 import h1, hsqrt, verify_thm1_at, verify_thm1_largeq, x0_of
+from .thm1 import (h1, hsqrt, verify_thm1_at, verify_thm1_largeq,
+                   window_operands, x0_of)
 from .thm23 import (corollary_default_n, verify_corollary, verify_thm2_at,
                     verify_thm2_largeq, verify_thm3)
 
@@ -460,15 +460,11 @@ def main(argv=None) -> int:
         if ns.full and ns.sample_grid is not None:
             ap.error("verify thm1-at: --full and --sample-grid "
                      "exclude each other")
-        q = 3 if ns.q is None else ns.q
-        try:
-            window = ns.x is None \
-                or 0 < phi_of(q) * math.log(q) < math.sqrt(ns.x)
-        except OverflowError:  # phi(q) past the float range tops any sqrt(x)
-            window = False
-        if not window:
-            ap.error("verify thm1-at: a point needs 0 < phi(q) log q < "
-                     f"sqrt(x), got q={q}, x={ns.x:g}")
+        if ns.x is not None:
+            try:
+                window_operands(3 if ns.q is None else ns.q, ns.x)
+            except ValueError as exc:
+                ap.error(f"verify thm1-at: a point {exc}")
     cfg = RunConfig(command=ns.command, target=target,
                     q=ns.q, x=ns.x, x0=ns.x0, params=params, sqrt=ns.sqrt,
                     block=ns.block, jobs=ns.jobs or 1, out=ns.out,

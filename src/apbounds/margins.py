@@ -8,7 +8,8 @@ the two sides and floors at the absolute slack itself.
 
 `BoundEval` holds one comparison; `BoundColumn` holds the same comparison
 taken at a column of inputs, as equal-length arrays.  Both judge through
-`slack_threshold`, one numpy expression for a point and a column alike.
+`clears`, the one pass rule, one numpy expression for a point and a column
+alike; the walks that decide without a record call it too.
 `_record` is the one report row layout: `BoundEval.record` fills it in,
 and a `ColumnBlock` (BoundColumns over shared points, with their inputs as
 columns) gives the same rows as dicts (`records`) or as JSON text written
@@ -34,6 +35,12 @@ def slack_threshold(lhs, rhs, slack: float = DEFAULT_SLACK):
     A NaN side gives a NaN margin (and threshold), which nothing passes.
     """
     return slack * np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
+
+
+def clears(lhs, rhs, slack: float = DEFAULT_SLACK):
+    """The pass rule: lhs - rhs > slack_threshold(lhs, rhs, slack),
+    elementwise when a side is an array.  A NaN side never clears."""
+    return lhs - rhs > slack_threshold(lhs, rhs, slack)
 
 
 def _record(suite: str, name: str, inputs: dict, lhs: float, rhs: float,
@@ -67,7 +74,7 @@ class BoundEval:
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "margin", margin)
         object.__setattr__(self, "passed",
-                           bool(margin > slack_threshold(lhs, rhs, self.slack)))
+                           bool(clears(lhs, rhs, self.slack)))
 
     def record(self, suite: str, inputs: dict) -> dict:
         """Serializable report row (the CLI's line format)."""
@@ -96,7 +103,7 @@ class BoundColumn:
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "margin", margin)
         object.__setattr__(self, "passed",
-                           margin > slack_threshold(lhs, rhs, self.slack))
+                           clears(lhs, rhs, self.slack))
 
 
 #: Points per text chunk of ColumnBlock.lines: about 4 MB of report text for

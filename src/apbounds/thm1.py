@@ -6,10 +6,10 @@ next prime in a progression by an interval of half-width
 the slope by one (``hsqrt``) and in exchange certifies a sqrt(x)-sized count
 of primes in the interval.  The error terms are written once, ``_F`` and
 ``_Gbar``, as plain arithmetic on log-space operands.  ``verify_thm1_at``
-gives them the exact operands at one (q, x) pair, or at equal-length arrays
-of them in one numpy pass (the backend is `math` for a point and numpy for
-arrays), and raises on any x with no window.  ``tilde_thm1`` gives them
-one-sided operands at the reference scale, in terms of log q alone;
+gives them the exact operands at one (q, x) pair or at equal-length arrays
+of them, by the same numpy expressions for a point and a column, and raises
+on any point with no window (``window_operands``).  ``tilde_thm1`` gives
+them one-sided operands at the reference scale, in terms of log q alone;
 ``verify_thm1_largeq`` certifies all q at and beyond a threshold from that
 majorized form and proves it monotone (``_guard``): one walk over log q,
 each segment's minimum proved positive, until a slope test clears; one that
@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import phi_of
-from .margins import DEFAULT_SLACK, BoundColumn, BoundEval, slack_threshold
+from .margins import DEFAULT_SLACK, BoundColumn, BoundEval, clears
 from .sieve import phi_table
 from .tables import ParamSet
 
@@ -39,6 +39,7 @@ __all__ = [
     "tilde_thm1",
     "verify_thm1_at",
     "verify_thm1_largeq",
+    "window_operands",
     "x0_of",
 ]
 
@@ -79,76 +80,68 @@ def _hatted(params: ParamSet, sqrt_mode: bool) -> tuple[float, float, float]:
 def _phi(q):
     """phi(q): a single modulus is factored, an array of moduli is served by
     one totient sieve up to its largest entry."""
-    if not isinstance(q, np.ndarray):
+    if np.ndim(q) == 0:
         return phi_of(int(q))
     return phi_table(int(np.max(q, initial=1)))[q]
 
 
-def _operands(q, x):
-    """(q, x, phi(q), xp): the pointwise formulas' inputs and their backend.
+def window_operands(q, x):
+    """(q, x, phi(q)) as float64 arrays, 0-d for a point, where (q, x) has
+    a window: 0 < phi(q) log q < sqrt(x), so its height is positive.
 
-    Two scalars run on `math`, as plain Python floats, so a point costs no
-    numpy overhead and takes any int q.  If either is an array, both become
-    float64 arrays and the formulas run on numpy (float q keeps q*q clear of
-    int64 overflow; it is exact while q < 2^26).
+    q and x are a point or equal-length arrays.  Raises ValueError at the
+    first point with no window: q = 1, a NaN or negative x, or a q or phi(q)
+    past the float range.  The CLI checks a `verify thm1-at` point here.
     """
-    phi = _phi(q)
-    if not (isinstance(q, np.ndarray) or isinstance(x, np.ndarray)):
-        return q, x, phi, math
-    return np.asarray(q, dtype=float), np.asarray(x, dtype=float), phi, np
+    rule = "needs 0 < phi(q) log q < sqrt(x), got"
+    try:
+        q, x, phi = (np.asarray(v, dtype=float) for v in (q, x, _phi(q)))
+    except OverflowError:
+        raise ValueError(f"{rule} phi(q) past the float range") from None
+    with np.errstate(invalid="ignore", divide="ignore"):  # a NaN fails ok
+        sx, ref = np.sqrt(x), phi * np.log(q)
+        ok = (0 < ref) & (ref < sx)
+    if not ok.all():
+        sx, ref, ok = np.broadcast_arrays(sx, ref, ok)
+        i = np.argmin(ok)  # the first failing point
+        raise ValueError(f"{rule} phi(q) log q = {ref.flat[i]:g}, "
+                         f"sqrt(x) = {sx.flat[i]:g}")
+    return q, x, phi
 
 
 def x0_of(params: ParamSet, q, sqrt_mode: bool = False):
-    """Reference scale (m phi(q) log q)^2 where the certification starts.
+    """Reference scale (m phi(q) log q)^2 where the certification starts,
+    for a modulus or an array of them.
 
-    q may be an array of moduli.  The scales are record inputs, so an array
-    call evaluates the scalar formula per modulus (math.log, float pow) and
-    reproduces the scalar call bit for bit; np.log and np.square round a
-    few of them differently.
+    The square is r * r: numpy's ** 2 rounds a 0-d float and a column
+    differently, and the scales are record inputs.
     """
     _a, m, _ell = _hatted(params, sqrt_mode)
-
-    def x0(q, phi):
-        return (m * phi * math.log(q)) ** 2
-
-    if not isinstance(q, np.ndarray):
-        return x0(q, _phi(q))
-    return np.array(list(map(x0, q.tolist(), _phi(q).tolist())))
+    phi = np.asarray(_phi(q), dtype=float)
+    r = m * phi * np.log(np.asarray(q, dtype=float))
+    return r * r
 
 
-def _beta_T(params: ParamSet, q, x, sqrt_mode: bool, phi, xp):
-    """Zero-density window height beta and integration cutoff T = beta x / h.
-
-    Raises ValueError unless 0 < phi(q) log q < sqrt(x) (window height > 0;
-    q = 1 has none).  A NaN x fails the test too; a negative one already
-    fails math.sqrt on the scalar route and gives a NaN root on the array
-    route.
-    """
-    sx, ref = xp.sqrt(x), phi * xp.log(q)
-    ok = (0 < ref) & (ref < sx)
-    if not (ok if xp is math else ok.all()):
-        if xp is np:
-            sx, ref, ok = np.broadcast_arrays(sx, ref, ok)
-            i = np.argmin(ok)  # the first failing point
-            sx, ref = sx.flat[i], ref.flat[i]
-        raise ValueError(f"needs 0 < phi(q) log q < sqrt(x), got "
-                         f"phi(q) log q = {ref:g}, sqrt(x) = {sx:g}")
+def _beta_T(params: ParamSet, q, x, sqrt_mode: bool, phi):
+    """Zero-density window height beta and integration cutoff T = beta x / h,
+    from the operands of `window_operands`."""
+    sx = np.sqrt(x)
     a, _m, ell = _hatted(params, sqrt_mode)
-    beta = ell * xp.log(sx / ref)
-    T = beta * sx / (phi * (a * xp.log(x) + params.delta * xp.log(q)
+    beta = ell * np.log(sx / (phi * np.log(q)))
+    T = beta * sx / (phi * (a * np.log(x) + params.delta * np.log(q)
                             + params.rho))
     return beta, T
 
 
 def _kappa(beta, T):
-    """Factor of the log term in Gbar, on either backend."""
+    """Factor of the log term in Gbar."""
     return 1.0 + 2.0 / (pi * beta) + 2.0 / (pi * beta**2) \
         + 4.0 * _C_T / (pi * beta * T)
 
 
 def _F(lq, lT, T, inv_phi, beta, phi_over_sx):
     """Relative error F from lq = log q, lT = log T, T, 1 / phi(q), beta
-    and phi(q) / sqrt(x); plain arithmetic, so it runs on either backend."""
+    and phi(q) / sqrt(x); plain arithmetic, on floats or numpy arrays."""
     br = ((2.0 * lq + lT) * lT / pi
           + _C_LOG * lq + _C_ABS + _C_PHI * inv_phi
           + (_C_B1 * (lq + lT) + _C_B0) / beta**2
@@ -176,17 +169,17 @@ def verify_thm1_at(q, x, params: ParamSet, sqrt_mode: bool = False,
 
     For scalar q and x this returns five BoundEvals.  q and x may instead be
     equal-length arrays; then each of the five inequalities comes back as
-    one BoundColumn over the points, evaluated by the same formulas in one
-    numpy pass, with phi from one totient sieve.
+    one BoundColumn over the points, with phi from one totient sieve.  A
+    point and a column run the same numpy expressions.
     """
-    q, x, phi, xp = _operands(q, x)
-    beta, T = _beta_T(params, q, x, sqrt_mode, phi, xp)
-    lq, lx, sx = xp.log(q), xp.log(x), xp.sqrt(x)
-    F = _F(lq, xp.log(T), T, 1.0 / phi, beta, phi / sx)
-    G = _Gbar(lq, xp.log(sx / phi), params, sqrt_mode, beta, T)
+    q, x, phi = window_operands(q, x)
+    beta, T = _beta_T(params, q, x, sqrt_mode, phi)
+    lq, lx, sx = np.log(q), np.log(x), np.sqrt(x)
+    F = _F(lq, np.log(T), T, 1.0 / phi, beta, phi / sx)
+    G = _Gbar(lq, np.log(sx / phi), params, sqrt_mode, beta, T)
     main_lhs = (1.0 - F) * (params.alpha * lx + params.delta * lq + params.rho)
     main_rhs = G + (F * lx + SQRT_SURCHARGE if sqrt_mode else 0.0)
-    bound = BoundEval if xp is math else BoundColumn
+    bound = BoundEval if np.ndim(T) == 0 else BoundColumn
     return [
         bound("main", main_lhs, main_rhs, slack),
         *side_conditions(bound, 1.0 / T, beta / T, slack),  # T = beta x / h
@@ -286,7 +279,7 @@ def _guard(params: ParamSet, logq0: float, sqrt_mode: bool,
     for k in range(_GUARD_STEPS):
         A, K, C, S, mult, _ = _coeffs(params, u, sqrt_mode)
         lhs, rhs = A * u, K - S * mult
-        if lhs - rhs > slack_threshold(lhs, rhs, slack):
+        if clears(lhs, rhs, slack):
             if k == 0:
                 return BoundEval("mono_guard[direct]", lhs, rhs, slack)
             return BoundEval(f"mono_guard[segmented:{k}]",
@@ -295,7 +288,7 @@ def _guard(params: ParamSet, logq0: float, sqrt_mode: bool,
         if A > 0.0 and u < K / A < u + _GUARD_DU:
             cands.append(K / A)  # interior stationary point of z
         zmin = min(A * v - K * log(v) - C for v in cands)
-        if not zmin > slack_threshold(zmin, 0.0, slack):
+        if not clears(zmin, 0.0, slack):
             return BoundEval(f"mono_guard[segmented:{k}]", zmin, 0.0, slack)
         worst = min(worst, zmin)
         u += _GUARD_DU

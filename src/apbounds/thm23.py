@@ -23,7 +23,7 @@ from math import exp, log, pi, sqrt
 from typing import NamedTuple
 
 from .arith import omega_of, phi_of
-from .margins import DEFAULT_SLACK, BoundEval, slack_threshold
+from .margins import DEFAULT_SLACK, BoundEval, clears
 from .thm1 import SQRT_SURCHARGE, side_conditions
 
 __all__ = [
@@ -165,17 +165,12 @@ def thm2_tilde(m: float, q, sqrt_mode: bool = False) -> Thm2Tilde:
     return Thm2Tilde(F0t, G0t, (1.0 - F0t) * RHO2 - G0t)
 
 
-def _clears(margin: float, slack: float) -> bool:
-    """A margin against 0, judged as its record is."""
-    return bool(margin > slack_threshold(margin, 0.0, slack))
-
-
 def tilde_threshold(m: float, q0: int, sqrt_mode: bool = False,
                     slack: float = DEFAULT_SLACK) -> int:
     """Smallest integer q >= q0 where the majorized main margin clears
     `slack`."""
-    def ok(q: int) -> bool:
-        return _clears(thm2_tilde(m, q, sqrt_mode=sqrt_mode).main, slack)
+    def ok(q: int):
+        return clears(thm2_tilde(m, q, sqrt_mode=sqrt_mode).main, 0.0, slack)
 
     if ok(q0):
         return int(q0)
@@ -236,11 +231,11 @@ def exact_refresh_scan(m: float, q0: int, qstar: int,
         ctx = thm2_context(q, 2.0 * log(m * phi_of(q) * ell_q(q)))
         F, G = thm2_FG(ctx, sqrt_mode)
         margin = (1.0 - F) * RHO2 - G
-        if not _clears(margin, slack):
+        if not clears(margin, 0.0, slack):
             n_plain += 1
             F, G = thm2_FG(ctx, sqrt_mode, refined=True)
             margin = (1.0 - F) * RHO2 - G
-            if not _clears(margin, slack):
+            if not clears(margin, 0.0, slack):
                 n_refined += 1
                 failures.append((q, margin))
         min_margin = min(min_margin, margin)

@@ -330,6 +330,15 @@ def test_row_scan_rejects_start_below_one(x0):
         check_sqrt(0.0, 0.0, 0.001, 3, x0, 5)
 
 
+def test_row_scan_rejects_a_reversed_range():
+    # x0 past x_end holds no prime to scan; a report of no failures over
+    # zero primes would read as a pass
+    with pytest.raises(ValueError, match="lies past x_end"):
+        check1(0.5, 1.0, 30.0, 3, 200000, 100000)
+    with pytest.raises(ValueError, match="lies past x_end"):
+        check_sqrt(0.5, 1.0, 30.0, 3, 200000, 100000)
+
+
 # rows past the sieve's int64 range: x0 and x_end, or only x_end + h(x_end)
 INT64_ROWS = [(10**19, 10**19), (2, 10**19),
               (9 * 10**18, int(9.22337203e18))]

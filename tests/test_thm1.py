@@ -34,11 +34,11 @@ def by_name(evals, name):
 
 def pointwise(q, x, params=P1, sqrt_mode=False):
     """(beta, T, F, Gbar) at (q, x): the formulas verify_thm1_at runs."""
-    q, x, phi, xp = thm1._operands(q, x)
-    beta, T = thm1._beta_T(params, q, x, sqrt_mode, phi, xp)
-    lq, sx = xp.log(q), xp.sqrt(x)
-    return (beta, T, thm1._F(lq, xp.log(T), T, 1.0 / phi, beta, phi / sx),
-            thm1._Gbar(lq, xp.log(sx / phi), params, sqrt_mode, beta, T))
+    q, x, phi = thm1.window_operands(q, x)
+    beta, T = thm1._beta_T(params, q, x, sqrt_mode, phi)
+    lq, sx = np.log(q), np.sqrt(x)
+    return (beta, T, thm1._F(lq, np.log(T), T, 1.0 / phi, beta, phi / sx),
+            thm1._Gbar(lq, np.log(sx / phi), params, sqrt_mode, beta, T))
 
 
 def guard_of(evals):
@@ -232,24 +232,34 @@ def within_ulps(a, b, n=4):
     return abs(a - b) <= n * math.ulp(max(abs(a), abs(b)))
 
 
-def test_columns_match_scalar_calls_on_full_sqrt_range():
-    # the first 2000 moduli of `verify thm1-at --full --sqrt`
-    skip = {q for q, _, _ in load_table6()[0].rows}
-    qs = [q for q in range(3, 10**5) if q not in skip][:2000]
+def columns_match_scalar_calls(sqrt_mode):
+    # the first 3000 moduli of `verify thm1-at --full [--sqrt]`: a point and
+    # a column run the same expressions, so they agree bit for bit
+    table = load_table6() if sqrt_mode else load_table5()
+    skip = {q for q, _, _ in table[0].rows}
+    qs = [q for q in range(3, 10**5) if q not in skip][:3000]
     q_col = np.array(qs)
-    x_col = x0_of(P1, q_col, sqrt_mode=True)
-    cols = verify_thm1_at(q_col, x_col, P1, sqrt_mode=True)
+    x_col = x0_of(P1, q_col, sqrt_mode=sqrt_mode)
+    cols = verify_thm1_at(q_col, x_col, P1, sqrt_mode=sqrt_mode)
     assert all(isinstance(c, BoundColumn) for c in cols)
     assert all(c.passed.shape == (len(qs),) for c in cols)
     for i, q in enumerate(qs):
-        x = x0_of(P1, q, sqrt_mode=True)
+        x = x0_of(P1, q, sqrt_mode=sqrt_mode)
         assert x_col[i] == x  # reference scales are record inputs: exact
-        evals = verify_thm1_at(q, x, P1, sqrt_mode=True)
+        evals = verify_thm1_at(q, x, P1, sqrt_mode=sqrt_mode)
         assert [e.name for e in evals] == [c.name for c in cols]
         for e, c in zip(evals, cols):
             assert e.passed == c.passed[i], (q, e.name)
-            assert within_ulps(e.lhs, c.lhs[i]), (q, e.name, e.lhs, c.lhs[i])
-            assert within_ulps(e.rhs, c.rhs[i]), (q, e.name, e.rhs, c.rhs[i])
+            assert e.lhs == c.lhs[i], (q, e.name, e.lhs, c.lhs[i])
+            assert e.rhs == c.rhs[i], (q, e.name, e.rhs, c.rhs[i])
+
+
+def test_columns_match_scalar_calls_on_full_sqrt_range():
+    columns_match_scalar_calls(sqrt_mode=True)
+
+
+def test_columns_match_scalar_calls_on_full_plain_range():
+    columns_match_scalar_calls(sqrt_mode=False)
 
 
 def test_pointwise_formulas_accept_arrays():
@@ -268,11 +278,7 @@ def test_pointwise_formulas_accept_arrays():
 
 
 def test_scalar_calls_return_plain_python_values():
-    beta, T, F, G = pointwise(3, 1e6)
-    assert type(beta) is float and type(T) is float
-    assert type(F) is float
-    assert type(G) is float
-    assert type(x0_of(P1, 3)) is float
+    # what a record reads: plain floats and a plain bool
     for e in verify_thm1_at(3, 193269.0, P1):
         assert isinstance(e, BoundEval)
         assert type(e.lhs) is float and type(e.rhs) is float
@@ -280,7 +286,7 @@ def test_scalar_calls_return_plain_python_values():
 
 
 def test_point_takes_a_modulus_beyond_uint64():
-    # a point is factored and evaluated on Python ints and floats
+    # a point's modulus is factored, not sieved
     evals = verify_thm1_at(10**20, 1e50, P1)
     assert [e.name for e in evals] == ["main", "inv_T", "h_over_x",
                                        "x_floor", "T_floor"]
