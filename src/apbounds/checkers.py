@@ -22,26 +22,31 @@ row's primes, `finish()` runs the end-of-range sweep and returns the
   none) is at most x_end has no inspected prime in (x_end, hi]: the claim
   fails at x = x_end, and the class is flagged with its last deadline.
 
-No scanner sorts a segment into its classes.  Each cut of a row (the
-part of a segment inside the row's range) gets its residues mod q once and
-one count table: the cut falls into blocks of B = 2^k consecutive primes,
-B >= q, and one `bincount` over block * q + residue counts each class in
-each block, at most n + q entries.
+A cut of a row is the part of a segment inside the row's range.  Each
+scanner splits its cuts into blocks of B = 2^k consecutive primes, B >= q,
+and gets residues mod q only for the primes it reads.
 
-* The every-prime scanner proves the cut from the table when it can: if
-  every class occurs in every interior block, consecutive class primes lie
-  in the same or adjacent blocks, so no in-cut gap exceeds the widest run
-  of two blocks; if that run, the guard and a rounding allowance stay
-  below h1 at the cut's first prime, no in-cut gap can fail (the
-  soundness argument is at `_Scan1._proves`).  A proved cut costs each
-  class two lookups: its first prime meets the carried-in deadline, its
-  last prime sets the next one.  Any other cut takes the exact path: one
-  stable (radix) sort on the residues makes every class a contiguous,
-  increasing slice, and each slice is scanned prime by prime.
+* The every-prime scanner proves the cut from samples when it can.  It
+  reads the residues of the first m = min(16 q, B) primes of every block
+  but the last, and of the last m primes of the cut: about m n / B + m
+  primes, with one `bincount` telling which classes each sample holds.
+  If every class occurs in every sample, consecutive class primes lie in
+  the same or adjacent blocks, so no in-cut gap exceeds the widest run of
+  two blocks; if that run, the guard and a rounding allowance stay below
+  h1 at the cut's first prime, no in-cut gap can fail (the soundness
+  argument is at `_Scan1._proves`).  Each class's first prime then lies
+  in the first sample and its last prime in the last one, so a proved
+  cut costs each class two lookups: its first prime meets the carried-in
+  deadline, its last prime sets the next one.  Any other cut takes the
+  exact path: it gets every residue, one stable (radix) sort on them
+  makes every class a contiguous, increasing slice, and each slice is
+  scanned prime by prime.
 
-* The thinned scanner counts each class down through the table and finds
-  each inspected class prime in its block, so it reads B residues per
-  inspection and never the whole class.
+* The thinned scanner gets every residue of the cut and one count table:
+  one `bincount` over block * q + residue counts each class in each
+  block, at most n + q entries.  It counts each class down through the
+  table and finds each inspected class prime in its block, so it reads B
+  residues per inspection and never the whole class.
 
 One driver, `_scan_shared`, runs every scan: it sieves the union of its
 rows' ranges once and hands each prime segment to every row that overlaps
@@ -127,10 +132,9 @@ class _RowScan:
     The row covers the primes in [lo, hi], lo = max(x0, 2) and
     hi = floor(x_end + h(x_end)).  `deadline` and `last` are indexed by
     residue; only the coprime `classes` are ever read.  Subclasses supply
-    `mode`, the window function `h` and `_cut(seg, res)`, which consumes
-    the next non-empty cut `seg` of the row's primes, with `res` = seg mod
-    q; each sizes its own blocks and builds the cut's count table with
-    `_block_counts`.
+    `mode`, the window function `h` and `_cut(seg)`, which consumes the
+    next non-empty cut `seg` of the row's primes; each sizes its own
+    blocks and gets the residues it reads with `_residues`.
     """
 
     mode: str
@@ -164,10 +168,7 @@ class _RowScan:
         t_start = time.perf_counter()
         seg = np.asarray(seg)
         if seg.size:
-            # seg - q (seg // q): numpy's integer % is slower
-            res = seg // self.q
-            res *= self.q
-            self._cut(seg, np.subtract(seg, res, out=res))
+            self._cut(seg)
         self.busy += time.perf_counter() - t_start
 
     def finish(self) -> CheckReport:
@@ -182,6 +183,13 @@ class _RowScan:
                            primes_scanned=self.scanned,
                            primes_proved=self.proved,
                            wall_time=self.busy + time.perf_counter() - t_start)
+
+
+def _residues(x: np.ndarray, q: int) -> np.ndarray:
+    """x mod q, as x - q (x // q): numpy's integer % is slower."""
+    res = x // q
+    res *= q
+    return np.subtract(x, res, out=res)
 
 
 def _block_counts(res: np.ndarray, q: int, shift: int) -> np.ndarray:
@@ -216,11 +224,11 @@ class _Scan1(_RowScan):
         # every prime of the row is a float
         self.provable = (min(alpha, delta, rho) >= 0 and self.hi < 2**53)
 
-    def _cut(self, seg, res) -> None:
-        """Prove the cut's in-class gaps from its block table, or scan it
-        exactly (`_split`).  Either way the carried-in deadline is tested
-        on each class's first prime, and the last prime sets `last` and
-        the next deadline."""
+    def _cut(self, seg) -> None:
+        """Prove the cut's in-class gaps from block samples (`_proves`),
+        or scan it exactly (`_split`).  Either way the carried-in deadline
+        is tested on each class's first prime, and the last prime sets
+        `last` and the next deadline."""
         q, n = self.q, int(seg.size)
         h0 = float(h1(*self.params, float(seg[0])))
         # blocks as large as keep two of them within about half a window,
@@ -229,39 +237,43 @@ class _Scan1(_RowScan):
         gap = (int(seg[-1]) - int(seg[0])) / max(n - 1, 1)
         while shift < (n - 1).bit_length() and 8 * gap * 2**shift <= h0:
             shift += 1
-        counts = _block_counts(res, q, shift)
-        total = counts.sum(axis=0)
-        found = total[self.classes]
-        self.scanned += int(found.sum())
-        if not self._proves(seg, h0, shift, counts):
-            self._split(seg, res, total)
+        ends = self._proves(seg, h0, shift)
+        if ends is None:
+            self._split(seg)
             return
-        self.proved += int(found.sum())
-        edge = 2 << shift  # two blocks
-        here = self.classes[found > 0]
-        # every class occurs in every interior block, so its first and
-        # last primes lie among the first and the last 2B of the cut
-        first = np.full(q, n)
-        np.minimum.at(first, res[:edge], np.arange(min(edge, n)))
-        last = np.full(q, -1)
-        np.maximum.at(last, res[-edge:], np.arange(max(n - edge, 0), n))
-        p = seg[first[here]].astype(np.float64)
-        dl = self.deadline[here]
+        # every class occurs, so every prime but those dividing q is a
+        # class prime; only a cut that starts at or below q holds any
+        if seg[0] <= q:
+            n -= int(np.count_nonzero(q % seg[seg <= q] == 0))
+        self.scanned += n
+        self.proved += n
+        first, last = ends
+        p = seg[first].astype(np.float64)
+        dl = self.deadline[self.classes]
         late = dl - self.guard <= p
-        self.failures.extend(zip(here[late].tolist(), dl[late].tolist()))
-        p = seg[last[here]]
-        self.last[here] = p
+        self.failures.extend(zip(self.classes[late].tolist(),
+                                 dl[late].tolist()))
+        p = seg[last]
+        self.last[self.classes] = p
         p = p.astype(np.float64)
-        self.deadline[here] = p + h1(*self.params, p)
+        self.deadline[self.classes] = p + h1(*self.params, p)
 
-    def _proves(self, seg, h0, shift, counts) -> bool:
-        """True when no gap between two class primes of the cut can fail.
+    def _proves(self, seg, h0, shift):
+        """The indices in `seg` of each class's first and last prime when
+        no gap between two class primes of the cut can fail, else None.
 
-        Soundness.  (1) Adjacent blocks: if every class occurs in every
-        interior block, consecutive class primes p < p' lie in one block
-        or in adjacent ones (a block between them would hold a class
-        prime between them), so p' - p <= `_span`.  (2) Monotonicity:
-        with alpha, delta, rho >= 0, h1 is nondecreasing on x >= 1, so
+        The samples are the first k = min(16 q, B, n) primes of blocks 0
+        to max(nb - 2, 0) of the cut's nb blocks of B = 2^shift, and its
+        last k primes; the proof asks every class to occur in each.
+
+        Soundness.  (1) Adjacent blocks: the interior blocks 1 .. nb - 2
+        are sampled, so every class occurs in every interior block, and
+        consecutive class primes p < p' lie in one block or in adjacent
+        ones (a block between them would hold a class prime between them),
+        so p' - p <= `_span`.  The first sample opens the cut and the last
+        one closes it, so every class's first prime lies in the first
+        sample and its last prime in the last.  (2) Monotonicity: with
+        alpha, delta, rho >= 0, h1 is nondecreasing on x >= 1, so
         h1(p) >= h1(seg[0]).  (3) Rounding: below 2^53 every prime is a
         float.  With no negative term the computed h1 is within 12u of
         h1 (u = 2^-53; about ten roundings: log, products, sums, sqrt),
@@ -270,20 +282,40 @@ class _Scan1(_RowScan):
         ((p + (1 - 24u) h0)(1 - u) - g)(1 - u) >= p + h0 - g - 26u h0
         - 2u p.  As p' <= p + span, the exact test `deadline - g <= p'`
         cannot fire when span + g + 26u h0 + 2u p < h0.  Since
-        2u p <= 2 ulp(hi) <= g / 8 (`row_guard`), the test below
+        2u p <= 2 ulp(hi) <= g / 8 (`row_guard`), the span test below
         suffices: 2^-48 h0 = 32u h0 also covers the 2u h0 by which its
-        own float sum may err.
+        own float sum may err.  It reads one prime per block, so it runs
+        before the samples are read.
         """
-        if not self.provable:
-            return False
-        if counts.shape[0] > 2 and not counts[1:-1, self.classes].all():
-            return False
-        return _span(seg, shift) + 2 * self.guard + 2.0**-48 * h0 < h0
+        if not (self.provable and _span(seg, shift) + 2 * self.guard
+                + 2.0**-48 * h0 < h0):
+            return None
+        q, n = self.q, seg.size
+        k = min(16 * q, 1 << shift, n)
+        rows = max((n - 1) >> shift, 1)
+        head = _residues(seg[:rows << shift].reshape(rows, -1)[:, :k], q)
+        tail = _residues(seg[n - k:], q)
+        # sample j's residues become keys jq + a; row 0 keeps its residues
+        head += np.arange(0, rows * q, q)[:, None]
+        counts = np.bincount(np.concatenate((head, tail + rows * q),
+                                            axis=None),
+                             minlength=(rows + 1) * q)
+        if not counts.reshape(-1, q)[:, self.classes].all():
+            return None
+        first = np.full(q, k)
+        np.minimum.at(first, head[0], np.arange(k))
+        last = np.full(q, -1)
+        np.maximum.at(last, tail, np.arange(n - k, n))
+        return first[self.classes], last[self.classes]
 
-    def _split(self, seg, res, total) -> None:
-        """The exact path: one stable (radix) sort of the cut on its
-        residues, in the smallest unsigned dtype that holds q, makes every
-        class a contiguous, increasing slice; each goes to `_scan`."""
+    def _split(self, seg) -> None:
+        """The exact path: the residues of the whole cut, then one stable
+        (radix) sort of the cut on them, in the smallest unsigned dtype
+        that holds q, makes every class a contiguous, increasing slice;
+        each goes to `_scan`."""
+        res = _residues(seg, self.q)
+        total = np.bincount(res, minlength=self.q)
+        self.scanned += int(total[self.classes].sum())
         split = seg[np.argsort(res.astype(np.min_scalar_type(self.q)),
                                kind="stable")]
         bounds = [0, *total.cumsum().tolist()]
@@ -321,10 +353,11 @@ class _ScanSqrt(_RowScan):
     def _jump(deadline: float) -> int:
         return math.isqrt(math.floor(deadline)) + 1
 
-    def _cut(self, seg, res) -> None:
+    def _cut(self, seg) -> None:
         """Count down each class through the cut and inspect only the
         class primes the countdown lands on, each found in its block."""
         alpha, delta, rho, q = self.params
+        res = _residues(seg, q)
         # B about sqrt(n q): the table has about n q / B entries and an
         # inspection reads B residues
         shift = max((q - 1).bit_length(), (seg.size * q).bit_length() // 2)

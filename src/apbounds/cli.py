@@ -27,10 +27,10 @@ and worst margin from numpy (a NaN margin counts as the worst).
 A flag that the chosen target would ignore is a usage error (exit 2), and
 so is a value out of range: `--slack` must be finite and >= 0, `--x`
 finite and > 0, `--q`, `--x0`, `--sample-grid` and `--jobs` at least 1,
-`--block` a block of the table, `--params` three finite numbers, and
-`--x0` at most `--x`, with every prime of the row at most `sieve.MAX_HI`
-(about 9.22e18).  A `verify thm1-at` point needs a window:
-0 < phi(q) log q < sqrt(x).
+`--sample-grid` at most 10^6, `--block` a block of the table, `--params`
+three finite numbers, and `--x0` at most `--x`, with every prime of the
+row at most `sieve.MAX_HI` (about 9.22e18).  A `verify thm1-at` point
+needs a window: 0 < phi(q) log q < sqrt(x).
 `regen-report --full` includes the sqrt-count refresh rows that are known
 to fail (m = 19, 20, 21), so it exits 1 by design; the default battery is
 all-green.
@@ -69,6 +69,9 @@ _VERIFY_TARGETS = ("thm1-at", "thm1-tables", "thm2", "thm2-tables",
                    "thm3", "corollary", "lemma5", "lemma8")
 _CHECK_TARGETS = ("t5", "t6", "custom")
 DEFAULT_PARAMS = "0.5,1,30"
+# The widest grid range, thm3's [220, 1e6], holds fewer integers, and
+# `_grid` builds all of its points before deduplicating them.
+MAX_SAMPLE_GRID = 10**6
 
 # Where each flag means something: command -> targets (None for
 # regen-report, which has none).  A flag set anywhere else would be
@@ -425,6 +428,9 @@ def main(argv=None) -> int:
         if value is not None and value < 1:
             ap.error(f"--{flag.replace('_', '-')} must be at least 1, "
                      f"got {value}")
+    if ns.sample_grid is not None and ns.sample_grid > MAX_SAMPLE_GRID:
+        ap.error(f"--sample-grid must be at most {MAX_SAMPLE_GRID}, "
+                 f"got {ns.sample_grid}")
     if ns.slack is not None and not 0.0 <= ns.slack < math.inf:  # NaN too
         ap.error(f"--slack must be a finite number >= 0, got {ns.slack}")
     if ns.x is not None and not 0.0 < ns.x < math.inf:  # NaN too

@@ -2,6 +2,7 @@
 stated tolerance and budget, and prints a single PASS/FAIL line."""
 from __future__ import annotations
 
+import hashlib
 import math
 import time
 
@@ -39,6 +40,20 @@ def announce(label, ok, detail):
     print(f"[accept] {label}: {'PASS' if ok else 'FAIL'} ({detail})", flush=True)
 
 
+# sha256 of every row's (q, x0, x_end, mode, primes_scanned, failures), in
+# table order: a scan that moves any record fails here
+T5_ROWS_SHA256 = \
+    "2aee1bbb73156b35639a36d574622cb1a55fee6a80325b2de24b57440c3ad2f5"
+T6_ROWS_SHA256 = \
+    "f491dc343f4ab651309b05b41bed45d5bf92cb694e624dddf3ae4881350fa599"
+
+
+def _rows_sha256(reports):
+    rows = [(r.q, r.x0, r.x_end, r.mode, r.primes_scanned, r.failures)
+            for r in reports]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
 # 1 ------------------------------------------------------------------------
 
 def test_accept_t5_scan():
@@ -58,6 +73,7 @@ def test_accept_t5_scan():
              f"block1 {t_first:.1f}s<=60, full {t_all:.1f}s<=600")
     assert n_fail == 0
     assert n_primes == 24_999_706
+    assert _rows_sha256(reports) == T5_ROWS_SHA256
     assert t_first <= 60.0 and t_all <= 600.0
 
 
@@ -80,6 +96,7 @@ def test_accept_t6_scan():
              f"block1 {t_first:.1f}s<=60, full {t_all:.1f}s<=1200")
     assert n_fail == 0
     assert n_primes == 22_885_977
+    assert _rows_sha256(reports) == T6_ROWS_SHA256
     assert t_first <= 60.0 and t_all <= 1200.0
 
 
@@ -108,24 +125,27 @@ def test_accept_reference_scale_sweep():
     p1 = rows[0]
     exceptions = {q for q, _, _ in load_table5()[0].rows}
     t0 = time.perf_counter()
-    phis = phi_table(10**5)
-    worst = (math.inf, None)
-    n_checked = 0
-    for q in range(3, 10**5 + 1):
-        if q in exceptions:
-            continue
-        x = (p1.m * float(phis[q]) * math.log(q)) ** 2
-        evals = verify_thm1_at(q, x, p1)
-        n_checked += 1
-        for e in evals:
-            if e.margin < worst[0]:
-                worst = (e.margin, (q, e.name))
-            assert e.passed, (q, e.name, e.margin)
+    qs = np.array([q for q in range(3, 10**5 + 1) if q not in exceptions])
+    xs = x0_of(p1, qs)
+    cols = verify_thm1_at(qs, xs, p1)
+    # the worst margin; a tie goes to the smaller modulus, then the earlier
+    # inequality
+    worst = min((float(c.margin[i]), i, k) for k, c in enumerate(cols)
+                for i in [int(np.argmin(c.margin))])
+    for c in cols:
+        bad = np.flatnonzero(~c.passed)
+        assert bad.size == 0, (c.name, qs[bad[:5]], c.margin[bad[:5]])
+    # a point call at a column's (q, x) gives that row of every column
+    for i in range(0, qs.size, 1000):
+        for e, c in zip(verify_thm1_at(int(qs[i]), float(xs[i]), p1), cols):
+            assert (e.name, e.lhs, e.rhs, e.passed) \
+                == (c.name, c.lhs[i], c.rhs[i], c.passed[i]), (qs[i], e.name)
     dt = time.perf_counter() - t0
+    n_checked = qs.size
     ok = dt < 60.0
     announce("reference-scale-sweep", ok,
-             f"{n_checked} moduli, worst margin {worst[0]:.3e} at {worst[1]}, "
-             f"{dt:.1f}s<60")
+             f"{n_checked} moduli, worst margin {worst[0]:.3e} at "
+             f"{(int(qs[worst[1]]), cols[worst[2]].name)}, {dt:.1f}s<60")
     assert n_checked == 10**5 - 2 - len(exceptions)
     assert dt < 60.0
 

@@ -20,15 +20,18 @@ RS = (0.5, 1.0, 30.0, 3, 81589, 332263)        # sqrt-thinned, q=3
 RS_Q8 = (0.5, 1.0, 30.0, 8, 1169230, 1295310)
 
 
-def naive_check1(alpha, delta, rho, q, x0, x_end):
-    """Per-prime reference loop, dict state, no vectorization."""
+def naive_check1(alpha, delta, rho, q, x0, x_end, P=None):
+    """Per-prime reference loop, dict state, no vectorization, over the
+    primes of the row's range or, given, the increasing array `P`."""
     phi = sum(1 for a in range(q) if math.gcd(a, q) == 1)
     M = {a: x0 + h1(alpha, delta, rho, q, float(x0))
          for a in range(q) if math.gcd(a, q) == 1}
     last = dict.fromkeys(M, x0)
     hi = math.floor(x_end + h1(alpha, delta, rho, q, float(x_end)))
+    if P is None:
+        P = primes_between(x0, hi)
     failures, count = [], 0
-    for p in primes_between(x0, hi).tolist():
+    for p in P.tolist():
         a = p % q
         if a not in M:
             continue
@@ -513,6 +516,78 @@ def test_class_missing_from_an_interior_block_forces_the_exact_path():
     assert rep.failures == ((1, dl),)
 
 
+def _with_residues(residues, q=3, start=10**6, step=10):
+    """Increasing integers about `step` apart with the given residues mod q."""
+    return np.array([(start + step * i) // q * q + r
+                     for i, r in enumerate(residues)])
+
+
+# q = 3 and h1 = 7000 at 1e6 (rho = 3.5, alpha = delta = 0) over 384
+# integers 10 apart: three blocks of B = 128, samples of m = 16 q = 48
+@pytest.mark.parametrize("hole,proved", [
+    (None, True),
+    # class 1 occurs in interior block 1, but not among its first m
+    (slice(128, 176), False),
+    # class 1's first entry lies past the first sample
+    (slice(0, 48), False),
+    # class 1's last entry lies before the last sample
+    (slice(336, 384), False),
+])
+def test_block_samples_decide_the_proof(monkeypatch, hole, proved):
+    residues = [1 + i % 2 for i in range(384)]
+    if hole is not None:
+        residues[hole] = [2] * (hole.stop - hole.start)
+    seg = _with_residues(residues)
+    seen = []
+    proves = checkers._Scan1._proves
+
+    def recording(self, seg, h0, shift):
+        ends = proves(self, seg, h0, shift)
+        seen.append((shift, ends is not None))
+        return ends
+
+    monkeypatch.setattr(checkers._Scan1, "_proves", recording)
+    rho, x0 = 3.5, int(seg[0])
+    scan = checkers._Scan1(0.0, 0.0, rho, 3, x0, x0)
+    scan.feed(seg)
+    rep = scan.finish()
+    want_fail, want_count, _ = naive_check1(0.0, 0.0, rho, 3, x0, x0, P=seg)
+    assert seen == [(7, proved)]
+    assert list(rep.failures) == want_fail
+    assert rep.primes_scanned == want_count == seg.size
+    assert rep.primes_proved == (seg.size if proved else 0)
+
+
+def test_proved_cut_from_two_skips_the_primes_dividing_q():
+    # the first 100 primes, 2 .. 541, as one cut of q = 30 that the
+    # samples prove; 2, 3 and 5 lie in no coprime class
+    args = (0.5, 1.0, 60.0, 30, 2, 2000)
+    scan = checkers._Scan1(*args)
+    P = primes_between(2, scan.hi)
+    scan.feed(P[:100])
+    assert scan.proved == scan.scanned == 97
+    scan.feed(P[100:])
+    rep = scan.finish()
+    want_fail, want_count, _ = naive_check1(*args)
+    assert list(rep.failures) == want_fail
+    assert rep.primes_scanned == want_count
+
+
+def test_proved_row_reads_few_residues(monkeypatch):
+    # a passing table-5 row reads the residues of its samples only
+    sizes = []
+    residues = checkers._residues
+
+    def recording(x, q):
+        sizes.append(x.size)
+        return residues(x, q)
+
+    monkeypatch.setattr(checkers, "_residues", recording)
+    rep = check1(*R1_Q24)
+    assert rep.primes_proved == rep.primes_scanned
+    assert sizes and max(sizes) < 0.05 * rep.primes_scanned
+
+
 def test_passing_t5_row_needs_no_sort(monkeypatch):
     # a passing table-5 row is settled by the block proof alone: a silent
     # fall back to the exact split would reach np.argsort
@@ -537,7 +612,7 @@ def test_block_proof_matches_exact_path_near_1e11(monkeypatch, q):
     rows = [(0.5, 1.0, 30.0, q, x0, xe)] + [
         (0.0, 0.0, rho, q, x0, xe) for rho in r1 * np.array([0.9, 1.5, 3.0])]
     proofs = [check1(*args) for args in rows]
-    monkeypatch.setattr(checkers._Scan1, "_proves", lambda *args: False)
+    monkeypatch.setattr(checkers._Scan1, "_proves", lambda *args: None)
     for args, rep in zip(rows, proofs):
         exact = check1(*args)
         assert exact.primes_proved == 0
