@@ -308,9 +308,6 @@ def test_table_flags_rejected_elsewhere(argv, capsys):
      "--sample-grid must be at least 1"),
     (["verify", "thm3", "--sample-grid", "-5"],
      "--sample-grid must be at least 1"),
-    # a grid builds all of its points first; 10^6 covers the widest range
-    (["verify", "thm1-at", "--sample-grid", "1000001"],
-     "--sample-grid must be at most 1000000"),
     (["check", "t5", "--block", "0"], "--block: t5 has blocks 1..11"),
     (["check", "t6", "--block", "99"], "--block: t6 has blocks 1..11"),
     (["check", "custom", "--q", "3", "--x0", "23656", "--x", "193269",
@@ -369,6 +366,9 @@ def test_table_flags_rejected_elsewhere(argv, capsys):
      "needs primes past 9223372030780774809"),
     (["check", "custom", "--q", "3", "--x0", "9000000000000000000",
       "--x", "9.22337203e18"], "needs primes past 9223372030780774809"),
+    # a grid builds all of its points first; 10^6 covers the widest range
+    (["verify", "thm1-at", "--sample-grid", "1000001"],
+     "--sample-grid must be at most 1000000"),
 ])
 def test_ignored_flags_rejected(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
