@@ -47,16 +47,19 @@ def naive_check1(alpha, delta, rho, q, x0, x_end, P=None):
     return sorted(failures), count, phi
 
 
-def naive_check_sqrt(alpha, delta, rho, q, x0, x_end):
+def naive_check_sqrt(alpha, delta, rho, q, x0, x_end, P=None):
     """Countdown reference for the thinned scan: inspect every N-th class
-    prime, N = isqrt(floor(deadline)) + 1."""
+    prime, N = isqrt(floor(deadline)) + 1, over the primes of the row's
+    range or, given, the increasing array `P`."""
     M = {a: x0 + hsqrt(alpha, delta, rho, q, float(x0))
          for a in range(q) if math.gcd(a, q) == 1}
     N = {a: math.isqrt(math.floor(M[a])) + 1 for a in M}
     last = dict.fromkeys(M, x0)
     hi = math.floor(x_end + hsqrt(alpha, delta, rho, q, float(x_end)))
+    if P is None:
+        P = primes_between(x0, hi)
     failures = []
-    for p in primes_between(x0, hi).tolist():
+    for p in P.tolist():
         a = p % q
         if a not in M:
             continue
@@ -619,6 +622,26 @@ def test_block_proof_matches_exact_path_near_1e11(monkeypatch, q):
         assert _key(rep) == _key(exact)
     assert proofs[0].primes_proved == proofs[0].primes_scanned > 0
     assert any(0 < r.primes_proved < r.primes_scanned for r in proofs)
+
+
+def test_scanners_match_naive_on_window_oracle_primes_near_1e11():
+    # the sieve's rounds strike every base prime from SEG >> 6 on here;
+    # the oracles read primes from the independent windowed sieve
+    from test_sieve import window_primes
+
+    b = load_table5()[-1]
+    alpha, delta, rho = b.alpha, b.delta, b.rho
+    q, x0, xe = 3, 10**11 + 1, 10**11 + 20_001
+    hi1 = math.floor(xe + h1(alpha, delta, rho, q, float(xe)))
+    his = math.floor(xe + hsqrt(alpha, delta, rho, q, float(xe)))
+    P = window_primes(x0, max(hi1, his))
+    want_fail, want_count, _ = naive_check1(alpha, delta, rho, q, x0, xe,
+                                            P[P <= hi1])
+    rep = check1(alpha, delta, rho, q, x0, xe)
+    assert list(rep.failures) == want_fail
+    assert rep.primes_scanned == want_count > 0
+    assert list(check_sqrt(alpha, delta, rho, q, x0, xe).failures) == \
+        naive_check_sqrt(alpha, delta, rho, q, x0, xe, P[P <= his])
 
 
 @pytest.mark.parametrize("q,rho1,rho_sqrt", [(300, 0.05, 20.0),

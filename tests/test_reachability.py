@@ -43,6 +43,10 @@ RUNS = [
     (["check", "custom", "--q", "4", "--x0", "81589", "--x", "332263",
       "--sqrt"], 0),
     (["verify", "thm2", "--sqrt"], 2),
+    # past 2^31, where the sieve strikes its sparse base primes in rounds;
+    # no bundled table row reaches that far
+    (["check", "custom", "--q", "3", "--x0", "2147483648", "--x",
+      "2147500000"], 0),
 ]
 
 SCRIPT = r"""

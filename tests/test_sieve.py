@@ -32,6 +32,18 @@ def byte_primes(lo: int, hi: int) -> list[int]:
     return [n for n in np.flatnonzero(mask).tolist() if n >= lo]
 
 
+def window_primes(lo: int, hi: int) -> np.ndarray:
+    """Windowed oracle: primes in [lo, hi] from a plain mask over every
+    integer of the window (no odd-only layout, no wheel), struck by a
+    Python loop from max(p^2, first multiple >= lo) for each base prime
+    of the byte sieve."""
+    lo = max(lo, 2)
+    mask = np.ones(max(hi - lo + 1, 0), dtype=bool)
+    for p in byte_primes(0, math.isqrt(hi)):
+        mask[max(p * p, -(-lo // p) * p) - lo::p] = False
+    return lo + np.flatnonzero(mask)
+
+
 def segmented_count(hi: int) -> int:
     return len(byte_primes(0, hi))
 
@@ -125,6 +137,52 @@ def test_segments_match_byte_sieve_at_every_phase(monkeypatch, seg):
     assert _segments_checked(lo, hi) == byte_primes(lo, hi), seg
 
 
+@pytest.mark.parametrize("lo", [10**9, 2**32 - 50_000, 99 * 10**9])
+def test_segments_match_window_oracle_at_large_x(lo):
+    hi = lo + 100_000
+    assert np.array_equal(np.concatenate(list(prime_array_segments(lo, hi))),
+                          window_primes(lo, hi)), lo
+
+
+def test_short_last_segment_matches_window_oracle():
+    # 2 SEG + 1000 odd numbers: the last segment is too short for most
+    # sparse primes to have a multiple in it, so their first offsets all
+    # land in the spare slot
+    lo = 10**11 + 1
+    hi = lo + 2 * (2 * sieve.SEG + 1000) - 2
+    segs = list(prime_array_segments(lo, hi))
+    assert len(segs) == 3
+    assert np.array_equal(np.concatenate(segs), window_primes(lo, hi))
+
+
+@pytest.mark.parametrize("seg,lo,hi", [
+    (7, 10**6 + 3, 10**6 + 4 * WHEEL_PERIOD),
+    (WHEEL_PERIOD, 10**6 + 3, 10**6 + 4 * WHEEL_PERIOD),
+    (None, 10**9, 10**9 + 100_000),
+])
+def test_sparse_threshold_follows_seg(monkeypatch, seg, lo, hi):
+    # primes from SEG >> 6 on are struck in rounds, the rest by one slice
+    # each: at SEG = 7 every sieving prime takes the rounds, at 15015 the
+    # primes 17..233 take slices
+    if seg is not None:
+        monkeypatch.setattr(sieve, "SEG", seg)
+    steps = []
+    rounds = sieve._rounds
+
+    def recording(first, step, size):
+        steps.append(step)
+        return rounds(first, step, size)
+
+    monkeypatch.setattr(sieve, "_rounds", recording)
+    assert _segments_checked(lo, hi) == window_primes(lo, hi).tolist()
+    threshold = sieve.SEG >> 6
+    sieving = byte_primes(17, math.isqrt(hi))
+    assert sieving[-1] >= threshold
+    want = [p for p in sieving if p >= threshold]
+    assert steps and all(s.tolist() == want[:s.size] for s in steps)
+    assert max(s.size for s in steps) == len(want)
+
+
 def test_segments_refuse_a_top_past_max_hi(monkeypatch):
     # refused before any base prime is sieved
     def no_base_primes(lo, hi):
@@ -143,3 +201,23 @@ def test_phi_table_matches_factorize():
     assert ph[1] == 1
     for q in range(1, 3001):
         assert ph[q] == phi_of(q), q
+
+
+def test_phi_table_matches_factorize_at_1e5():
+    # the primes past n // 65 (at most 64 multiples each) take the rounds
+    from apbounds.arith import phi_of
+
+    n = 10**5
+    ph = phi_table(n)
+    assert ph.size == n + 1
+    rng = np.random.default_rng(15)
+    qs = list(range(n - 200, n + 1)) + rng.integers(1, n + 1, 2000).tolist()
+    for q in qs:
+        assert ph[q] == phi_of(q), q
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_phi_table_tiny(n):
+    from apbounds.arith import phi_of
+
+    assert phi_table(n).tolist() == [0] + [phi_of(q) for q in range(1, n + 1)]
