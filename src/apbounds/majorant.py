@@ -13,9 +13,10 @@ any count or sign other than the expected one.
 * `verify_majorant`: F(gamma) = sum_j a_j f(s_j, gamma), with the scaled
   Cauchy kernels f(s, gamma) = 4(2s-1) / ((2s-1)^2 + 4 gamma^2) at
   s_j = 3/4 + j/2, is >= 0 on [0, inf) and dominates g(gamma) = gamma^2 /
-  sqrt((1/4 + gamma^2)(9/4 + gamma^2)) for gamma <= 5; a dense float sweep
-  cross-checks it.  The termwise kernel sum cancels catastrophically, so
-  F is evaluated through its integer rational form in t = gamma^2.
+  sqrt((1/4 + gamma^2)(9/4 + gamma^2)) for gamma <= 5.  Both claims are
+  read off the integer rational form F = (8/SCALE) N(t)/Q(t) in
+  t = gamma^2 (`build_certificate_polys`); the root counts are the only
+  route to the verdict.
 * `verify_tail_sign`: S(n) = sum_j a_j n^{-s_j} < 0 for every n >= 2 but
   n = 4.  S(n) = n^{-5/4} R(n^{-1/2}) / SCALE for the integer polynomial
   R(u) = sum_j a_scaled[j] u^j, so R's roots in (0, 1) and its exact signs
@@ -24,21 +25,16 @@ any count or sign other than the expected one.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
-import numpy as np
 from mpmath import mp
 
-from .margins import BoundEval
+from .margins import DEFAULT_SLACK, BoundEval
 from .tables import load_table2
 
 __all__ = [
-    "GAMMA_MAX",
     "SCALE",
-    "F_majorant",
     "build_certificate_polys",
     "count_roots",
-    "g_of",
     "verify_constants",
     "verify_majorant",
     "verify_tail_sign",
@@ -54,36 +50,6 @@ TAIL_MASS_SCALED = 239
 # N and H settle within 15.  Only a multiple root (or roots closer than
 # 2^-ROOT_DEPTH of the interval) exhausts it, and the gate then fails closed.
 ROOT_DEPTH = 64
-
-# the float cross-check sweeps gamma up to here; the lemma5 record states it
-GAMMA_MAX = 1e6
-
-
-def g_of(gamma):
-    """Ordinate weight gamma^2 / sqrt((1/4 + gamma^2)(9/4 + gamma^2));
-    scalar in, scalar out; array in, array out."""
-    g2 = np.asarray(gamma, dtype=float) ** 2
-    out = g2 / np.sqrt((0.25 + g2) * (2.25 + g2))
-    if np.ndim(gamma) == 0:
-        return float(out)
-    return out
-
-
-def F_majorant(gamma, a_scaled: tuple[int, ...] | None = None):
-    """sum_j a_j f(s_j, gamma); scalar in, scalar out; array in, array out.
-
-    Evaluated as (8/SCALE) N(t)/Q(t) with t = gamma^2: the termwise kernel
-    sum loses ~18 digits to cancellation, while the integer polynomials are
-    well enough conditioned for plain Horner.
-    """
-    if a_scaled is None:
-        a_scaled = load_table2()
-    n_desc, q_desc = _float_polys(a_scaled)
-    t = np.asarray(gamma, dtype=float) ** 2
-    out = (8.0 / SCALE) * np.polyval(n_desc, t) / np.polyval(q_desc, t)
-    if np.ndim(gamma) == 0:
-        return float(out)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +155,6 @@ def build_certificate_polys(
     return N, Q
 
 
-@lru_cache(maxsize=4)
-def _float_polys(a_scaled: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """(N, Q) as descending-order float coefficient arrays for np.polyval."""
-    N, Q = build_certificate_polys(a_scaled)
-    return np.array(N[::-1], dtype=float), np.array(Q[::-1], dtype=float)
-
-
 def _certificate_gate(a_scaled: tuple[int, ...]) -> str | None:
     """Run the exact-arithmetic gates in order; name of the first failure."""
     N, Q = build_certificate_polys(a_scaled)
@@ -229,27 +188,11 @@ def _certificate_gate(a_scaled: tuple[int, ...]) -> str | None:
 
 
 def verify_majorant(a_scaled: tuple[int, ...] | None = None) -> BoundEval:
-    """Certify F >= 0 everywhere and F >= g for gamma in [0, 5].
-
-    The verdict rests on the exact root-count certificate; a millionth-point
-    float sweep up to GAMMA_MAX independently cross-checks it (domination on
-    [0, 5], plain positivity beyond — past gamma = 5 the sign of F is read
-    off N(t)/t^22 in a reversed Horner that cannot overflow).
-    """
+    """Certify F >= 0 everywhere and F >= g for gamma in [0, 5], from the
+    exact root-count certificate (`_certificate_gate`) alone."""
     if a_scaled is None:
         a_scaled = load_table2()
-    gate = _certificate_gate(a_scaled)
-    if gate is None:
-        lo = np.linspace(0.0, 5.0, 200_000)
-        if np.min(F_majorant(lo, a_scaled) - g_of(lo)) < -1e-12:
-            gate = "sweep"
-        else:
-            hi = np.geomspace(5.0, GAMMA_MAX, 800_000)
-            # N ascending in t is N descending in 1/t
-            n_asc = _float_polys(a_scaled)[0][::-1]
-            if np.min(np.polyval(n_asc, 1.0 / hi**2)) < 0.0:
-                gate = "sweep"
-    return _certificate_eval("majorant", gate)
+    return _certificate_eval("majorant", _certificate_gate(a_scaled))
 
 
 def _certificate_eval(claim: str, gate: str | None) -> BoundEval:
@@ -316,7 +259,7 @@ def verify_tail_sign(a_scaled: tuple[int, ...] | None = None) -> BoundEval:
 # ---------------------------------------------------------------------------
 
 def verify_constants(a_scaled: tuple[int, ...] | None = None,
-                     slack: float = 1e-12) -> list[BoundEval]:
+                     slack: float = DEFAULT_SLACK) -> list[BoundEval]:
     """Replay the six coefficient-sum inequalities the envelope relies on.
 
     The rational sums are exact; the digamma and zeta sums are taken at 40

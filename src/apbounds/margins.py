@@ -256,6 +256,9 @@ class ColumnBlock:
         template, fields = self._template()
         for lo in range(0, self.n_points, CHUNK_POINTS):
             hi = min(lo + CHUNK_POINTS, self.n_points)
+            if not fields:  # no field varies: every point's lines are alike
+                yield (template % ()) * (hi - lo)
+                continue
             args = {}
             for f in dict.fromkeys(fields):
                 if f[0] == "in":

@@ -9,7 +9,9 @@ of primes in the interval.  The error terms are written once, ``_F`` and
 gives them the exact operands at one (q, x) pair or at equal-length arrays
 of them, by the same numpy expressions for a point and a column, and raises
 on any point with no window (``window_operands``).  ``tilde_thm1`` gives
-them one-sided operands at the reference scale, in terms of log q alone;
+``_F`` one-sided operands at the reference scale, in terms of log q alone,
+and ``_coeffs`` folds that and ``_Gbar``'s majorant (through ``_kappa``)
+into one normal form A log q - K log log q - C;
 ``verify_thm1_largeq`` certifies all q at and beyond a threshold from that
 majorized form and proves it monotone (``_guard``): one walk over log q,
 each segment's minimum proved positive, until a slope test clears; one that
@@ -197,7 +199,6 @@ class TildeThm1(NamedTuple):
     """Majorized ingredients at the reference scale, as functions of log q."""
 
     F0t: float
-    G0t: float
     beta0: float
     T_minus: float
     T_plus: float
@@ -208,10 +209,10 @@ def tilde_thm1(params: ParamSet, u: float,
                sqrt_mode: bool = False) -> TildeThm1:
     """Evaluate the reference-scale majorants at u = log q.
 
-    F0t and G0t are `_F` and `_Gbar` at one-sided operands.  At
-    x0 = (m phi(q) log q)^2 two operands are exact, beta = beta0 = ell log m
-    and sqrt(x0) / phi(q) = m u, and T = beta0 m u / (2a log(m phi(q) u)
-    + delta u + rho).  Everything else rests on one arithmetic fact,
+    F0t is `_F` at one-sided operands.  At x0 = (m phi(q) log q)^2 two
+    operands are exact, beta = beta0 = ell log m and sqrt(x0) / phi(q) =
+    m u, and T = beta0 m u / (2a log(m phi(q) u) + delta u + rho).
+    Everything else rests on one arithmetic fact,
     q <= phi(q) log q: it gives 1 / phi(q) <= u e^-u in F0t, and
     log(m phi(q) u) >= u, so T <= T_plus; phi(q) <= q gives T >= T_minus.
     `_coeffs`' slope needs the same fact, for it replaces log phi(q) by
@@ -227,9 +228,8 @@ def tilde_thm1(params: ParamSet, u: float,
                                + params.rho)
     lTp = log(T_plus)
     F0t = _F(u, lTp, T_minus, u * math.exp(-u), beta0, 1.0 / (m * u))
-    G0t = _Gbar(u, lm + log(u), params, sqrt_mode, beta0, T_minus)
     S = (lTp**2 / pi + _C_ABS + (_C_B1 * lTp + _C_B0) / beta0**2) / m
-    return TildeThm1(F0t, G0t, beta0, T_minus, T_plus, S)
+    return TildeThm1(F0t, beta0, T_minus, T_plus, S)
 
 
 def _coeffs(params: ParamSet, logq: float, sqrt_mode: bool

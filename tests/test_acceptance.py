@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -287,11 +288,33 @@ def test_accept_majorant_and_constant_sums():
         assert abs(S[k - 2] - pin) <= err[k - 2] + 1e-9 * abs(pin), k
     cert = verify_majorant()
     assert cert.passed, cert.name
+
+    # an independent exact oracle for the majorant certificate: F summed
+    # term by term from the kernel, a_j 8b / (b^2 + 16t) with b = 2j + 1
+    # (f(s_j, gamma) at t = gamma^2), over one unreduced denominator
+    def F(t):
+        num, den = 0, 1
+        for j, a in enumerate(a_scaled, start=1):
+            b = 2 * j + 1
+            tn, td = 8 * a * b * t.denominator, (b * b * t.denominator
+                                                 + 16 * t.numerator)
+            num, den = num * td + tn * den, den * td
+        return Fraction(num, den * 10**7)
+
+    # F >= g on [0, 5]: F >= 0 and F^2 >= g^2 = t^2 / ((1/4 + t)(9/4 + t))
+    for k in range(1001):
+        t = Fraction(k, 200) ** 2
+        f = F(t)
+        assert f >= 0 and f * f * (1 + 4 * t) * (9 + 4 * t) >= 16 * t * t, k
+    # F > 0 past gamma = 5, on a geometric grid to 1e6
+    for g in np.geomspace(5.0, 1e6, 400):
+        assert F(Fraction(g) ** 2) > 0, g
     dt = time.perf_counter() - t0
     ok = dt < 30.0
     announce("majorant-and-constant-sums", ok,
              f"6 sum bounds, {tail.name} with its float oracle to n = 10284, "
-             f"certificate {cert.name}, {dt:.1f}s<30")
+             f"certificate {cert.name} with its exact kernel oracle to "
+             f"gamma = 1e6, {dt:.1f}s<30")
     assert dt < 30.0
 
 

@@ -6,13 +6,15 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from apbounds import checkers
+from apbounds.arith import phi_of
 from apbounds.checkers import (GUARD, CheckReport, check1, check_sqrt,
                                row_guard, row_top, run_exception_tables)
 from apbounds.sieve import MAX_HI, prime_array_segments, primes_between
 from apbounds.tables import load_table5, load_table6
-from apbounds.thm1 import h1, hsqrt
+from apbounds.thm1 import X_FLOOR, h1, hsqrt
 
 R1 = (0.5, 1.0, 30.0, 3, 23656, 193269)       # every-prime, q=3
 R1_Q24 = (0.5, 1.0, 30.0, 24, 3167368, 3372409)
@@ -800,3 +802,53 @@ def test_row_guard_scales_at_large_x():
     assert row_guard(2**34) > GUARD
     scan = checkers._Scan1(0.5, 1.0, 30.0, 3, 2**62, 2**62)
     assert scan.guard == row_guard(scan.hi) > GUARD
+
+
+def test_scan_rounding_premises_against_mpmath():
+    # The soundness arguments assume that the computed h1 and hsqrt are
+    # within 12u of their value at the float x (`_Scan1._proves`, u =
+    # 2^-53), and a deadline fl(fl(p) + fl(h(fl(p)))) within 9.5 ulp of
+    # p + h(p) (`row_guard`).  Both lean on np.log being close to
+    # correctly rounded, which can differ by numpy build and CPU, so they
+    # are measured here against 50 digits: at every (alpha, delta, rho, q)
+    # of tables 5 (h1) and 6 (hsqrt), at 50 seeded integers each,
+    # log-uniform on [X_FLOOR, MAX_HI] with both ends and 2^53 +- 1, both
+    # on a column and on scalars, as the scanners call them.
+    u = 2.0**-53
+    rng = np.random.default_rng(10)
+    xs = [X_FLOOR, MAX_HI, 2**53 - 1, 2**53 + 1] + np.exp(rng.uniform(
+        math.log(X_FLOOR), math.log(MAX_HI), 996)).astype(np.int64).tolist()
+    worst_log = worst_h = worst_dl = 0.0
+    with mp.workdps(50):
+        xf = np.array(xs, dtype=float)
+        for got in (np.log(xf).tolist(), [np.log(v) for v in xf.tolist()]):
+            for v, g in zip(xf.tolist(), got):
+                exact = mp.log(v)
+                worst_log = max(worst_log, abs(float(g - exact))
+                                / math.ulp(float(exact)))
+        for blocks, h, slope in ((load_table5(), h1, 0.0),
+                                 (load_table6(), hsqrt, 1.0)):
+            params = sorted({(b.alpha, b.delta, b.rho, q)
+                             for b in blocks for q, _, _ in b.rows})
+            for i, (alpha, delta, rho, q) in enumerate(params):
+                x = xs[i % 20::20]
+                p = np.array(x, dtype=float)
+                column = h(alpha, delta, rho, q, p)
+                scalars = [h(alpha, delta, rho, q, v) for v in p.tolist()]
+                a = mp.mpf(alpha) + slope
+                b = mp.mpf(delta) * mp.log(q) + rho
+                phi = phi_of(q)
+
+                def h_mp(y):
+                    return (a * mp.log(y) + b) * phi * mp.sqrt(y)
+
+                for n, v in enumerate(p.tolist()):
+                    at_fl, exact = h_mp(v), x[n] + h_mp(x[n])
+                    for hv in (float(column[n]), float(scalars[n])):
+                        worst_h = max(worst_h,
+                                      float(abs(hv - at_fl) / at_fl) / u)
+                        worst_dl = max(worst_dl, float(abs((v + hv) - exact))
+                                       / math.ulp(float(exact)))
+    assert worst_log <= 1.0, worst_log
+    assert worst_h <= 12.0, worst_h
+    assert worst_dl <= 9.5, worst_dl

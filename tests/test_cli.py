@@ -178,7 +178,7 @@ def test_verify_lemma5(tmp_path):
     assert main(["verify", "lemma5", "--out", str(out)]) == 0
     recs = read_records(out)
     assert [(r["name"], r["inputs"], r["pass"]) for r in recs] == [
-        ("majorant[algebraic-certificate]", {"gamma_max": 1e6}, True),
+        ("majorant[algebraic-certificate]", {"g_dominated_to": 5}, True),
         ("S_sign[algebraic-certificate]", {"n_min": 2, "n_positive": 4}, True),
     ]
 

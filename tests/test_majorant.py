@@ -12,10 +12,8 @@ from mpmath import mp
 from apbounds import majorant
 from apbounds.majorant import (
     SCALE,
-    F_majorant,
     build_certificate_polys,
     count_roots,
-    g_of,
     verify_constants,
     verify_majorant,
     verify_tail_sign,
@@ -39,58 +37,81 @@ def test_published_constants():
     assert sum(C) == 14999779  # sum a_j = 1.4999779 exactly
 
 
-# ---------------------------------------------------------------- pointwise
+# ---------------------------------------------------------------- kernel oracle
 
-def test_g_of_shape():
-    assert g_of(0.0) == 0.0
-    assert g_of(5.0) == pytest.approx(
-        25.0 / math.sqrt((0.25 + 25.0) * (2.25 + 25.0)), rel=1e-14)
-    grid = [g_of(v) for v in np.linspace(0, 50, 200)]
-    assert all(b > a for a, b in zip(grid, grid[1:]))
-    assert g_of(1e9) == pytest.approx(1.0, abs=1e-12)
-    assert all(0.0 <= v < 1.0 for v in grid)
-    # scalar in, float out; array in, array out, element for element
-    assert type(g_of(5.0)) is float
-    vec = g_of(np.linspace(0, 50, 200))
-    assert isinstance(vec, np.ndarray) and vec.tolist() == grid
+def F_kernel(a_scaled, t):
+    """Oracle: F at t = gamma^2 (a Fraction), summed term by term from the
+    kernel, exactly.  With 2 s_j - 1 = b / 2, b = 2j + 1, the term
+    (a_j / SCALE) 4(2s_j - 1) / ((2s_j - 1)^2 + 4t) is
+    (a_j / SCALE) 8b / (b^2 + 16t); the terms are added over one unreduced
+    common denominator, and the sum is reduced once."""
+    k, d = t.numerator, t.denominator
+    num, den = 0, 1
+    for j, a in enumerate(a_scaled, start=1):
+        b = 2 * j + 1
+        tn, td = 8 * a * b * d, b * b * d + 16 * k  # the term, times SCALE
+        num, den = num * td + tn * den, den * td
+    return Fraction(num, den * SCALE)
 
 
-def test_F_vectorized_matches_scalar():
-    gs = np.array([0.0, 0.3, 1.0, 2.4, 5.0, 77.0])
-    vec = F_majorant(gs)
-    assert isinstance(vec, np.ndarray)
-    for g, v in zip(gs, vec):
-        assert F_majorant(float(g)) == pytest.approx(float(v), rel=1e-15)
+def g_squared(t):
+    """g(gamma)^2 = t^2 / ((1/4 + t)(9/4 + t)) at t = gamma^2, exactly."""
+    return 16 * t * t / ((1 + 4 * t) * (9 + 4 * t))
+
+
+def dominates(a_scaled, t):
+    """F >= g at t = gamma^2, exactly: F >= 0 and F^2 >= g^2."""
+    F = F_kernel(a_scaled, t)
+    return F >= 0 and F * F >= g_squared(t)
+
+
+def kernel_oracle(a_scaled):
+    """Sampled verdict on both claims: F >= g at gamma = k / 40 on [0, 5],
+    and F > 0 at 60 geometric gamma from 5 to 1e6."""
+    near = (Fraction(k, 40) ** 2 for k in range(201))
+    far = (Fraction(g) ** 2 for g in np.geomspace(5.0, 1e6, 60))
+    return (all(dominates(a_scaled, t) for t in near)
+            and all(F_kernel(a_scaled, t) > 0 for t in far))
 
 
 def test_F_agrees_with_exact_rational_form():
-    # F(gamma) = (8/10^7) N(t)/Q(t) with t = gamma^2 — evaluate the integer
-    # polynomials in exact arithmetic and compare
-    N, Q = build_certificate_polys(C)
-    for gam in (0.0, 0.5, 1.0, 2.5, 7.0, 100.0):
-        t = Fraction(gam).limit_denominator(10**6) ** 2
-        nv = sum(c * t**k for k, c in enumerate(N))
-        qv = sum(c * t**k for k, c in enumerate(Q))
-        want = float(Fraction(8, 10**7) * nv / qv)
-        assert F_majorant(gam) == pytest.approx(want, rel=1e-10), gam
+    # (8/SCALE) N(t)/Q(t) is the kernel sum at s_j = 3/4 + j/2, read
+    # straight from the definition, and so is the oracle; for the
+    # published weights and one shifted copy
+    ts = [Fraction(0), Fraction(1, 4), Fraction(9, 4), Fraction(1, 7),
+          Fraction(2), Fraction(25, 3), Fraction(25), Fraction(7, 1000),
+          Fraction(324), Fraction(10**6), Fraction(3, 2) ** 2,
+          Fraction(99, 7) ** 2]
+    for a_scaled in (C, shifted(9, 10)):
+        N, Q = build_certificate_polys(a_scaled)
+        for t in ts:
+            F = Fraction(0)
+            for j, a in enumerate(a_scaled, start=1):
+                w = 2 * (Fraction(3, 4) + Fraction(j, 2)) - 1  # 2 s_j - 1
+                F += Fraction(a, SCALE) * 4 * w / (w * w + 4 * t)
+            NQ = Fraction(8, SCALE) * sum(c * t**k for k, c in enumerate(N)) \
+                / sum(c * t**k for k, c in enumerate(Q))
+            assert NQ == F == F_kernel(a_scaled, t), (a_scaled, t)
 
 
 def test_majorant_touch_nodes():
-    # interior nodes where the majorant nearly touches g
-    for gam in (0.5, 1.5, 2.0, 2.4, 2.8):
-        resid = F_majorant(gam) - g_of(gam)
-        assert -1e-12 <= resid <= 1e-5, (gam, resid)
-    resid5 = F_majorant(5.0) - g_of(5.0)
-    assert -1e-12 <= resid5 <= 1e-4
-    assert F_majorant(0.0) > 0.0
+    # interior nodes where the majorant nearly touches g, exactly:
+    # 0 <= F - g <= eps, i.e. F^2 >= g^2 and (F - eps)^2 <= g^2
+    for gam, eps in (("1/2", 1e-5), ("3/2", 1e-5), ("2", 1e-5),
+                     ("12/5", 1e-5), ("14/5", 1e-5), ("5", 1e-4)):
+        t, eps = Fraction(gam) ** 2, Fraction(eps)
+        F = F_kernel(C, t)
+        assert F * F >= g_squared(t), gam
+        assert F >= eps and (F - eps) ** 2 <= g_squared(t), gam
+    assert F_kernel(C, Fraction(0)) > 0
 
 
 def test_majorant_gives_up_past_cutoff():
-    # beyond the cutoff the rational function dips under g; only F >= 0 is
-    # claimed there
-    assert F_majorant(18.0) < g_of(18.0)
-    for gam in (7.9, 18.0, 1e3, 1e5):
-        assert F_majorant(gam) >= 0.0
+    # beyond the cutoff F dips under g; only F >= 0 is claimed there
+    t = Fraction(18) ** 2
+    assert 0 < F_kernel(C, t) and F_kernel(C, t) ** 2 < g_squared(t)
+    for gam in ("79/10", "18", "1000", "100000"):
+        assert F_kernel(C, Fraction(gam) ** 2) > 0, gam
 
 
 # ---------------------------------------------------------------- certificate
@@ -138,6 +159,24 @@ def test_verify_majorant_detects_broken_constants():
         ev = verify_majorant(a_scaled)
         assert not ev.passed
         assert ev.name == f"majorant[certificate-failed:{gate}]"
+
+
+def test_verify_majorant_agrees_with_kernel_oracle_on_perturbations():
+    # weight moved between neighbours (the tail mass kept): the
+    # certificate passes exactly when the termwise oracle sees F >= g on
+    # [0, 5] and F > 0 beyond; the failures stop at N0_positive, N_roots
+    # and H_roots
+    names = []
+    for i in range(0, 22, 3):
+        for d in (1, 3, 10):
+            ev = verify_majorant(shifted(i, d))
+            assert ev.passed == kernel_oracle(shifted(i, d)), (i, d, ev.name)
+            names.append(ev.name)
+    # every d = 1 passes, and d = 3 from i = 12 on
+    assert names.count("majorant[algebraic-certificate]") == 12
+    assert set(names) == {"majorant[algebraic-certificate]"} | {
+        f"majorant[certificate-failed:{g}]"
+        for g in ("N0_positive", "N_roots", "H_roots")}
 
 
 def test_verify_majorant_fails_closed_on_undecided_count(monkeypatch):

@@ -133,6 +133,20 @@ def test_block_lines_stream_in_chunks_of_points():
     assert "".join(chunks) == stdlib_text(block)
 
 
+def test_block_lines_with_no_varying_field():
+    # every input shared and every side uniform: the template has no
+    # placeholder, and each point still writes its lines (a % in the name
+    # comes out once); CHUNK_POINTS + 1 points make two chunks
+    n = CHUNK_POINTS + 1
+    block = ColumnBlock("s", [BoundColumn("ma%in", np.ones(n), np.zeros(n)),
+                              BoundColumn("b", 2.0, np.zeros(n))],
+                        {"q": 3})
+    assert len(block) == 2 * n
+    chunks = list(block.lines())
+    assert [c.count("\n") for c in chunks] == [2 * CHUNK_POINTS, 2]
+    assert "".join(chunks) == stdlib_text(block)
+
+
 def test_empty_block():
     block = ColumnBlock("s", [BoundColumn("a", np.zeros(0), np.zeros(0))],
                         {"q": [], "sqrt": False})

@@ -316,13 +316,12 @@ def test_x_without_a_window_raises(bad):
 
 def test_tilde_shape_and_closed_forms():
     t = tilde_thm1(P1, math.log(392975))
-    F0t, G0t, beta0, T_minus, T_plus, S = t
+    F0t, beta0, T_minus, T_plus, S = t
     assert beta0 == pytest.approx(6.0 * math.log(70.0), rel=1e-14)
     assert 0.0 < F0t < 1.0
     assert 0.0 < T_minus <= T_plus
     assert T_plus == pytest.approx(beta0 * 70.0 / (2 * 0.5 + 1.0), rel=1e-14)
     assert S > 0.0
-    assert G0t > 2.0
     ts = tilde_thm1(P1, math.log(18886967), sqrt_mode=True)
     assert ts.beta0 == pytest.approx(5.3 * math.log(130.0), rel=1e-14)
 
@@ -334,11 +333,30 @@ def test_tilde_F_majorizes_exact_F_at_reference_scale():
             for k in range(12):
                 q = int(round(q0 * 10 ** (k / 11)))
                 t = tilde_thm1(row, math.log(q), sqrt_mode=sqrt_mode)
-                _beta, T, F, G = pointwise(
+                _beta, T, F, _G = pointwise(
                     q, x0_of(row, q, sqrt_mode=sqrt_mode), row, sqrt_mode)
                 assert t.F0t >= F - 1e-12, (row, sqrt_mode, q)
-                assert t.G0t >= G - 1e-12, (row, sqrt_mode, q)
                 assert t.T_minus <= T, (row, sqrt_mode, q)
+    # G's majorant enters the normal form through _coeffs alone; see
+    # test_normal_form_minorizes_exact_main_margin_at_reference_scale
+
+
+def test_normal_form_minorizes_exact_main_margin_at_reference_scale():
+    # the normal form A log q - K log log q - C that verify_thm1_largeq
+    # judges is at most the exact main margin at x0(q), on the same grid
+    # (at least 1.24 below it there)
+    for row in ROWS[:11]:
+        for sqrt_mode in (False, True):
+            q0 = row.q0_sqrt if sqrt_mode else row.q0
+            for k in range(12):
+                q = int(round(q0 * 10 ** (k / 11)))
+                u = math.log(q)
+                A, K, C, *_ = thm1._coeffs(row, u, sqrt_mode)
+                main = by_name(verify_thm1_at(
+                    q, x0_of(row, q, sqrt_mode=sqrt_mode), row,
+                    sqrt_mode=sqrt_mode), "main")
+                assert A * u - K * math.log(u) - C <= main.margin, \
+                    (row, sqrt_mode, q)
 
 
 def test_q_at_most_phi_log_q_past_every_threshold():
