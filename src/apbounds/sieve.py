@@ -1,31 +1,46 @@
 """Segmented prime generation and small multiplicative tables.
 
-The checkers stream primes in numpy blocks of `SEG` odd numbers.  Each
-block's mask starts as a slice of a wheel pattern in which the multiples
-of 3, 5, 7, 11 and 13 are already struck (period 15015 odd numbers), so
-only the base primes from 17 up are struck per block, from offsets that
-one numpy expression computes for all of them.  They take one of two
-strike paths, split at `SEG >> 6`:
+The checkers stream primes from a sieve on a mod-30 wheel.  Its mask holds
+only the integers coprime to 30, position-major: flat index 8 k + i stands
+for base + 30 k + r_i, r = (1, 7, 11, 13, 17, 19, 23, 29), with `base` a
+multiple of 30.  A block's primes thus come out of one `flatnonzero`
+already increasing, as base + 30 (idx >> 3) + r[idx & 7].  2, 3 and 5 are
+emitted directly, and each block's mask starts as a slice of a pattern in
+which the multiples of 7, 11 and 13 are already struck (period 1001
+positions), so only the base primes from 17 up are struck per block.
 
-- a prime below it strikes its multiples with one slice assignment;
-- a prime at or above it has at most 65 odd multiples in a block, so
-  these sparse primes are struck together in rounds (`_rounds`): each
-  round strikes one multiple of every prime still live and steps each
-  offset by its prime, and an offset past the block lands in one spare
-  slot past the mask.
+A base prime p strikes its multiples p m, m coprime to 30, as 8
+progressions, one per class of m mod 30, each with flat step 8 p.
+`_first_offsets` places them at the start of the range and `_carry`
+moves them on from block to block.  In a block of `size` entries they
+take one of two strike paths, split at p = size >> 9 (`SEG >> 6` in a
+full block):
 
-At 1e11 a block thus makes about 1,900 slice assignments and at most 65
-rounds, against about 27,000 slice assignments with one slice per prime.
+- a progression of a prime below it has at least 64 strikes in the
+  block and takes one slice assignment;
+- the rest are struck together in rounds (`_rounds`), `_CHUNK`
+  progressions at a time: each round strikes one multiple of every
+  progression still live and steps its offset on, and an offset past the
+  block lands in one spare slot past the mask.
+
 The base primes up to sqrt(hi) come from this same sieve one level down,
-`primes_between(2, isqrt(hi))`; the recursion bottoms out at ranges with
-no odd number to strike.
+`primes_between(2, isqrt(hi))`; the recursion bottoms out at ranges below
+7, which hold no wheel entry but 1.
 
-`SEG` = 2^20 odd numbers (a 1 MB mask).  Sieving alone, in-process on a
-2-vCPU box (medians of three), the rounds at 2^20 take 1.40 s for the
-six `scan-far` windows of seed 1 and 0.59 s for the nine merged ranges
-of `check t5` plus `check t6`; one slice per prime took 1.88 s / 0.69 s
-at 2^21 and 2.13 s / 0.53 s at 2^20, and the rounds took 1.57 s / 0.69 s
-at 2^21 and 1.43 s / 0.66 s at 2^19.  notes/decisions.md has the table.
+`SEG` = 2^17 positions (a 1 MB mask over 3.9M integers).  Each block is
+yielded in two halves, so each consumer's arrays stay the size they had
+with the odd-only layout's segments of 2^20 odd numbers; the offsets are
+int32 where they fit; and each block's mask is the pattern rolled to its
+phase, with no tile kept for the range.  Peak RSS is thus no higher than
+with that layout.
+Against it (2^20 odd numbers a segment, wheel 3..13 pre-struck), the mask
+has 8/15 of the entries per integer and multiples of 3 and 5 are never
+struck.  Sieving alone, in-process on a 2-vCPU box (medians of seven
+alternations), the six `scan-far` windows of seed 1 take 0.62 s (0.92 s
+before), the nine merged ranges of `check t5` plus `check t6` 0.37 s
+(0.40 s), and one window of 6e7 integers 0.086 / 0.090 / 0.097 / 0.120 s
+at 1e8 / 1e9 / 1e10 / 1e11 (0.088 / 0.141 / 0.150 / 0.166 s).
+notes/decisions.md has the tables.
 """
 from __future__ import annotations
 
@@ -41,26 +56,73 @@ __all__ = [
     "primes_between",
 ]
 
-SEG = 1 << 20  # odd numbers per segment
+SEG = 1 << 17  # wheel positions per block: 8 mask entries each (1 MB)
+_CHUNK = 1 << 15  # sparse progressions struck per call of `_rounds`
 
-# The largest top end: each int64 offset `first` below is at most
-# hi + 2 isqrt(hi) - 1, under 2^63 for every hi <= MAX_HI.
+# The largest top end, the value the CLI documents and the checkers' range
+# checks use.  Offsets are formed relative to a block's base (see
+# `_first_offsets`), so every int64 the sieve forms is at most
+# max(hi, 900, 8 isqrt(hi) + 8 SEG), well inside int64 at MAX_HI.
 MAX_HI = 2**63 - 1 - 2 * math.isqrt(2**63)
 
-_WHEEL = (3, 5, 7, 11, 13)
-_PERIOD = math.prod(_WHEEL)  # the wheel pattern repeats every 15015 odds
+_R = (1, 7, 11, 13, 17, 19, 23, 29)  # the residues coprime to 30
+_R8 = np.array(_R, dtype=np.int8)
+# _BELOW[t]: how many residues lie below t, for t = 0..29
+_BELOW = tuple(sum(r < t for r in _R) for t in range(30))
+# _UP[c, j]: the step from a multiplier m = c (mod 30) up to the class _R[j]
+_UP = np.array([[(r - c) % 30 for r in _R] for c in range(30)],
+               dtype=np.int16)
+# _FLAT[v]: the flat index of v past a multiple of 30 (for v coprime to
+# 30), for every v = t + p d with t, p and d below 30
+_FLAT = np.array([8 * (v // 30) + _BELOW[v % 30] for v in range(900)],
+                 dtype=np.int16)
+_CYCLE = 7 * 11 * 13  # positions after which the pre-struck pattern repeats
 
 
-def _wheel_pattern() -> np.ndarray:
-    """Mask over the odd numbers 2k + 1, k = 0.._PERIOD - 1: False where a
-    wheel prime divides (the wheel primes themselves included)."""
-    keep = np.ones(_PERIOD, dtype=bool)
-    for p in _WHEEL:
-        keep[(p - 1) // 2::p] = False  # 2k + 1 = p (mod 2p)
+def _presieved() -> np.ndarray:
+    """Mask over the flat indices 8 k + i, k = 0.._CYCLE - 1, standing for
+    30 k + _R[i]: False where 7, 11 or 13 divides (themselves included)."""
+    keep = np.ones(8 * _CYCLE, dtype=bool)
+    for q in (7, 11, 13):
+        for i, r in enumerate(_R):
+            k = -r * pow(30, -1, q) % q  # 30 k + r = 0 (mod q)
+            keep[8 * k + i::8 * q] = False
     return keep
 
 
-_PATTERN = _wheel_pattern()
+_PRESIEVED = _presieved()
+
+
+def _first_offsets(ps: np.ndarray, base: int) -> np.ndarray:
+    """Flat offsets from `base` (a multiple of 30) of the first multiples
+    p m >= max(p^2, base) with m = _R[j] (mod 30), entry 8 n + j for ps[n].
+
+    With t = m0 p - base for m0 = max(p, ceil(base / p)) and d the step
+    from m0 up to the class, p m - base = 30 (t // 30 + (p // 30) d) + v,
+    v = t % 30 + (p % 30) d < 900.  Each offset is thus formed relative to
+    `base` and never from p m: t is at most hi when p^2 <= hi, so no int64
+    here exceeds max(hi, 900).
+    """
+    t = np.maximum(ps * ps - base, -base % ps)
+    m0 = base // ps + (base % ps + t) // ps
+    d = _UP[m0 % 30]  # small ints in int16, so the (n, 8) arrays stay small
+    v = (ps % 30).astype(np.int16)[:, None] * d
+    v += (t % 30).astype(np.int16)[:, None]
+    flat = (ps // 30)[:, None] * d
+    flat += (t // 30)[:, None]
+    flat *= 8
+    flat += _FLAT[v]
+    return flat.ravel()
+
+
+def _carry(off: np.ndarray, step: np.ndarray, size: int) -> None:
+    """Move the offsets of progressions struck through a block of `size`
+    entries on to the next block, in place."""
+    off -= size
+    if step[0] >= size:  # at most one strike a block, so one step on
+        off += step * (off < 0)
+    else:
+        np.remainder(off, step, out=off, where=off < 0)
 
 
 def prime_array_segments(lo: int, hi: int) -> Iterator[np.ndarray]:
@@ -71,41 +133,65 @@ def prime_array_segments(lo: int, hi: int) -> Iterator[np.ndarray]:
         raise ValueError(f"sieve top end {hi} lies past MAX_HI = {MAX_HI}")
     if hi < lo:
         return
-    if lo <= 2 <= hi:
-        yield np.array([2], dtype=np.int64)
-    start = lo if lo % 2 else lo + 1  # first odd >= lo
-    last = hi if hi % 2 else hi - 1  # last odd <= hi
-    if start > last:
+    small = [p for p in (2, 3, 5) if lo <= p <= hi]
+    if small:
+        yield np.array(small, dtype=np.int64)
+    # flat index 8 k + i stands for base + 30 k + _R[i]; [start, stop)
+    # holds the entries in [lo, hi]
+    base = lo - lo % 30
+    start = _BELOW[lo - base]
+    stop = 8 * ((hi + 1 - base) // 30) + _BELOW[(hi + 1 - base) % 30]
+    if start >= stop:
         return
-    base = primes_between(2, math.isqrt(hi))
-    sieving = base[base > _WHEEL[-1]]
-    # primes below SEG >> 6 strike with one slice each, the rest in rounds
-    dense = int(np.searchsorted(sieving, SEG >> 6))
-    # the segment for the odds from `start` on is the pattern from phase
-    # start // 2 on; tile one segment and its spare slot past the largest
-    # phase, no further
-    tile = np.resize(_PATTERN,
-                     _PERIOD + min(SEG, (last - start) // 2 + 1) + 1)
-    while start <= last:
-        end = min(start + 2 * SEG - 2, last)  # last odd covered
-        n_odd = (end - start) // 2 + 1
-        phase = (start // 2) % _PERIOD
-        # one spare slot past the segment takes the rounds' clamped offsets
-        mask = tile[phase:phase + n_odd + 1].copy()
-        for p in _WHEEL:
-            if start <= p <= end:
-                mask[(p - start) // 2] = True
-        ps = sieving[:np.searchsorted(sieving, math.isqrt(end), "right")]
-        # first odd multiple >= max(p^2, start), as an index into the mask
-        first = np.maximum(ps * ps, (start + ps - 1) // ps * ps)
-        first += (1 - first % 2) * ps
-        first = (first - start) >> 1
-        for o, p in zip(first[:dense].tolist(), ps[:dense].tolist()):
-            mask[o::p] = False
-        for o in _rounds(first[dense:], ps[dense:], n_odd):
-            mask[o] = False
-        yield start + 2 * np.flatnonzero(mask[:n_odd])
-        start = end + 2
+    ps = primes_between(2, math.isqrt(hi))
+    ps = ps[ps > 13]
+    # 8 progressions per prime, one per class of m mod 30, each with flat
+    # step 8 p; offsets are carried from block to block
+    p = int(ps[-1]) if ps.size else 0
+    # int32 offsets where they fit (they start below 8 (p^2 - base) / 30
+    # + 8 p + 8 and then stay below 8 p + the block)
+    fits = 8 * (max(p * p - base, 0) // 30 + p + 1) + 8 * SEG < 2**31
+    dtype = np.int32 if fits else np.int64
+    off = np.empty(8 * ps.size, dtype=dtype)
+    step8 = (8 * ps).astype(dtype)
+    for c in range(0, ps.size, _CHUNK // 8):
+        off[8 * c:8 * c + _CHUNK] = _first_offsets(ps[c:c + _CHUNK // 8], base)
+    block = 8 * SEG
+    half = block // 2
+    pos = 0  # flat index of the block's first entry
+    while pos < stop:
+        size = min(block, stop - pos)
+        phase = 8 * ((base // 30 + pos // 8) % _CYCLE)
+        # one spare slot past the block takes the rounds' clamped offsets
+        mask = np.resize(np.roll(_PRESIEVED, -phase), size + 1)
+        if base + pos == 0:
+            mask[1:4] = True  # 7, 11 and 13 are prime
+        if pos == 0:
+            mask[:start] = False  # 1 among them, as lo >= 2
+        # progressions with at least 64 strikes in the block (SEG >> 6 in a
+        # full one) take one slice each, the rest go through the rounds
+        dense = 8 * int(np.searchsorted(ps, size >> 9))
+        for c in range(0, off.size, _CHUNK):
+            o = off[c:c + _CHUNK]
+            s = np.repeat(step8[c // 8:(c + _CHUNK) // 8], 8)
+            n = min(max(dense - c, 0), o.size)
+            for k, step in zip(o[:n].tolist(), s[:n].tolist()):
+                mask[k::step] = False
+            for hit in _rounds(o[n:], s[n:], size):
+                mask[hit] = False
+            _carry(o, s, size)
+        # the block goes out in two halves, to keep each consumer's arrays small
+        for h in range(0, size, half):
+            out = np.flatnonzero(mask[h:min(h + half, size)])
+            out += pos + h
+            slot = np.empty(out.size, dtype=np.uint8)
+            np.bitwise_and(out, 7, out=slot, casting="unsafe")
+            out >>= 3
+            out *= 30
+            out += base
+            out += _R8[slot]
+            yield out
+        pos += block
 
 
 def _rounds(first: np.ndarray, step: np.ndarray,
@@ -116,8 +202,10 @@ def _rounds(first: np.ndarray, step: np.ndarray,
     steps up to (size - 1) // j can land below `size`: each round is a
     prefix of the previous one, found with `searchsorted`.  Offsets past
     the end are clamped to `size`, one spare slot past the caller's array.
+    The offsets are index arrays (intp) whatever the inputs' dtype.
     """
-    o = np.minimum(first, size)
+    o = np.minimum(first, size, dtype=np.intp)
+    step = step.astype(np.intp, copy=False)
     j = 0
     while o.size:
         yield o

@@ -74,6 +74,9 @@ def test_accept_t5_scan():
              f"block1 {t_first:.1f}s<=60, full {t_all:.1f}s<=600")
     assert n_fail == 0
     assert n_primes == 24_999_706
+    # every t5 prime is settled by block proof: a chunk shape that pushed
+    # cuts onto the exact path would keep the rows and lose only speed
+    assert sum(r.primes_proved for r in reports) == n_primes
     assert _rows_sha256(reports) == T5_ROWS_SHA256
     assert t_first <= 60.0 and t_all <= 600.0
 

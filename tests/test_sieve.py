@@ -88,53 +88,96 @@ def test_segments_cover_range_in_order():
 
 
 def _segments_checked(lo: int, hi: int) -> list[int]:
-    """Flatten the segments of [lo, hi], asserting each is increasing int64."""
+    """Flatten the segments of [lo, hi], asserting each is int64 and the
+    stream is strictly increasing across segments."""
     out: list[int] = []
     for seg in prime_array_segments(lo, hi):
         assert seg.dtype == np.int64, (lo, hi, seg.dtype)
         assert np.all(np.diff(seg) > 0), (lo, hi)
+        assert not (out and seg.size) or out[-1] < seg[0], (lo, hi)
         out += seg.tolist()
     return out
 
 
-# The wheel strikes 3, 5, 7, 11, 13 and repeats every 15015 odd numbers.
-WHEEL_PERIOD = 15015
+# The mask holds the integers coprime to 30, 8 entries per wheel position
+# of 30 integers; the pattern that pre-strikes 7, 11 and 13 repeats every
+# 1001 positions (30030 integers).
+RESIDUES = (1, 7, 11, 13, 17, 19, 23, 29)
+PERIOD = 7 * 11 * 13
+PERIOD_INTS = 30 * PERIOD
+
+
+def _expected_yields(lo: int, hi: int, seg: int) -> int:
+    """Yields of prime_array_segments(lo, hi) with SEG = seg: one for any
+    of 2, 3, 5 in range, then two halves of 4 seg entries per block of
+    8 seg, entries counted from the multiple of 30 at or below lo."""
+    lo = max(lo, 2)
+    small = any(lo <= p <= hi for p in (2, 3, 5))
+    entries = sum(math.gcd(n, 30) == 1 for n in range(lo - lo % 30, hi + 1))
+    return small + -(-entries // (4 * seg))
 
 
 def test_segments_match_byte_sieve_around_wheel_primes():
     # every lo in 0..20 puts a range end on each side of each wheel prime
     for lo in range(21):
-        for hi in list(range(lo, 60)) + [2 * WHEEL_PERIOD + 57]:
+        for hi in list(range(lo, 60)) + [PERIOD_INTS + 57]:
             assert _segments_checked(lo, hi) == byte_primes(lo, hi), (lo, hi)
 
 
 def test_segments_match_byte_sieve_past_two_periods():
-    for lo, hi in ((0, 2 * WHEEL_PERIOD + 1), (17, 3 * WHEEL_PERIOD + 13),
-                   (10**6 + 1, 10**6 + 5 * WHEEL_PERIOD)):
+    for lo, hi in ((0, 2 * PERIOD_INTS + 1), (17, 3 * PERIOD_INTS + 13),
+                   (10**6 + 1, 10**6 + 5 * PERIOD_INTS)):
         assert _segments_checked(lo, hi) == byte_primes(lo, hi), (lo, hi)
 
 
 def test_primes_between_matches_byte_sieve_for_every_hi():
     # the base primes of [0, hi] are primes_between(2, isqrt(hi)): every hi
     # up to 2000 steps across each p^2 boundary of that recursion (17^2 to
-    # 43^2 past the wheel) and through its empty base cases
+    # 43^2 past the pre-struck primes) and through its empty base cases
     ref = byte_primes(0, 2000)
     for hi in range(2001):
         assert primes_between(0, hi).tolist() == [p for p in ref if p <= hi], hi
 
 
-@pytest.mark.parametrize("seg", [7, WHEEL_PERIOD, WHEEL_PERIOD + 1])
+@pytest.mark.parametrize("anchor", [0, 10**6, 10**9])
+def test_segments_match_oracle_at_every_residue(anchor):
+    # lo at each residue mod 30 and hi at each residue of the same or the
+    # next position, so every pair of end residues occurs in a range
+    # shorter than 30, and again in one of 30 to 59 (fewer of those near
+    # 10^9, where each call sieves 3,400 base primes); near 0 this takes
+    # lo = 0, 1, 2 and each of the primes 2..13 that the wheel handles apart
+    base = anchor - anchor % 30
+    ref = byte_primes(base, base + 90) if anchor < 10**9 else \
+        window_primes(base, base + 90).tolist()
+    lengths = range(60) if anchor < 10**9 else [*range(30), 30, 31, 59]
+    for a in range(30):
+        for length in lengths:
+            lo, hi = base + a, base + a + length
+            got = _segments_checked(lo, hi)
+            assert got == [p for p in ref if lo <= p <= hi], (lo, hi)
+            assert 1 not in got
+            for p in (2, 3, 5, 7, 11, 13):
+                assert (p in got) == (lo <= p <= hi), (lo, hi, p)
+
+
+@pytest.mark.parametrize("seg", [7, PERIOD, PERIOD + 1,
+                                 15 * PERIOD, 15 * PERIOD + 1])
 def test_segments_match_byte_sieve_at_every_phase(monkeypatch, seg):
-    # each segment moves the wheel phase on by SEG mod 15015.  With SEG = 7,
-    # the ranges from lo = 0, 2, .., 14 start at phases 1..7 and so reach
-    # every phase within two periods; 15015 keeps the phase, 15016 steps it
-    # by one
+    # block k of a range from lo starts at pattern phase
+    # (lo // 30 + k SEG) mod 1001.  SEG = 7 moves it by 7 a block, so the
+    # ranges from the 7 positions lo = 1, 31, .., 181 reach every phase
+    # within 143 blocks; SEG = 1001 and 15015 keep the phase, 1002 and
+    # 15016 step it by one
     monkeypatch.setattr(sieve, "SEG", seg)
-    for lo in range(0, 15, 2):
-        hi = lo + 2 * WHEEL_PERIOD + 14
+    blocks = max(2, -(-PERIOD // seg) + 1)
+    ranges = [(30 * k + 1, 30 * k + 30 * seg * blocks + 13)
+              for k in range(7 if seg < PERIOD else 2)]
+    ranges.append((10**6 + 3, 10**6 + 30 * seg * blocks + 3 * PERIOD_INTS))
+    for lo, hi in ranges:
         assert _segments_checked(lo, hi) == byte_primes(lo, hi), (seg, lo)
-    lo, hi = 10**6 + 3, 10**6 + 4 * WHEEL_PERIOD
-    assert _segments_checked(lo, hi) == byte_primes(lo, hi), seg
+        # a patch of SEG that did not take effect fails here
+        assert len(list(prime_array_segments(lo, hi))) == \
+            _expected_yields(lo, hi, seg), (seg, lo)
 
 
 @pytest.mark.parametrize("lo", [10**9, 2**32 - 50_000, 99 * 10**9])
@@ -144,43 +187,181 @@ def test_segments_match_window_oracle_at_large_x(lo):
                           window_primes(lo, hi)), lo
 
 
-def test_short_last_segment_matches_window_oracle():
-    # 2 SEG + 1000 odd numbers: the last segment is too short for most
-    # sparse primes to have a multiple in it, so their first offsets all
-    # land in the spare slot
-    lo = 10**11 + 1
-    hi = lo + 2 * (2 * sieve.SEG + 1000) - 2
-    segs = list(prime_array_segments(lo, hi))
-    assert len(segs) == 3
-    assert np.array_equal(np.concatenate(segs), window_primes(lo, hi))
-
-
-@pytest.mark.parametrize("seg,lo,hi", [
-    (7, 10**6 + 3, 10**6 + 4 * WHEEL_PERIOD),
-    (WHEEL_PERIOD, 10**6 + 3, 10**6 + 4 * WHEEL_PERIOD),
-    (None, 10**9, 10**9 + 100_000),
-])
-def test_sparse_threshold_follows_seg(monkeypatch, seg, lo, hi):
-    # primes from SEG >> 6 on are struck in rounds, the rest by one slice
-    # each: at SEG = 7 every sieving prime takes the rounds, at 15015 the
-    # primes 17..233 take slices
-    if seg is not None:
-        monkeypatch.setattr(sieve, "SEG", seg)
-    steps = []
+@pytest.mark.parametrize("chunk", [8, 24])
+def test_chunked_progressions_match_window_oracle(monkeypatch, chunk):
+    # progressions go to `_rounds` in chunks; with chunks of one or three
+    # primes the dense progressions (primes 17..233 at SEG = 15015) span
+    # many chunks, and both carry paths (steps below and at least the
+    # block) occur.  Each block still strikes exactly the sparse ones in
+    # rounds.
+    monkeypatch.setattr(sieve, "SEG", 15 * PERIOD)
+    monkeypatch.setattr(sieve, "_CHUNK", chunk)
+    monkeypatch.setattr(sieve, "primes_between", lambda lo, hi: np.array(
+        byte_primes(lo, hi), dtype=np.int64))
+    calls = []
     rounds = sieve._rounds
 
     def recording(first, step, size):
-        steps.append(step)
+        calls.append((size, step.tolist()))
         return rounds(first, step, size)
 
     monkeypatch.setattr(sieve, "_rounds", recording)
+    lo = 10**10 + 7
+    hi = lo + 30 * sieve.SEG + 4321
     assert _segments_checked(lo, hi) == window_primes(lo, hi).tolist()
-    threshold = sieve.SEG >> 6
     sieving = byte_primes(17, math.isqrt(hi))
-    assert sieving[-1] >= threshold
-    want = [p for p in sieving if p >= threshold]
-    assert steps and all(s.tolist() == want[:s.size] for s in steps)
-    assert max(s.size for s in steps) == len(want)
+    sizes = sorted({size for size, _ in calls}, reverse=True)
+    assert sizes[0] == 8 * sieve.SEG and len(sizes) == 2
+    for size in sizes:
+        struck = [x for sz, steps in calls if sz == size for x in steps]
+        assert struck == [8 * p for p in sieving if p >= size >> 9
+                          for _ in range(8)], size
+
+
+def test_int64_offsets_match_window_oracle(monkeypatch):
+    # offsets are int32 only when every one of them, plus a block, stays
+    # below 2^31; a block of 2^28 positions does not, so this short range
+    # takes the int64 offsets
+    monkeypatch.setattr(sieve, "SEG", 1 << 28)
+    dtypes = []
+    rounds = sieve._rounds
+
+    def recording(first, step, size):
+        dtypes.append(first.dtype)
+        return rounds(first, step, size)
+
+    monkeypatch.setattr(sieve, "_rounds", recording)
+    lo = 10**9 + 7
+    hi = lo + 100_000
+    assert _segments_checked(lo, hi) == window_primes(lo, hi).tolist()
+    assert dtypes and all(dt == np.int64 for dt in dtypes)
+
+
+def test_short_last_segment_matches_window_oracle(monkeypatch):
+    # two full blocks and a last one of 1000 entries: the last block is too
+    # short for most sparse progressions (step 8 p >= 16384) to have a
+    # multiple in it, so their offsets land in the spare slot
+    base = 10**11 - 10**11 % 30
+    lo = base + 1
+    hi = base + 30 * (2 * sieve.SEG + 125) - 1
+    firsts = []
+    rounds = sieve._rounds
+
+    def recording(first, step, size):
+        firsts.append((np.minimum(first, size), size))
+        return rounds(first, step, size)
+
+    monkeypatch.setattr(sieve, "_rounds", recording)
+    segs = list(prime_array_segments(lo, hi))
+    assert len(segs) == 5  # two halves of each full block, one short one
+    assert np.array_equal(np.concatenate(segs), window_primes(lo, hi))
+    last = [o for o, size in firsts if size == 1000]
+    assert last and sum(o.size for o in last) > 100_000
+    spare = sum(int(np.count_nonzero(o == 1000)) for o in last)
+    assert spare >= 0.9 * sum(o.size for o in last)
+
+
+@pytest.mark.parametrize("seg,lo,hi", [
+    (7, 10**6 + 3, 10**6 + 4 * 15015),
+    (15015, 10**6 + 3, 10**6 + 4 * 15015),
+    (15015, 10**6 + 3, 10**6 + 2 * 30 * 15015 + 5000),
+    (None, 10**9, 10**9 + 100_000),
+    (None, 10**9, 10**9 + 2 * 30 * 2**17 + 5000),
+])
+def test_sparse_threshold_follows_seg(monkeypatch, seg, lo, hi):
+    # a block of `size` entries strikes the progressions of the primes
+    # from size >> 9 on (at most 64 strikes each) in rounds, the rest by
+    # one slice each: SEG >> 6 in a full block, so at SEG = 7 every
+    # sieving prime takes the rounds, at 15015 the primes 17..233 take
+    # slices, at the default 2^17 the primes below 2048; a short block
+    # moves the split down
+    if seg is not None:
+        monkeypatch.setattr(sieve, "SEG", seg)
+    calls = []
+    rounds = sieve._rounds
+
+    def recording(first, step, size):
+        calls.append((step, size))
+        return rounds(first, step, size)
+
+    monkeypatch.setattr(sieve, "_rounds", recording)
+    # base primes from the byte sieve, so that every call is the range's own
+    monkeypatch.setattr(sieve, "primes_between", lambda lo, hi: np.array(
+        byte_primes(lo, hi), dtype=np.int64))
+    assert _segments_checked(lo, hi) == window_primes(lo, hi).tolist()
+    sieving = byte_primes(17, math.isqrt(hi))
+    assert sieving[-1] >= sieve.SEG >> 6
+    # 8 progressions per prime (one per class of the multiplier mod 30),
+    # all in one chunk here, so one call per block
+    assert 8 * len(sieving) <= sieve._CHUNK
+    assert len(calls) == -(-_expected_yields(lo, hi, sieve.SEG) // 2)
+    for step, size in calls:
+        want = [8 * p for p in sieving if p >= size >> 9 for _ in range(8)]
+        assert step.tolist() == want, size
+    full = [size for _, size in calls if size == 8 * sieve.SEG]
+    assert bool(full) == (hi - lo > 30 * sieve.SEG)
+
+
+def _first_offsets_reference(p: int, base: int) -> list[int]:
+    """Python-int oracle for sieve._first_offsets: for each residue r_j,
+    the flat index from `base` of p m for the least m >= max(p, ceil(base
+    / p)) with m = r_j (mod 30)."""
+    m_lo = max(p, -(-base // p))
+    out = []
+    for r in RESIDUES:
+        m = m_lo + (r - m_lo) % 30
+        rel = p * m - base
+        out.append(8 * (rel // 30) + RESIDUES.index(rel % 30))
+    return out
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first 12 prime bases, deterministic below
+    3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for b in bases:
+        if n % b == 0:
+            return n == b
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_first_offsets_match_python_ints():
+    rng = np.random.default_rng(17)
+    ps = byte_primes(17, 5000)
+    for base in [0, 30, 270, 28890] + (30 * rng.integers(0, 10**8, 20)).tolist():
+        got = sieve._first_offsets(np.array(ps, dtype=np.int64), base)
+        want = [o for p in ps for o in _first_offsets_reference(p, base)]
+        assert got.tolist() == want, base
+
+
+def test_first_offsets_fit_int64_at_max_hi():
+    # the largest primes a range ending at MAX_HI sieves with, at the two
+    # largest block bases below it: the multiples p m run past 2^63 - 1,
+    # so an offset formed from p m in int64 would wrap
+    root = math.isqrt(sieve.MAX_HI)
+    ps = [n for n in range(root, root - 400, -1) if _is_prime(n)][:5][::-1]
+    assert len(ps) == 5 and ps[-1] ** 2 <= sieve.MAX_HI
+    for base in (sieve.MAX_HI - sieve.MAX_HI % 30,
+                 sieve.MAX_HI - sieve.MAX_HI % 30 - 30):
+        got = sieve._first_offsets(np.array(ps, dtype=np.int64), base)
+        want = [o for p in ps for o in _first_offsets_reference(p, base)]
+        assert got.tolist() == want, base
+        assert max(base + 30 * (o // 8) + RESIDUES[o % 8] for o in want) > 2**63
 
 
 def test_segments_refuse_a_top_past_max_hi(monkeypatch):
@@ -190,8 +371,11 @@ def test_segments_refuse_a_top_past_max_hi(monkeypatch):
     monkeypatch.setattr(sieve, "primes_between", no_base_primes)
     with pytest.raises(ValueError, match="MAX_HI"):
         next(prime_array_segments(sieve.MAX_HI - 10, sieve.MAX_HI + 1))
-    # the largest offset the sieve forms, hi + 2 isqrt(hi) - 1, fits int64
-    assert sieve.MAX_HI + 2 * math.isqrt(sieve.MAX_HI) - 1 <= 2**63 - 1
+    # the largest int64 the sieve forms is max(hi, 900, 8 isqrt(hi) + 8 SEG)
+    # (offsets are formed relative to a block's base, see
+    # sieve._first_offsets); it fits at MAX_HI
+    r = math.isqrt(sieve.MAX_HI)
+    assert max(sieve.MAX_HI, 900, 8 * r + 8 * sieve.SEG) <= 2**63 - 1
 
 
 def test_phi_table_matches_factorize():
