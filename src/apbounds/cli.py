@@ -49,7 +49,8 @@ import numpy as np
 
 from .checkers import check1, check_sqrt, row_top, run_exception_tables
 from .majorant import verify_constants, verify_majorant, verify_tail_sign
-from .margins import DEFAULT_SLACK, BoundEval, ColumnBlock, worst_margin
+from .margins import (CHUNK_POINTS, DEFAULT_SLACK, BoundEval, ColumnBlock,
+                      worst_margin)
 # perfbench's traced run rebinds phi_table here as the sieve layer's entry
 # point, so the name stays bound in this module
 from .sieve import phi_table  # noqa: F401
@@ -137,6 +138,32 @@ def _slack(cfg: RunConfig, default: float = DEFAULT_SLACK) -> float:
 
 # ---------------------------------------------------------------- batteries
 
+class _Sweep:
+    """The rows of a `verify thm1-at` sweep, one ColumnBlock per chunk.
+
+    `moduli()` yields the sweep's moduli in chunks of at most CHUNK_POINTS
+    and `evaluate` turns a chunk into its block.  Iterating yields the
+    blocks in order, each evaluated when the pass reaches it, so a pass
+    holds one chunk's columns at a time.  The first block is evaluated up
+    front: its columns give the rows per point, and so `len`, the number of
+    records, before any pass.
+    """
+
+    def __init__(self, n_points: int, moduli, evaluate) -> None:
+        self._moduli, self._evaluate = moduli, evaluate
+        self._first = evaluate(next(moduli()))
+        self._rows = n_points * len(self._first.columns)
+
+    def __len__(self) -> int:
+        return self._rows
+
+    def __iter__(self):
+        chunks = self._moduli()
+        next(chunks)
+        yield self._first
+        yield from map(self._evaluate, chunks)
+
+
 def _battery_thm1_at(cfg: RunConfig, recs: list) -> None:
     p1 = load_table4()[0]
     slack = _slack(cfg)
@@ -152,23 +179,31 @@ def _battery_thm1_at(cfg: RunConfig, recs: list) -> None:
     # Sweep mode: every modulus outside the finite exception table, checked
     # at its reference scale x0(q).  --full walks the whole certified range
     # (up to the all-moduli threshold q0 for the plain window); otherwise a
-    # geometric subsample of --sample-grid points (default 200).  All moduli
-    # go through one columnar call, and its columns go into the records as
-    # one block: no per-record dict is built for the report.
+    # geometric subsample of --sample-grid points (default 200).  The moduli
+    # go through CHUNK_POINTS at a time, one columnar call per chunk whose
+    # columns become one ColumnBlock; no whole-range list is built.
     blocks = load_table6() if cfg.sqrt else load_table5()
-    skip = {q for q, _, _ in blocks[0].rows}
+    skip = sorted({q for q, _, _ in blocks[0].rows})
     if cfg.full:
-        limit = 10**5 if cfg.sqrt else p1.q0
-        qs = [q for q in range(3, limit + 1) if q not in skip]
+        qs = range(3, (10**5 if cfg.sqrt else p1.q0) + 1)
+        n_points = len(qs) - sum(q in qs for q in skip)
     else:
         qs = _grid(3, 10**5, cfg.sample_grid or 200, skip)
-    if not qs:  # a grid of one point is q = 3, an exception-table row
+        n_points = len(qs)
+    if not n_points:  # a grid of one point is q = 3, an exception-table row
         return
-    q_col = np.array(qs)
-    x_col = x0_of(p1, q_col, cfg.sqrt)
-    cols = verify_thm1_at(q_col, x_col, p1, sqrt_mode=cfg.sqrt, slack=slack)
-    recs.append(ColumnBlock(suite, cols, {"q": qs, "x": x_col.tolist(),
-                                          "sqrt": cfg.sqrt}))
+
+    def moduli():
+        for lo in range(0, len(qs), CHUNK_POINTS):
+            q = np.array(qs[lo:lo + CHUNK_POINTS], dtype=np.int64)
+            yield q[~np.isin(q, skip)]
+
+    def evaluate(q):
+        x = x0_of(p1, q, cfg.sqrt)
+        cols = verify_thm1_at(q, x, p1, sqrt_mode=cfg.sqrt, slack=slack)
+        return ColumnBlock(suite, cols, {"q": q.tolist(), "x": x.tolist(),
+                                         "sqrt": cfg.sqrt})
+    recs.append(_Sweep(n_points, moduli, evaluate))
 
 
 def _battery_thm1_tables(cfg: RunConfig, recs: list[dict]) -> None:
@@ -296,32 +331,47 @@ def _run_report(cfg: RunConfig, recs: list[dict]) -> None:
 
 # ---------------------------------------------------------------- driver
 
+# one encoder for every dict row: json.dumps would build one per record
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
 def _size(rec) -> int:
-    """How many records a dict row or a ColumnBlock stands for."""
-    return len(rec) if isinstance(rec, ColumnBlock) else 1
+    """How many records a dict row, a ColumnBlock or a sweep stands for."""
+    return 1 if isinstance(rec, dict) else len(rec)
 
 
-def _write_out(path: str, cfg: RunConfig, records: list) -> None:
-    stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    # one encoder for every dict row: json.dumps would build one per record
-    encode = json.JSONEncoder(sort_keys=True).encode
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# apbounds {cfg.command}"
-                 f"{' ' + cfg.target if cfg.target else ''} report\n")
-        fh.write(f"# generated: {stamp}\n")
-        fh.write(f"# records: {sum(_size(r) for r in records)}\n")
-        for rec in records:
-            if isinstance(rec, ColumnBlock):
-                fh.writelines(rec.lines())
-            else:
-                fh.write(encode(rec) + "\n")
-
-
-def _print_summary(records: list) -> tuple[int, int]:
-    """One line per suite and one per failed record; returns the number of
-    checks and of failed checks."""
-    suites: dict[str, list] = {}  # suite -> [checks, worst margins, fails]
+def _rows(records: list):
+    """The dict rows and ColumnBlocks of `records` in report order, a
+    sweep's block by block as each is evaluated."""
     for rec in records:
+        if isinstance(rec, _Sweep):
+            yield from rec
+        else:
+            yield rec
+
+
+def _written(fh, cfg: RunConfig, records: list):
+    """Write the report header to `fh`, then yield each dict row and
+    ColumnBlock of `records` (as `_rows` does) once its lines are written."""
+    stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    fh.write(f"# apbounds {cfg.command}"
+             f"{' ' + cfg.target if cfg.target else ''} report\n")
+    fh.write(f"# generated: {stamp}\n")
+    fh.write(f"# records: {sum(_size(r) for r in records)}\n")
+    for rec in _rows(records):
+        if isinstance(rec, ColumnBlock):
+            fh.writelines(rec.lines())
+        else:
+            fh.write(_encode(rec) + "\n")
+        yield rec
+
+
+def _print_summary(records) -> tuple[int, int]:
+    """One line per suite and one per failed record; returns the number of
+    checks and of failed checks.  One pass over `records`, which may be a
+    generator; a sweep is tallied block by block as each is evaluated."""
+    suites: dict[str, list] = {}  # suite -> [checks, worst margins, fails]
+    for rec in _rows(records):
         if isinstance(rec, ColumnBlock):
             if not len(rec):
                 continue
@@ -346,7 +396,7 @@ def _print_summary(records: list) -> tuple[int, int]:
 
 
 def dispatch(cfg: RunConfig) -> int:
-    records: list = []  # dict rows and ColumnBlocks, in report order
+    records: list = []  # dict rows, ColumnBlocks and sweeps, in report order
     if cfg.command == "verify":
         _BATTERIES[cfg.target](cfg, records)
     elif cfg.command == "check":
@@ -355,9 +405,13 @@ def dispatch(cfg: RunConfig) -> int:
         _run_report(cfg, records)
     else:  # pragma: no cover - argparse restricts choices
         raise SystemExit(f"unknown command {cfg.command!r}")
+    # one pass: each row or block is written (with --out), tallied and
+    # dropped, so a sweep holds one chunk's columns at a time
     if cfg.out:
-        _write_out(cfg.out, cfg, records)
-    checks, failed = _print_summary(records)
+        with open(cfg.out, "w", encoding="utf-8") as fh:
+            checks, failed = _print_summary(_written(fh, cfg, records))
+    else:
+        checks, failed = _print_summary(records)
     print(f"total: {checks} checks, {failed} failed")
     return 0 if not failed else 1
 

@@ -106,9 +106,11 @@ class BoundColumn:
                            clears(lhs, rhs, self.slack))
 
 
-#: Points per text chunk of ColumnBlock.lines: about 4 MB of report text for
-#: five columns, so a sweep is written without holding its whole body.
-CHUNK_POINTS = 4096
+#: Points per chunk: the moduli `verify thm1-at` evaluates in one columnar
+#: call and the text chunk of ColumnBlock.lines (about 1 MB of report text
+#: for five columns), so a sweep holds neither its body nor its columns
+#: whole.  notes/decisions.md has the sizes that were measured.
+CHUNK_POINTS = 1024
 
 _encode = json.JSONEncoder(sort_keys=True).encode
 

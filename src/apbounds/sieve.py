@@ -44,6 +44,7 @@ notes/decisions.md has the tables.
 """
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterator
 
@@ -51,6 +52,8 @@ import numpy as np
 
 __all__ = [
     "MAX_HI",
+    "PHI_HI",
+    "phi_segment",
     "phi_table",
     "prime_array_segments",
     "primes_between",
@@ -221,20 +224,86 @@ def primes_between(lo: int, hi: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def phi_table(n: int) -> np.ndarray:
-    """Euler totients 0..n: each prime p takes 1/p off each of its multiples.
+# The largest top end of phi_segment: its base primes lie below 2^16.
+PHI_HI = (1 << 32) - 1
 
-    The updates commute (the running value at m stays divisible by every
-    prime of m not yet applied), so the primes with at most 64 multiples
-    in [1, n] are applied together in rounds, with a spare slot at n + 1.
+
+@functools.cache
+def _prime_powers() -> tuple[np.ndarray, ...]:
+    """phi_segment's progressions, built on first use: every prime power
+    p^k <= PHI_HI with p below 2^16, as (key, step, prime, factor) columns.
+
+    A prime p is needed once p^2 <= hi and a higher power once it is <= hi,
+    so, sorted by that key, the progressions a top end needs are a prefix.
+    The factor is what p^k adds to the totient of a multiple: p - 1 for
+    k = 1, p above, so that the factors over p^k | n, k = 1..v, multiply
+    to phi(p^v).
     """
-    ph = np.arange(n + 2, dtype=np.int64)
-    ps = primes_between(2, n)
-    dense = int(np.searchsorted(ps, n // 65, "right"))  # n // p >= 65
-    for p in ps[:dense].tolist():
-        view = ph[p::p]
-        view -= view // p
-    sparse = ps[dense:]
-    for m in _rounds(sparse, sparse, n + 1):
-        ph[m] -= ph[m] // sparse[:m.size]
-    return ph[:n + 1]
+    ps = primes_between(2, 1 << 16)
+    keys, steps, bases, factors = [ps * ps], [ps], [ps], [ps - 1]
+    pk = ps
+    while True:
+        pk = pk * ps[:pk.size]
+        pk = pk[pk <= PHI_HI]  # a prefix, as ps increases
+        if not pk.size:
+            break
+        base = ps[:pk.size]
+        keys.append(pk)
+        steps.append(pk)
+        bases.append(base)
+        factors.append(base)
+    order = np.argsort(np.concatenate(keys), kind="stable")
+    return tuple(np.concatenate(a)[order]
+                 for a in (keys, steps, bases, factors))
+
+
+# integers per pass of phi_segment, so that its strike arrays stay near 2 MB
+_PHI_SPAN = 1 << 14
+
+
+def phi_segment(lo: int, hi: int) -> np.ndarray:
+    """Euler totients of lo..hi (phi(0) = 0), 0 <= lo and hi <= PHI_HI.
+
+    The time is linear in hi - lo, plus the number of prime powers up to
+    hi with prime at most isqrt(hi).  Each such p^k strikes its multiples
+    in the window, all at once: s(n) collects p for each strike and f(n)
+    the totient factor (p - 1 for k = 1, p above), so s(n) is the part of
+    n made of primes up to isqrt(hi) and f(n) = phi(s(n)).  What is left,
+    n / s(n), is 1 or the one prime factor of n past isqrt(hi), P, and
+    phi(n) = f(n) (P - 1).  Repeated strikes of one n (one per prime
+    power dividing it) go through `np.multiply.at`, and the products stay
+    below n.
+    """
+    lo, hi = int(lo), int(hi)
+    if lo < 0 or hi > PHI_HI:
+        raise ValueError(f"phi_segment takes 0 <= lo and hi <= {PHI_HI}, "
+                         f"got [{lo}, {hi}]")
+    parts = [np.zeros(int(lo == 0 <= hi), dtype=np.int64)]
+    keys, steps, bases, factors = _prime_powers()
+    live = int(np.searchsorted(keys, hi, "right"))
+    steps, bases, factors = steps[:live], bases[:live], factors[:live]
+    for a in range(max(lo, 1), hi + 1, _PHI_SPAN):
+        n = np.arange(a, min(a + _PHI_SPAN - 1, hi) + 1, dtype=np.int64)
+        # each progression's first offset and strike count in n; first <
+        # step, so the count is never negative
+        first = -a % steps
+        count = (n.size - 1 - first) // steps + 1
+        which = np.repeat(np.arange(live), count)
+        pos = np.arange(which.size)
+        pos -= (np.cumsum(count) - count)[which]
+        pos *= steps[which]
+        pos += first[which]
+        s = np.ones(n.size, dtype=np.int64)
+        f = np.ones(n.size, dtype=np.int64)
+        np.multiply.at(s, pos, bases[which])
+        np.multiply.at(f, pos, factors[which])
+        n //= s  # 1 or the prime past isqrt(hi)
+        n -= 1
+        np.maximum(n, 1, out=n)
+        f *= n
+        parts.append(f)
+    return np.concatenate(parts)
+
+
+#: Euler totients 0..n, phi(0) = 0: phi_segment's lo = 0 case.
+phi_table = functools.partial(phi_segment, 0)

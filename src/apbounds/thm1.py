@@ -28,7 +28,7 @@ import numpy as np
 
 from .arith import phi_of
 from .margins import DEFAULT_SLACK, BoundColumn, BoundEval, clears
-from .sieve import phi_table
+from .sieve import phi_segment
 from .tables import ParamSet
 
 __all__ = [
@@ -81,10 +81,12 @@ def _hatted(params: ParamSet, sqrt_mode: bool) -> tuple[float, float, float]:
 
 def _phi(q):
     """phi(q): a single modulus is factored, an array of moduli is served by
-    one totient sieve up to its largest entry."""
+    one segmented totient sieve over the window [min q, max q]."""
     if np.ndim(q) == 0:
         return phi_of(int(q))
-    return phi_table(int(np.max(q, initial=1)))[q]
+    hi = int(np.max(q, initial=1))
+    lo = int(np.min(q, initial=hi))
+    return phi_segment(lo, hi)[np.asarray(q) - lo]
 
 
 def window_operands(q, x):
@@ -171,8 +173,9 @@ def verify_thm1_at(q, x, params: ParamSet, sqrt_mode: bool = False,
 
     For scalar q and x this returns five BoundEvals.  q and x may instead be
     equal-length arrays; then each of the five inequalities comes back as
-    one BoundColumn over the points, with phi from one totient sieve.  A
-    point and a column run the same numpy expressions.
+    one BoundColumn over the points, with phi from one segmented totient
+    sieve over [min q, max q].  A point and a column run the same numpy
+    expressions.
     """
     q, x, phi = window_operands(q, x)
     beta, T = _beta_T(params, q, x, sqrt_mode, phi)

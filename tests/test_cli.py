@@ -11,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from apbounds.cli import (_BATTERIES, RunConfig, _print_summary, _run_check,
-                          _run_report, dispatch, main)
-from apbounds.margins import BoundColumn, ColumnBlock
-from apbounds.tables import load_table4
+from apbounds import cli
+from apbounds.cli import (_BATTERIES, RunConfig, _grid, _print_summary, _rows,
+                          _run_check, _run_report, dispatch, main)
+from apbounds.margins import CHUNK_POINTS, BoundColumn, ColumnBlock
+from apbounds.tables import load_table4, load_table6
 from apbounds.thm1 import verify_thm1_at, x0_of
 
 
@@ -115,6 +116,37 @@ def test_thm1_sweep_matches_scalar_calls(tmp_path, sqrt_mode):
     # the shared encoder writes exactly what json.dumps would
     body = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
     assert body == [json.dumps(r, sort_keys=True) for r in recs]
+
+
+def test_thm1_sweep_streams_chunk_by_chunk(tmp_path, monkeypatch, capsys):
+    # the sweep evaluates at most CHUNK_POINTS moduli a call, and writes and
+    # summarizes exactly what one block over all of its moduli would
+    sizes = []
+
+    def counted(q, *args, **kwargs):
+        sizes.append(len(q))
+        return verify_thm1_at(q, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_thm1_at", counted)
+    out = tmp_path / "sweep.jsonl"
+    assert main(["verify", "thm1-at", "--sample-grid", "10000", "--sqrt",
+                 "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert len(sizes) >= 3
+    assert max(sizes) <= CHUNK_POINTS
+    p1 = load_table4()[0]
+    qs = _grid(3, 10**5, 10000, {q for q, _, _ in load_table6()[0].rows})
+    assert sum(sizes) == len(qs)
+    x = x0_of(p1, np.array(qs), True)
+    whole = ColumnBlock("verify:thm1-at",
+                        verify_thm1_at(np.array(qs), x, p1, sqrt_mode=True),
+                        {"q": qs, "x": x.tolist(), "sqrt": True})
+    lines = out.read_bytes().splitlines(keepends=True)
+    assert lines[2] == f"# records: {len(whole)}\n".encode()
+    assert b"".join(lines[3:]) == "".join(whole.lines()).encode()
+    checks, failed = _print_summary([whole])
+    assert stdout == capsys.readouterr().out \
+        + f"total: {checks} checks, {failed} failed\n"
 
 
 def test_verify_thm1_tables(tmp_path):
@@ -479,6 +511,7 @@ def test_records_are_plain_python():
     _run_check(RunConfig(command="check", target="custom", q=3, x0=23656,
                          x=193269.0), items)
     _run_check(RunConfig(command="check", target="t6", block=1), items)
+    items = list(_rows(items))  # a sweep's blocks, as the report pass reads them
     assert any(isinstance(r, ColumnBlock) for r in items)
     recs = [row for r in items for row in
             (r.records() if isinstance(r, ColumnBlock) else [r])]

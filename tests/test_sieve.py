@@ -1,4 +1,4 @@
-"""Unit tests for the segmented sieve and the totient table."""
+"""Unit tests for the segmented sieve and the segmented totient sieve."""
 from __future__ import annotations
 
 import math
@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from apbounds import sieve
-from apbounds.sieve import phi_table, prime_array_segments, primes_between
+from apbounds.arith import phi_of
+from apbounds.sieve import (phi_segment, phi_table, prime_array_segments,
+                            primes_between)
 
 
 def naive_primes(lo: int, hi: int) -> list[int]:
@@ -405,3 +407,73 @@ def test_phi_table_tiny(n):
     from apbounds.arith import phi_of
 
     assert phi_table(n).tolist() == [0] + [phi_of(q) for q in range(1, n + 1)]
+
+
+def _phi_segment_checked(lo: int, hi: int) -> None:
+    got = phi_segment(lo, hi)
+    assert got.dtype == np.int64
+    assert got.tolist() == [0 if n == 0 else phi_of(n)
+                            for n in range(lo, hi + 1)], (lo, hi)
+
+
+def test_phi_segment_seeded_windows():
+    rng = np.random.default_rng(18)
+    top = 2 * 10**7
+    for width in [1, 2, 30, 1024] + rng.integers(1, 3000, 4).tolist():
+        lo = int(rng.integers(0, top - width + 2))
+        _phi_segment_checked(lo, lo + width - 1)
+
+
+@pytest.mark.parametrize("span", [7, 64, 1000])
+def test_phi_segment_passes_meet(monkeypatch, span):
+    # a window longer than _PHI_SPAN goes in passes; each pass places the
+    # progressions afresh
+    monkeypatch.setattr(sieve, "_PHI_SPAN", span)
+    for lo, hi in [(0, 3000), (2**20 - 1500, 2**20 + 1500)]:
+        _phi_segment_checked(lo, hi)
+
+
+@pytest.mark.parametrize("lo", [0, 1, 2])
+@pytest.mark.parametrize("hi", [0, 1, 2, 3, 4, 5, 30, 1000])
+def test_phi_segment_low_ends(lo, hi):
+    _phi_segment_checked(lo, hi)  # hi < lo is the empty window
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 97, 2**16, 3**10, 65521**2,
+                               2 * 10**7, 2**32 - 1])
+def test_phi_segment_single_points(n):
+    _phi_segment_checked(n, n)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (2**20 - 40, 2**20 + 40),            # a power of 2 inside
+    (3**12 - 40, 3**12 + 40),            # a power of 3 inside
+    (2**10 * 3**6 - 30, 2**10 * 3**6),   # both, at the top end
+    (1009**2 - 50, 1009**2 + 50),        # p^2 at the window's middle
+    (4099**2, 4099**2 + 10),             # p^2 at the bottom, p = isqrt(hi)
+    (4093**2 - 10, 4093**2),             # p^2 at the top, p = isqrt(hi)
+    (2**24 - 300, 2**24 + 300),          # 2^24
+    (65521**2 - 20, 65521**2 + 20),      # the largest prime square in range
+])
+def test_phi_segment_prime_powers(lo, hi):
+    _phi_segment_checked(lo, hi)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (392975 - 1023, 392975),   # the plain q0's last chunk of moduli
+    (2 * 10**7 - 1023, 2 * 10**7 + 500),
+    (2**32 - 60, 2**32 - 1),   # up to PHI_HI
+])
+def test_phi_segment_top_windows(lo, hi):
+    _phi_segment_checked(lo, hi)
+
+
+@pytest.mark.parametrize("lo, hi", [(-1, 5), (0, sieve.PHI_HI + 1)])
+def test_phi_segment_refuses_out_of_range(lo, hi):
+    with pytest.raises(ValueError):
+        phi_segment(lo, hi)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 10**5])
+def test_phi_table_is_phi_segment_from_zero(n):
+    assert np.array_equal(phi_table(n), phi_segment(0, n))
