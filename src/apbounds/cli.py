@@ -18,11 +18,15 @@ Everything the library verifies is reachable from here:
 Each run produces a list of records (one verified inequality each); with
 --out they are written as JSON lines after a commented header, and the
 process exits 0 iff every record passed.  A record is a dict row
-(`BoundEval.record`), except that a thm1-at sweep adds one
-`margins.ColumnBlock` standing for all of its rows: the writer encodes a
+(`BoundEval.record`), except that a thm1-at sweep adds one `_Sweep`: its
+moduli go CHUNK_POINTS at a time through one columnar call each, and each
+chunk's rows come out as one `margins.ColumnBlock`.  The writer encodes a
 block's lines straight from its columns, byte for byte what the stdlib
 encoder writes for the dict rows, and the stdout summary takes its counts
-and worst margin from numpy (a NaN margin counts as the worst).
+and worst margin from numpy (a NaN margin counts as the worst).  One pass
+over the records writes and tallies each block and then drops it, so a
+sweep holds one chunk's columns at a time, whatever its range; the
+`# records:` header comes from the sweep's point count.
 
 A flag that the chosen target would ignore is a usage error (exit 2), and
 so is a value out of range: `--slack` must be finite and >= 0, `--x`
@@ -331,10 +335,6 @@ def _run_report(cfg: RunConfig, recs: list[dict]) -> None:
 
 # ---------------------------------------------------------------- driver
 
-# one encoder for every dict row: json.dumps would build one per record
-_encode = json.JSONEncoder(sort_keys=True).encode
-
-
 def _size(rec) -> int:
     """How many records a dict row, a ColumnBlock or a sweep stands for."""
     return 1 if isinstance(rec, dict) else len(rec)
@@ -354,6 +354,8 @@ def _written(fh, cfg: RunConfig, records: list):
     """Write the report header to `fh`, then yield each dict row and
     ColumnBlock of `records` (as `_rows` does) once its lines are written."""
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    # one encoder for every dict row: json.dumps would build one per record
+    encode = json.JSONEncoder(sort_keys=True).encode
     fh.write(f"# apbounds {cfg.command}"
              f"{' ' + cfg.target if cfg.target else ''} report\n")
     fh.write(f"# generated: {stamp}\n")
@@ -362,7 +364,7 @@ def _written(fh, cfg: RunConfig, records: list):
         if isinstance(rec, ColumnBlock):
             fh.writelines(rec.lines())
         else:
-            fh.write(_encode(rec) + "\n")
+            fh.write(encode(rec) + "\n")
         yield rec
 
 

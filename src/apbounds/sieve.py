@@ -1,4 +1,4 @@
-"""Segmented prime generation and small multiplicative tables.
+"""Segmented prime generation and a segmented totient sieve.
 
 The checkers stream primes from a sieve on a mod-30 wheel.  Its mask holds
 only the integers coprime to 30, position-major: flat index 8 k + i stands
@@ -41,6 +41,11 @@ before), the nine merged ranges of `check t5` plus `check t6` 0.37 s
 (0.40 s), and one window of 6e7 integers 0.086 / 0.090 / 0.097 / 0.120 s
 at 1e8 / 1e9 / 1e10 / 1e11 (0.088 / 0.141 / 0.150 / 0.166 s).
 notes/decisions.md has the tables.
+
+`phi_segment(lo, hi)` gives the totients of a window, up to `PHI_HI` =
+2^32 - 1, from the prime powers p^k <= hi with p <= isqrt(hi): a table of
+them is built once, on first use, from the primes below 2^16, and each
+window takes a prefix of it.  `phi_table(n)` is its lo = 0 case.
 """
 from __future__ import annotations
 
@@ -253,8 +258,11 @@ def _prime_powers() -> tuple[np.ndarray, ...]:
         bases.append(base)
         factors.append(base)
     order = np.argsort(np.concatenate(keys), kind="stable")
-    return tuple(np.concatenate(a)[order]
-                 for a in (keys, steps, bases, factors))
+    table = tuple(np.concatenate(a)[order]
+                  for a in (keys, steps, bases, factors))
+    for a in table:
+        a.flags.writeable = False  # shared by every call
+    return table
 
 
 # integers per pass of phi_segment, so that its strike arrays stay near 2 MB
@@ -288,15 +296,16 @@ def phi_segment(lo: int, hi: int) -> np.ndarray:
         # step, so the count is never negative
         first = -a % steps
         count = (n.size - 1 - first) // steps + 1
-        which = np.repeat(np.arange(live), count)
-        pos = np.arange(which.size)
-        pos -= (np.cumsum(count) - count)[which]
-        pos *= steps[which]
-        pos += first[which]
+        ends = np.cumsum(count)
+        # strike i, the j-th of its progression, sits at first + j step
+        # with j = i - (ends - count)
+        pos = np.arange(ends[-1] if live else 0)
+        pos *= np.repeat(steps, count)
+        pos += np.repeat(first - (ends - count) * steps, count)
         s = np.ones(n.size, dtype=np.int64)
         f = np.ones(n.size, dtype=np.int64)
-        np.multiply.at(s, pos, bases[which])
-        np.multiply.at(f, pos, factors[which])
+        np.multiply.at(s, pos, np.repeat(bases, count))
+        np.multiply.at(f, pos, np.repeat(factors, count))
         n //= s  # 1 or the prime past isqrt(hi)
         n -= 1
         np.maximum(n, 1, out=n)
