@@ -144,6 +144,8 @@ def _array_args(side: np.ndarray) -> list:
 def _uniform(side: np.ndarray) -> bool:
     """Every entry has the same bits (so -0.0 and 0.0 differ), and one text
     serves every point."""
+    if side.strides == (0,):  # a scalar side, broadcast
+        return True
     bits = side.view(np.int64) if side.dtype == np.float64 else side
     return bool(np.all(bits == bits[0]))
 
@@ -201,6 +203,8 @@ class ColumnBlock:
         if failed_only:
             keep = np.logical_or.reduce([~c.passed for c in self.columns])
         points = np.flatnonzero(keep)
+        if not points.size:
+            return
         cols = [(c.name, c.lhs[points].tolist(), c.rhs[points].tolist(),
                  c.margin[points].tolist(), c.passed[points].tolist())
                 for c in self.columns]
