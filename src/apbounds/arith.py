@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from mpmath import mp
-
 __all__ = [
     "FactorData",
     "Theta",
@@ -94,6 +92,9 @@ def sin2_integral(y: float) -> float:
     if y <= 0.0:
         raise ValueError(f"positive endpoint required, got {y}")
     if y < 100.0:
+        # only this branch needs mpmath; importing it here keeps it out of
+        # every battery that never integrates
+        from mpmath import mp
         return float(mp.si(2.0 * y)) - math.sin(y) ** 2 / y
     s2, c2 = math.sin(2 * y), math.cos(2 * y)
     J = (-s2 / (4 * y**2) + c2 / (4 * y**3)

@@ -54,13 +54,15 @@ it.  `check1` and `check_sqrt` run it on one row, and
 `run_exception_tables` on a table's rows, so overlapping rows share one
 sieve.  Results are invariant under how the stream is chunked, which the
 tests exercise by substituting `prime_array_segments` with one that yields
-deliberately awkward chunk sizes.
+deliberately awkward chunk sizes.  `run_exception_tables` with `jobs` > 1
+scans its groups of rows in a process pool; `concurrent.futures` (and
+multiprocessing under it) is imported on that path only, so a serial scan
+never loads it.
 """
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -493,6 +495,8 @@ def run_exception_tables(table: str, block: int | None = None,
     groups = _span_groups(scans, jobs)
     if len(groups) < 2:
         return _scan_shared(scans)
+    # the pool (and multiprocessing under it) is loaded only by --jobs runs
+    from concurrent.futures import ProcessPoolExecutor
     reports: list[CheckReport | None] = [None] * len(scans)
     with ProcessPoolExecutor(max_workers=len(groups)) as pool:
         futures = [pool.submit(_scan_shared, [scans[i] for i in g])

@@ -26,8 +26,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from mpmath import mp
-
 from .margins import DEFAULT_SLACK, BoundEval
 from .tables import load_table2
 
@@ -271,6 +269,8 @@ def verify_constants(a_scaled: tuple[int, ...] | None = None,
     s_frac = [Fraction(3, 4) + Fraction(j, 2) for j in range(1, 24)]
     ratio = sum(Fraction(a, SCALE) * (2 / s + 2 / (s - 1))
                 for a, s in zip(a_scaled, s_frac))
+    # lemma8 is the one battery that needs mpmath, so it loads it here
+    from mpmath import mp
     with mp.workdps(40):
         a_mp = [mp.mpf(a) / SCALE for a in a_scaled]
         s_mp = [mp.mpf(3) / 4 + mp.mpf(j) / 2 for j in range(1, 24)]

@@ -1,9 +1,11 @@
 """Command-line interface tests. Everything runs in-process through main()
-except one subprocess smoke test."""
+except the tests that need a fresh interpreter: a smoke test, the import
+budgets and the benchmark tracer's entry points."""
 from __future__ import annotations
 
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -587,6 +589,79 @@ def test_cli_import_leaves_scipy_out():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# Loaded only by the batteries that run them: mpmath by lemma8 (and the sin^2
+# integral), the process pool and multiprocessing by `check --jobs J > 1`
+# when the rows split into at least two groups.
+_LAZY_MODULES = ("mpmath", "concurrent.futures", "multiprocessing")
+
+_BUDGET_SCRIPT = """
+import contextlib, io, json, sys
+import apbounds.cli
+lazy = {lazy!r}
+def loaded():
+    return [m for m in lazy if m in sys.modules]
+steps = [("import", 0, loaded())]
+for argv in {argvs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = apbounds.cli.main(argv)
+    steps.append((" ".join(argv), rc, loaded()))
+print(json.dumps(steps))
+"""
+
+
+def test_import_budget_batteries_load_only_what_they_run():
+    quiet = [["check", "t5", "--block", "2"],
+             # t6 block 2 has one row, so --jobs 2 makes one group and
+             # scans in this process
+             ["check", "t6", "--block", "2", "--jobs", "2"],
+             ["check", "custom", "--q", "3", "--x0", "23656",
+              "--x", "193269"],
+             ["verify", "thm1-at", "--sample-grid", "30", "--sqrt"],
+             ["verify", "thm2"],
+             ["verify", "lemma5"]]
+    script = _BUDGET_SCRIPT.format(lazy=_LAZY_MODULES,
+                                   argvs=quiet + [["verify", "lemma8"]])
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout.splitlines()[-1])
+    *before, (step, rc, mods) = steps
+    assert before == [[s, 0, []] for s in
+                      ["import"] + [" ".join(a) for a in quiet]]
+    assert (step, rc, mods) == ("verify lemma8", 0, ["mpmath"])
+
+
+_JOBS_SCRIPT = """
+import sys
+from apbounds.cli import main
+rc = main(sys.argv[1:])
+print("pool loaded:", "concurrent.futures" in sys.modules)
+sys.exit(rc)
+"""
+
+
+def test_check_jobs_loads_the_pool_in_a_fresh_process(tmp_path):
+    # t6 block 1 has six rows, so --jobs 2 scans two groups in a pool that
+    # this process has not imported before
+    runs = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"t6-{jobs}.jsonl"
+        proc = subprocess.run(
+            [sys.executable, "-c", _JOBS_SCRIPT, "check", "t6", "--block",
+             "1", "--jobs", jobs, "--out", str(out)],
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        *lines, flag = proc.stdout.splitlines()
+        # per-row scan times are wall-clock readings
+        text = re.sub(r" in \d+\.\d+s$", " in _s", "\n".join(lines),
+                      flags=re.M)
+        runs[jobs] = (flag, text, body_bytes(out))
+    assert runs["1"][0] == "pool loaded: False"
+    assert runs["2"][0] == "pool loaded: True"
+    assert runs["1"][1:] == runs["2"][1:]
+    assert runs["1"][1].count("[check:t6] q=") == 6
 
 
 def test_benchmark_tracer_finds_its_entry_points():
