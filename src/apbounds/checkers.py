@@ -200,9 +200,11 @@ def _residues(x: np.ndarray, q: int) -> np.ndarray:
 def _block_counts(res: np.ndarray, q: int, shift: int) -> np.ndarray:
     """The cut's block count table: counts[j, a] is the number of class-a
     primes among the B = 2^shift entries from jB on.  With B >= q it has
-    at most n + q entries."""
+    at most n + q entries.  The keys jq + a are built in the smallest
+    unsigned dtype that holds the table size."""
     size = (((res.size - 1) >> shift) + 1) * q
-    keys = np.repeat(np.arange(0, size, q), 1 << shift)[:res.size]
+    keys = np.repeat(np.arange(0, size, q, dtype=np.min_scalar_type(size)),
+                     1 << shift)[:res.size]
     keys += res
     return np.bincount(keys, minlength=size).reshape(-1, q)
 
@@ -364,7 +366,8 @@ class _ScanSqrt(_RowScan):
         """Count down each class through the cut and inspect only the
         class primes the countdown lands on, each found in its block."""
         alpha, delta, rho, q = self.params
-        res = _residues(seg, q)
+        # kept for the whole cut, so in the smallest dtype that holds q
+        res = _residues(seg, q).astype(np.min_scalar_type(q))
         # B about sqrt(n q): the table has about n q / B entries and an
         # inspection reads B residues
         shift = max((q - 1).bit_length(), (seg.size * q).bit_length() // 2)
@@ -429,14 +432,21 @@ def _scan_shared(scans: list[_RowScan]) -> list[CheckReport]:
     """Run row scanners off one shared sieve; reports in the order given.
 
     Each merged range is sieved once; every segment goes to each row that
-    overlaps it, cut to the row's own [lo, hi].  Segments are streamed and
-    never joined, so memory stays at one segment.
+    overlaps it, cut to the row's own [lo, hi].  A row whose range misses
+    the segment's first-to-last span is skipped before either search, so
+    the sieve's fine split costs the rows it does not touch nothing.
+    Segments are streamed and never joined, and each is dropped before
+    the next is asked for, so one segment is alive at a time.
     """
     for lo, hi, group in _merged_ranges(scans):
         for seg in prime_array_segments(lo, hi):
-            for s in group:
-                s.feed(seg[np.searchsorted(seg, s.lo, "left"):
-                           np.searchsorted(seg, s.hi, "right")])
+            if seg.size:
+                first, last = int(seg[0]), int(seg[-1])
+                for s in group:
+                    if s.lo <= last and first <= s.hi:
+                        s.feed(seg[np.searchsorted(seg, s.lo, "left"):
+                                   np.searchsorted(seg, s.hi, "right")])
+            del seg
     return [s.finish() for s in scans]
 
 

@@ -60,7 +60,7 @@ from .margins import (CHUNK_POINTS, DEFAULT_SLACK, BoundEval, ColumnBlock,
 from .sieve import phi_table  # noqa: F401
 from .tables import (load_table4, load_table5, load_table6, load_table7,
                      load_table8)
-from .thm1 import (h1, hsqrt, verify_thm1_at, verify_thm1_largeq,
+from .thm1 import (h1, hsqrt, totients, verify_thm1_at, verify_thm1_largeq,
                    window_operands, x0_of)
 from .thm23 import (corollary_default_n, verify_corollary, verify_thm2_at,
                     verify_thm2_largeq, verify_thm3)
@@ -203,8 +203,10 @@ def _battery_thm1_at(cfg: RunConfig, recs: list) -> None:
             yield q[~np.isin(q, skip)]
 
     def evaluate(q):
-        x = x0_of(p1, q, cfg.sqrt)
-        cols = verify_thm1_at(q, x, p1, sqrt_mode=cfg.sqrt, slack=slack)
+        phi = totients(q)  # once a chunk, for x0 and the check
+        x = x0_of(p1, q, cfg.sqrt, phi=phi)
+        cols = verify_thm1_at(q, x, p1, sqrt_mode=cfg.sqrt, slack=slack,
+                              phi=phi)
         return ColumnBlock(suite, cols, {"q": q.tolist(), "x": x.tolist(),
                                          "sqrt": cfg.sqrt})
     recs.append(_Sweep(n_points, moduli, evaluate))

@@ -27,15 +27,17 @@ The base primes up to sqrt(hi) come from this same sieve one level down,
 `primes_between(2, isqrt(hi))`; the recursion bottoms out at ranges below
 7, which hold no wheel entry but 1.
 
-`SEG` = 2^17 positions (a 1 MB mask over 3.9M integers).  Each block is
-yielded in two halves, so each consumer's arrays stay the size they had
-with the odd-only layout's segments of 2^20 odd numbers; the offsets are
-int32 where they fit; and each block's mask is the pattern rolled to its
-phase, with no tile kept for the range.  Peak RSS is thus no higher than
-with that layout.
-Against it (2^20 odd numbers a segment, wheel 3..13 pre-struck), the mask
-has 8/15 of the entries per integer and multiples of 3 and 5 are never
-struck.  Sieving alone, in-process on a 2-vCPU box (medians of seven
+`SEG` = 2^17 positions (a 1 MB mask over 3.9M integers).  One mask
+buffer serves a whole range: each block refills it in place with the
+pattern rolled to the block's phase, whole periods in one broadcast copy
+and then the tail.  Each block is yielded in quarters, so each consumer's
+per-cut arrays are a quarter of a block's primes, and the generator drops
+each quarter before it makes the next: with a consumer that does the same
+(`checkers._scan_shared`), one quarter's primes are alive at a time.  The
+offsets are int32 where they fit.
+Against the odd-only layout it replaced (2^20 odd numbers a segment,
+wheel 3..13 pre-struck), the mask has 8/15 of the entries per integer
+and multiples of 3 and 5 are never struck.  Sieving alone, in-process on a 2-vCPU box (medians of seven
 alternations), the six `scan-far` windows of seed 1 take 0.62 s (0.92 s
 before), the nine merged ranges of `check t5` plus `check t6` 0.37 s
 (0.40 s), and one window of 6e7 integers 0.086 / 0.090 / 0.097 / 0.120 s
@@ -165,13 +167,19 @@ def prime_array_segments(lo: int, hi: int) -> Iterator[np.ndarray]:
     for c in range(0, ps.size, _CHUNK // 8):
         off[8 * c:8 * c + _CHUNK] = _first_offsets(ps[c:c + _CHUNK // 8], base)
     block = 8 * SEG
-    half = block // 2
+    quarter = block // 4
+    # one mask for the range, refilled each block; one spare slot past the
+    # block takes the rounds' clamped offsets
+    buf = np.empty(min(block, stop) + 1, dtype=bool)
     pos = 0  # flat index of the block's first entry
     while pos < stop:
         size = min(block, stop - pos)
-        phase = 8 * ((base // 30 + pos // 8) % _CYCLE)
-        # one spare slot past the block takes the rounds' clamped offsets
-        mask = np.resize(np.roll(_PRESIEVED, -phase), size + 1)
+        mask = buf[:size + 1]
+        # the pattern rolled to the block's phase, whole periods at once
+        pattern = np.roll(_PRESIEVED, -8 * ((base // 30 + pos // 8) % _CYCLE))
+        whole = size - size % pattern.size
+        mask[:whole].reshape(-1, pattern.size)[:] = pattern
+        mask[whole:size] = pattern[:size - whole]
         if base + pos == 0:
             mask[1:4] = True  # 7, 11 and 13 are prime
         if pos == 0:
@@ -188,9 +196,10 @@ def prime_array_segments(lo: int, hi: int) -> Iterator[np.ndarray]:
             for hit in _rounds(o[n:], s[n:], size):
                 mask[hit] = False
             _carry(o, s, size)
-        # the block goes out in two halves, to keep each consumer's arrays small
-        for h in range(0, size, half):
-            out = np.flatnonzero(mask[h:min(h + half, size)])
+        # the block goes out in quarters, to keep each consumer's arrays
+        # small; each is dropped here before the next is made
+        for h in range(0, size, quarter):
+            out = np.flatnonzero(mask[h:min(h + quarter, size)])
             out += pos + h
             slot = np.empty(out.size, dtype=np.uint8)
             np.bitwise_and(out, 7, out=slot, casting="unsafe")
@@ -198,7 +207,9 @@ def prime_array_segments(lo: int, hi: int) -> Iterator[np.ndarray]:
             out *= 30
             out += base
             out += _R8[slot]
+            del slot
             yield out
+            del out
         pos += block
 
 

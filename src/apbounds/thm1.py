@@ -39,6 +39,7 @@ __all__ = [
     "hsqrt",
     "side_conditions",
     "tilde_thm1",
+    "totients",
     "verify_thm1_at",
     "verify_thm1_largeq",
     "window_operands",
@@ -79,7 +80,7 @@ def _hatted(params: ParamSet, sqrt_mode: bool) -> tuple[float, float, float]:
     return params.alpha, params.m, params.ell
 
 
-def _phi(q):
+def totients(q):
     """phi(q): a single modulus is factored, an array of moduli is served by
     one segmented totient sieve over the window [min q, max q]."""
     if np.ndim(q) == 0:
@@ -89,17 +90,20 @@ def _phi(q):
     return phi_segment(lo, hi)[np.asarray(q) - lo]
 
 
-def window_operands(q, x):
+def window_operands(q, x, phi=None):
     """(q, x, phi(q)) as float64 arrays, 0-d for a point, where (q, x) has
     a window: 0 < phi(q) log q < sqrt(x), so its height is positive.
 
-    q and x are a point or equal-length arrays.  Raises ValueError at the
-    first point with no window: q = 1, a NaN or negative x, or a q or phi(q)
-    past the float range.  The CLI checks a `verify thm1-at` point here.
+    q and x are a point or equal-length arrays; `phi`, if given, is
+    `totients(q)`, already computed.  Raises ValueError at the first point
+    with no window: q = 1, a NaN or negative x, or a q or phi(q) past the
+    float range.  The CLI checks a `verify thm1-at` point here.
     """
     rule = "needs 0 < phi(q) log q < sqrt(x), got"
+    if phi is None:
+        phi = totients(q)
     try:
-        q, x, phi = (np.asarray(v, dtype=float) for v in (q, x, _phi(q)))
+        q, x, phi = (np.asarray(v, dtype=float) for v in (q, x, phi))
     except OverflowError:
         raise ValueError(f"{rule} phi(q) past the float range") from None
     with np.errstate(invalid="ignore", divide="ignore"):  # a NaN fails ok
@@ -113,15 +117,15 @@ def window_operands(q, x):
     return q, x, phi
 
 
-def x0_of(params: ParamSet, q, sqrt_mode: bool = False):
+def x0_of(params: ParamSet, q, sqrt_mode: bool = False, phi=None):
     """Reference scale (m phi(q) log q)^2 where the certification starts,
-    for a modulus or an array of them.
+    for a modulus or an array of them; `phi`, if given, is `totients(q)`.
 
     The square is r * r: numpy's ** 2 rounds a 0-d float and a column
     differently, and the scales are record inputs.
     """
     _a, m, _ell = _hatted(params, sqrt_mode)
-    phi = np.asarray(_phi(q), dtype=float)
+    phi = np.asarray(totients(q) if phi is None else phi, dtype=float)
     r = m * phi * np.log(np.asarray(q, dtype=float))
     return r * r
 
@@ -168,16 +172,17 @@ def side_conditions(bound, inv_T, h_over_x, slack: float) -> list:
 
 
 def verify_thm1_at(q, x, params: ParamSet, sqrt_mode: bool = False,
-                   slack: float = DEFAULT_SLACK):
+                   slack: float = DEFAULT_SLACK, phi=None):
     """Exact check of the headline inequality and its side conditions at (q, x).
 
     For scalar q and x this returns five BoundEvals.  q and x may instead be
     equal-length arrays; then each of the five inequalities comes back as
     one BoundColumn over the points, with phi from one segmented totient
     sieve over [min q, max q].  A point and a column run the same numpy
-    expressions.
+    expressions.  A caller that already holds `totients(q)` (the CLI's
+    sweep, which computed it for x0) passes it as `phi`.
     """
-    q, x, phi = window_operands(q, x)
+    q, x, phi = window_operands(q, x, phi)
     beta, T = _beta_T(params, q, x, sqrt_mode, phi)
     lq, lx, sx = np.log(q), np.log(x), np.sqrt(x)
     F = _F(lq, np.log(T), T, 1.0 / phi, beta, phi / sx)

@@ -13,10 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from apbounds import cli
+from apbounds import cli, thm1
 from apbounds.cli import (_BATTERIES, RunConfig, _grid, _print_summary, _rows,
                           _run_check, _run_report, dispatch, main)
 from apbounds.margins import CHUNK_POINTS, BoundColumn, ColumnBlock
+from apbounds.sieve import phi_segment
 from apbounds.tables import load_table4, load_table6
 from apbounds.thm1 import verify_thm1_at, x0_of
 
@@ -121,20 +122,27 @@ def test_thm1_sweep_matches_scalar_calls(tmp_path, sqrt_mode):
 
 
 def test_thm1_sweep_streams_chunk_by_chunk(tmp_path, monkeypatch, capsys):
-    # the sweep evaluates at most CHUNK_POINTS moduli a call, and writes and
+    # the sweep evaluates at most CHUNK_POINTS moduli a call, sieves each
+    # chunk's totients once for x0 and the check, and writes and
     # summarizes exactly what one block over all of its moduli would
-    sizes = []
+    sizes, sieved = [], []
 
     def counted(q, *args, **kwargs):
         sizes.append(len(q))
         return verify_thm1_at(q, *args, **kwargs)
 
+    def counted_phi(lo, hi):
+        sieved.append((lo, hi))
+        return phi_segment(lo, hi)
+
     monkeypatch.setattr(cli, "verify_thm1_at", counted)
+    monkeypatch.setattr(thm1, "phi_segment", counted_phi)
     out = tmp_path / "sweep.jsonl"
     assert main(["verify", "thm1-at", "--sample-grid", "10000", "--sqrt",
                  "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
     assert len(sizes) >= 3
+    assert len(sieved) == len(sizes)
     assert max(sizes) <= CHUNK_POINTS
     p1 = load_table4()[0]
     qs = _grid(3, 10**5, 10000, {q for q, _, _ in load_table6()[0].rows})

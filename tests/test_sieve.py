@@ -111,12 +111,12 @@ PERIOD_INTS = 30 * PERIOD
 
 def _expected_yields(lo: int, hi: int, seg: int) -> int:
     """Yields of prime_array_segments(lo, hi) with SEG = seg: one for any
-    of 2, 3, 5 in range, then two halves of 4 seg entries per block of
+    of 2, 3, 5 in range, then four quarters of 2 seg entries per block of
     8 seg, entries counted from the multiple of 30 at or below lo."""
     lo = max(lo, 2)
     small = any(lo <= p <= hi for p in (2, 3, 5))
     entries = sum(math.gcd(n, 30) == 1 for n in range(lo - lo % 30, hi + 1))
-    return small + -(-entries // (4 * seg))
+    return small + -(-entries // (2 * seg))
 
 
 def test_segments_match_byte_sieve_around_wheel_primes():
@@ -254,8 +254,10 @@ def test_short_last_segment_matches_window_oracle(monkeypatch):
         return rounds(first, step, size)
 
     monkeypatch.setattr(sieve, "_rounds", recording)
+    # every yielded array is held until the range ends, so a yield that
+    # were a view of the sieve's reused mask would show here
     segs = list(prime_array_segments(lo, hi))
-    assert len(segs) == 5  # two halves of each full block, one short one
+    assert len(segs) == 9  # four quarters of each full block, one short one
     assert np.array_equal(np.concatenate(segs), window_primes(lo, hi))
     last = [o for o, size in firsts if size == 1000]
     assert last and sum(o.size for o in last) > 100_000
@@ -296,7 +298,7 @@ def test_sparse_threshold_follows_seg(monkeypatch, seg, lo, hi):
     # 8 progressions per prime (one per class of the multiplier mod 30),
     # all in one chunk here, so one call per block
     assert 8 * len(sieving) <= sieve._CHUNK
-    assert len(calls) == -(-_expected_yields(lo, hi, sieve.SEG) // 2)
+    assert len(calls) == -(-_expected_yields(lo, hi, sieve.SEG) // 4)
     for step, size in calls:
         want = [8 * p for p in sieving if p >= size >> 9 for _ in range(8)]
         assert step.tolist() == want, size

@@ -298,7 +298,7 @@ def test_array_route_squares_q_in_float(monkeypatch):
     # so the totients of this column are factored instead
     q, x = 4_000_000_007, 1e30
     want = pointwise(q, x)[2]
-    monkeypatch.setattr(thm1, "_phi",
+    monkeypatch.setattr(thm1, "totients",
                         lambda q: np.array([phi_of(int(v)) for v in q]))
     got = pointwise(np.array([q, q]), np.array([x, x]))[2]
     assert within_ulps(got[0], want) and within_ulps(got[1], want)
