@@ -36,7 +36,9 @@ class FactorData:
     omega: int
 
 
-@lru_cache(maxsize=None)
+# bounded: the batteries that factor many moduli take a window's totients
+# from the sieve, and an unbounded cache held every modulus ever factored
+@lru_cache(maxsize=128)
 def factorize(q: int) -> FactorData:
     if q <= 0:
         raise ValueError(f"positive modulus required, got {q}")

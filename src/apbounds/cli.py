@@ -22,11 +22,13 @@ process exits 0 iff every record passed.  A record is a dict row
 moduli go CHUNK_POINTS at a time through one columnar call each, and each
 chunk's rows come out as one `margins.ColumnBlock`.  The writer encodes a
 block's lines straight from its columns, byte for byte what the stdlib
-encoder writes for the dict rows, and the stdout summary takes its counts
-and worst margin from numpy (a NaN margin counts as the worst).  One pass
-over the records writes and tallies each block and then drops it, so a
-sweep holds one chunk's columns at a time, whatever its range; the
-`# records:` header comes from the sweep's point count.
+encoder writes for the dict rows, and hands the file one point's lines at
+a time (the file's own buffer joins them); the chunks of a sweep share one
+line template per layout.  The stdout summary takes its counts and worst
+margin from numpy (a NaN margin counts as the worst).  One pass over the
+records writes and tallies each block and then drops it, so a sweep holds
+one chunk's columns at a time, whatever its range; the `# records:`
+header comes from the sweep's point count.
 
 A flag that the chosen target would ignore is a usage error (exit 2), and
 so is a value out of range: `--slack` must be finite and >= 0, `--x`
@@ -202,13 +204,15 @@ def _battery_thm1_at(cfg: RunConfig, recs: list) -> None:
             q = np.array(qs[lo:lo + CHUNK_POINTS], dtype=np.int64)
             yield q[~np.isin(q, skip)]
 
+    templates: dict = {}  # the chunks' line templates, one per layout
+
     def evaluate(q):
         phi = totients(q)  # once a chunk, for x0 and the check
         x = x0_of(p1, q, cfg.sqrt, phi=phi)
         cols = verify_thm1_at(q, x, p1, sqrt_mode=cfg.sqrt, slack=slack,
                               phi=phi)
         return ColumnBlock(suite, cols, {"q": q.tolist(), "x": x.tolist(),
-                                         "sqrt": cfg.sqrt})
+                                         "sqrt": cfg.sqrt}, templates)
     recs.append(_Sweep(n_points, moduli, evaluate))
 
 

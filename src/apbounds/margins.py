@@ -13,8 +13,9 @@ alike; the walks that decide without a record call it too.
 `_record` is the one report row layout: `BoundEval.record` fills it in,
 and a `ColumnBlock` (BoundColumns over shared points, with their inputs as
 columns) gives the same rows as dicts (`records`) or as JSON text written
-straight from its arrays (`lines`), byte for byte what the stdlib encoder
-writes for those dicts.  `worst_margin` is the one rule
+straight from its arrays (`lines`, one small string per point, so no text
+larger than a point's lines is ever built), byte for byte what the stdlib
+encoder writes for those dicts.  `worst_margin` is the one rule
 for the worst of several margins: a NaN margin is the worst.
 """
 from __future__ import annotations
@@ -107,9 +108,10 @@ class BoundColumn:
 
 
 #: Points per chunk: the moduli `verify thm1-at` evaluates in one columnar
-#: call and the text chunk of ColumnBlock.lines (about 1 MB of report text
-#: for five columns), so a sweep holds neither its body nor its columns
-#: whole.  notes/decisions.md has the sizes that were measured.
+#: call (and `thm23.exact_refresh_scan` sieves the totients of), and the
+#: points ColumnBlock.lines turns into field text at once, so a sweep holds
+#: neither its body nor its columns whole.  notes/decisions.md has the
+#: sizes that were measured.
 CHUNK_POINTS = 1024
 
 _encode = json.JSONEncoder(sort_keys=True).encode
@@ -178,6 +180,9 @@ class ColumnBlock:
     suite: str
     columns: tuple[BoundColumn, ...]
     inputs: dict
+    #: line templates by layout (see `lines`); a sweep hands its blocks one
+    #: dict, so each layout is built once per sweep, not once per block
+    templates: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "columns", tuple(self.columns))
@@ -250,21 +255,40 @@ class ColumnBlock:
             fields += order
         return "".join(text), fields
 
-    def lines(self):
-        """The rows as JSON text, in chunks of CHUNK_POINTS points.
+    def _layout(self) -> tuple:
+        """What the block's template is made of: the suite, the column
+        names, the input keys with each shared value's text, and the bits
+        of every side that is the same at every point (None for one that
+        varies).  Blocks with equal layouts have equal templates."""
+        shared = tuple((k, None if type(v) is list else _encode(v))
+                       for k, v in self.inputs.items())
+        sides = tuple(side[:1].tobytes() if _uniform(side) else None
+                      for c in self.columns for side in _sides(c))
+        return self.suite, tuple(c.name for c in self.columns), shared, sides
 
-        Each chunk is a run of whole lines, and each line is byte for byte
-        json.JSONEncoder(sort_keys=True).encode(row) plus a newline, for
-        the rows that records() yields, in the same order.
+    def lines(self):
+        """The rows as JSON text, one string per point.
+
+        Each string holds the point's lines, one per column, and each line
+        is byte for byte json.JSONEncoder(sort_keys=True).encode(row) plus
+        a newline, for the rows that records() yields, in the same order.
+        The per-point fields are turned into text CHUNK_POINTS points at a
+        time, and the template is looked up in `templates` by the block's
+        layout, so blocks that share that dict build each layout once.
         """
         if not len(self):
             return
-        template, fields = self._template()
+        layout = self._layout()
+        if layout not in self.templates:
+            self.templates[layout] = self._template()
+        template, fields = self.templates[layout]
+        if not fields:  # no field varies: every point's lines are alike
+            text = template % ()
+            for _ in range(self.n_points):
+                yield text
+            return
         for lo in range(0, self.n_points, CHUNK_POINTS):
             hi = min(lo + CHUNK_POINTS, self.n_points)
-            if not fields:  # no field varies: every point's lines are alike
-                yield (template % ()) * (hi - lo)
-                continue
             args = {}
             for f in dict.fromkeys(fields):
                 if f[0] == "in":
@@ -272,5 +296,5 @@ class ColumnBlock:
                 else:
                     j, i = f
                     args[f] = _array_args(_sides(self.columns[j])[i][lo:hi])
-            yield "".join([template % row
-                           for row in zip(*(args[f] for f in fields))])
+            for row in zip(*(args[f] for f in fields)):
+                yield template % row

@@ -22,9 +22,11 @@ import math
 from math import exp, log, pi, sqrt
 from typing import NamedTuple
 
+import numpy as np
+
 from .arith import omega_of, phi_of
-from .margins import DEFAULT_SLACK, BoundEval, clears
-from .thm1 import SQRT_SURCHARGE, side_conditions
+from .margins import CHUNK_POINTS, DEFAULT_SLACK, BoundEval, clears
+from .thm1 import SQRT_SURCHARGE, side_conditions, totients
 
 __all__ = [
     "E_of",
@@ -83,8 +85,12 @@ class Thm2Context(NamedTuple):
         return RHO2 + (self.log_x if sqrt_mode else 0.0)
 
 
-def thm2_context(q: int, log_x: float) -> Thm2Context:
-    phi = phi_of(q)
+def thm2_context(q: int, log_x: float,
+                 phi: int | None = None) -> Thm2Context:
+    """Exact operands at (q, x); `phi`, if given, is phi(q), already
+    computed."""
+    if phi is None:
+        phi = phi_of(q)
     L = 2.0 * log(q) + log_x
     return Thm2Context(q=q, log_x=log_x, phi=phi, E_q=E_of(q), L=L,
                        LG=L / 2.0, log_sx_phi=log_x / 2.0 - log(phi))
@@ -220,25 +226,32 @@ def exact_refresh_scan(m: float, q0: int, qstar: int,
                        slack: float = DEFAULT_SLACK) -> RefreshDetail:
     """Exact-phi rho = 100 test at x0(q) for every integer q in [q0, qstar).
 
-    Moduli failing with the flat surcharge E(q) are retried with the refined
-    replacement _a47; a modulus failing both lands in `failures`.  Each
-    margin is judged at `slack`, as the refresh record is.
+    The moduli go CHUNK_POINTS at a time: each chunk's phi column comes
+    from one `thm1.totients` window sieve (so qstar - 1 is at most
+    `sieve.PHI_HI`), and each modulus is then judged on scalar `math`, as
+    `verify_thm2_at` judges it.  Moduli failing with the flat surcharge
+    E(q) are retried with the refined replacement _a47; a modulus failing
+    both lands in `failures`.  Each margin is judged at `slack`, as the
+    refresh record is.
     """
     min_margin = math.inf
     n_plain = n_refined = 0
     failures: list[tuple[int, float]] = []
-    for q in range(int(q0), int(qstar)):
-        ctx = thm2_context(q, 2.0 * log(m * phi_of(q) * ell_q(q)))
-        F, G = thm2_FG(ctx, sqrt_mode)
-        margin = (1.0 - F) * RHO2 - G
-        if not clears(margin, 0.0, slack):
-            n_plain += 1
-            F, G = thm2_FG(ctx, sqrt_mode, refined=True)
+    q0, qstar = int(q0), int(qstar)
+    for lo in range(q0, qstar, CHUNK_POINTS):
+        qs = np.arange(lo, min(lo + CHUNK_POINTS, qstar), dtype=np.int64)
+        for q, phi in zip(qs.tolist(), totients(qs).tolist()):
+            ctx = thm2_context(q, 2.0 * log(m * phi * ell_q(q)), phi=phi)
+            F, G = thm2_FG(ctx, sqrt_mode)
             margin = (1.0 - F) * RHO2 - G
             if not clears(margin, 0.0, slack):
-                n_refined += 1
-                failures.append((q, margin))
-        min_margin = min(min_margin, margin)
+                n_plain += 1
+                F, G = thm2_FG(ctx, sqrt_mode, refined=True)
+                margin = (1.0 - F) * RHO2 - G
+                if not clears(margin, 0.0, slack):
+                    n_refined += 1
+                    failures.append((q, margin))
+            min_margin = min(min_margin, margin)
     worst_q: int | None = None
     worst_margin = 0.0
     if failures:

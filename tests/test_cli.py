@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from apbounds import cli, thm1
+from apbounds.arith import factorize
 from apbounds.cli import (_BATTERIES, RunConfig, _grid, _print_summary, _rows,
                           _run_check, _run_report, dispatch, main)
 from apbounds.margins import CHUNK_POINTS, BoundColumn, ColumnBlock
@@ -159,6 +160,29 @@ def test_thm1_sweep_streams_chunk_by_chunk(tmp_path, monkeypatch, capsys):
         + f"total: {checks} checks, {failed} failed\n"
 
 
+def test_thm1_sweep_builds_one_template_per_layout(tmp_path, monkeypatch):
+    # every chunk of a sweep has the same suite, names, inputs and broadcast
+    # sides, so its line template is built once per layout, not per chunk
+    chunks, built = [], []
+    template = ColumnBlock._template
+
+    def counted(q, *args, **kwargs):
+        chunks.append(len(q))
+        return verify_thm1_at(q, *args, **kwargs)
+
+    def counted_template(self):
+        built.append(template(self))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "verify_thm1_at", counted)
+    monkeypatch.setattr(ColumnBlock, "_template", counted_template)
+    out = tmp_path / "sweep.jsonl"
+    assert main(["verify", "thm1-at", "--sample-grid", "10000", "--sqrt",
+                 "--out", str(out)]) == 0
+    assert len(chunks) >= 3
+    assert 1 <= len(built) == len({text for text, _ in built}) < len(chunks)
+
+
 def test_verify_thm1_tables(tmp_path):
     out = tmp_path / "t1.jsonl"
     assert main(["verify", "thm1-tables", "--out", str(out)]) == 0
@@ -193,6 +217,16 @@ def test_verify_thm2_tables_flags_known_failures(tmp_path):
     assert bad_rows == {(19, True), (20, True), (21, True)}
     # every plain-shape row is clean
     assert all(r["pass"] for r in recs if not r["inputs"]["sqrt"])
+
+
+def test_thm2_tables_leaves_factorize_cache_bounded(capsys):
+    # the refresh scan takes its totients from the sieve, and what is still
+    # factored (the refined retry's omega) stays within the cache's bound
+    misses = factorize.cache_info().misses
+    assert main(["verify", "thm2-tables"]) == 1
+    info = factorize.cache_info()
+    assert info.misses > misses
+    assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 def test_verify_thm3(tmp_path):

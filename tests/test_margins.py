@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -103,8 +104,11 @@ def test_block_lines_match_stdlib_encoder():
                          "sqrt": False, "tag": "a\"b%s"})
     assert not all(r["pass"] for r in block.records())  # a failing row
     chunks = list(block.lines())
-    assert len(chunks) == 1 and chunks[0].endswith("\n")
-    assert chunks[0] == stdlib_text(block)
+    # one string per point, holding that point's line of every column
+    assert len(chunks) == block.n_points
+    assert all(c.count("\n") == len(cols) and c.endswith("\n")
+               for c in chunks)
+    assert "".join(chunks) == stdlib_text(block)
 
 
 def test_block_lines_write_non_finite_sides_as_json_does():
@@ -128,7 +132,9 @@ def test_block_lines_stream_in_chunks_of_points():
     block = ColumnBlock("s", cols, {"q": list(range(n)),
                                     "x": (lhs * 1e5).tolist(), "sqrt": True})
     chunks = list(block.lines())
-    assert [c.count("\n") for c in chunks] == [2 * CHUNK_POINTS] * 2 + [6]
+    # the fields are made CHUNK_POINTS points at a time, across the chunk
+    # boundaries each point still comes out as its own string
+    assert [c.count("\n") for c in chunks] == [2] * n
     assert all(c.endswith("\n") for c in chunks)
     assert "".join(chunks) == stdlib_text(block)
 
@@ -136,15 +142,63 @@ def test_block_lines_stream_in_chunks_of_points():
 def test_block_lines_with_no_varying_field():
     # every input shared and every side uniform: the template has no
     # placeholder, and each point still writes its lines (a % in the name
-    # comes out once); CHUNK_POINTS + 1 points make two chunks
+    # comes out once), past the first CHUNK_POINTS points too
     n = CHUNK_POINTS + 1
     block = ColumnBlock("s", [BoundColumn("ma%in", np.ones(n), np.zeros(n)),
                               BoundColumn("b", 2.0, np.zeros(n))],
                         {"q": 3})
     assert len(block) == 2 * n
     chunks = list(block.lines())
-    assert [c.count("\n") for c in chunks] == [2 * CHUNK_POINTS, 2]
+    assert [c.count("\n") for c in chunks] == [2] * n
     assert "".join(chunks) == stdlib_text(block)
+
+
+def test_blocks_sharing_templates_build_one_per_layout():
+    # a verdict column that is uniform in one block and varies in another
+    # makes two layouts; a third block like the first reuses its template
+    templates = {}
+    passing = np.array([2.0, 3.0, 4.0])
+    mixed = np.array([2.0, 0.5, 4.0])
+    blocks = [ColumnBlock("s", [BoundColumn("a", lhs, 1.0),
+                                BoundColumn("b", 0.75, lhs)],
+                          {"q": [3, 4, 5], "sqrt": True}, templates)
+              for lhs in (passing, mixed, passing * 2)]
+    for block in blocks:
+        assert "".join(block.lines()) == stdlib_text(block)
+    assert len(templates) == 2
+    # a shared value or a uniform side's bits are part of the layout
+    other = ColumnBlock("s", [BoundColumn("a", passing, 1.0),
+                              BoundColumn("b", -0.0, passing)],
+                        {"q": [3, 4, 5], "sqrt": False}, templates)
+    assert "".join(other.lines()) == stdlib_text(other)
+    assert len(templates) == 3
+
+
+def test_block_writer_traced_peak_stays_under_budget(tmp_path):
+    # the writer hands the file one point's lines at a time, so no chunk
+    # of text is built: writing 3 * CHUNK_POINTS points of five columns
+    # peaks at about 0.75 MB traced (2.8 MB when each chunk was joined)
+    n = 3 * CHUNK_POINTS
+    q = np.arange(3, 3 + n)
+    x = (q * np.log(q)) ** 2.0
+    lhs = np.sqrt(x) / 7.0
+    cols = [BoundColumn("main", lhs, x / 1e3),
+            BoundColumn("inv_T", 0.75, lhs / x),
+            BoundColumn("h_over_x", lhs * 1e-3, 0.5),
+            BoundColumn("x_floor", x, 1e4),
+            BoundColumn("phi", np.log(x), np.log(q))]
+    block = ColumnBlock("verify:thm1-at", cols,
+                        {"q": q.tolist(), "x": x.tolist(), "sqrt": False})
+    out = tmp_path / "block.jsonl"
+    with open(out, "w", encoding="utf-8") as fh:
+        tracemalloc.start()
+        try:
+            fh.writelines(block.lines())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert out.read_text(encoding="utf-8") == stdlib_text(block)
+    assert peak < 1.5e6, peak
 
 
 def test_empty_block():

@@ -9,9 +9,12 @@ from pathlib import Path
 
 import pytest
 
+from apbounds import thm23
 from apbounds.arith import phi_of
+from apbounds.margins import DEFAULT_SLACK, clears
 from apbounds.tables import load_table7, load_table8
 from apbounds.thm23 import (
+    RHO2,
     E_of,
     _a47,
     _side_evals,
@@ -252,6 +255,51 @@ def test_exact_refresh_sqrt_20_21_fail_honestly():
     d21 = exact_refresh_scan(21, 1398, 1947, sqrt_mode=True)
     assert (d21.n_plain_fail, d21.n_refined_fail) == (173, 28)
     assert (d21.worst_q, round(d21.worst_margin, 4)) == (1399, -0.8225)
+
+
+def refresh_oracle(m, q0, qstar, sqrt_mode):
+    """The refresh scan one modulus at a time, phi(q) factored per q."""
+    min_margin, n_plain, failures = math.inf, 0, []
+    for q in range(q0, qstar):
+        ctx = thm2_context(q, 2.0 * math.log(m * phi_of(q) * ell_q(q)))
+        F, G = thm2_FG(ctx, sqrt_mode)
+        margin = (1.0 - F) * RHO2 - G
+        if not clears(margin, 0.0, DEFAULT_SLACK):
+            n_plain += 1
+            F, G = thm2_FG(ctx, sqrt_mode, refined=True)
+            margin = (1.0 - F) * RHO2 - G
+            if not clears(margin, 0.0, DEFAULT_SLACK):
+                failures.append((q, margin))
+        min_margin = min(min_margin, margin)
+    return min_margin, n_plain, failures
+
+
+@pytest.mark.parametrize("m, q0, qstar, sqrt_mode", [
+    (15, 5670, 6709, False), (19, 4200, 6154, True),
+    (20, 2310, 3276, True), (21, 1398, 1947, True)])
+def test_exact_refresh_scan_matches_per_modulus_oracle(m, q0, qstar,
+                                                        sqrt_mode,
+                                                        monkeypatch):
+    # the scan sieves phi a window at a time and factors no modulus for
+    # it; every margin must keep the bits that phi_of per modulus gives
+    with monkeypatch.context() as mp:
+        mp.setattr(thm23, "phi_of", None)
+        d = exact_refresh_scan(m, q0, qstar, sqrt_mode=sqrt_mode)
+    min_margin, n_plain, failures = refresh_oracle(m, q0, qstar, sqrt_mode)
+    assert qstar - q0 > 512  # the bundled rows span one or two windows
+    assert d.min_margin.hex() == min_margin.hex()
+    assert (d.n_plain_fail, d.n_refined_fail) == (n_plain, len(failures))
+    assert [(q, g.hex()) for q, g in d.failures] \
+        == [(q, g.hex()) for q, g in failures]
+    if failures:
+        worst = min(failures, key=lambda f: f[1])
+        assert (d.worst_q, d.worst_margin.hex()) == (worst[0], worst[1].hex())
+
+
+def test_thm2_context_takes_a_given_phi():
+    for q in (3, 12, 1399, 5671):
+        log_x = 2.0 * math.log(15 * phi_of(q) * ell_q(q))
+        assert thm2_context(q, log_x, phi=phi_of(q)) == thm2_context(q, log_x)
 
 
 NOTE = Path(__file__).resolve().parents[1] / "notes" / "decisions.md"
