@@ -32,10 +32,11 @@ header comes from the sweep's point count.
 
 A flag that the chosen target would ignore is a usage error (exit 2), and
 so is a value out of range: `--slack` must be finite and >= 0, `--x`
-finite and > 0, `--q`, `--x0`, `--sample-grid` and `--jobs` at least 1,
-`--sample-grid` at most 10^6, `--block` a block of the table, `--params`
-three finite numbers, and `--x0` at most `--x`, with every prime of the
-row at most `sieve.MAX_HI` (about 9.22e18).  A `verify thm1-at` point
+finite and > 0 (an integer literal is read exactly), `--q`, `--x0`,
+`--sample-grid` and `--jobs` at least 1, `--sample-grid` at most 10^6,
+`--block` a block of the table, `--params` three finite numbers, and
+`--x0` at most `--x`, with every prime of the row at most
+`sieve.MAX_HI` (about 9.22e18).  A `verify thm1-at` point
 needs a window: 0 < phi(q) log q < sqrt(x).
 `regen-report --full` includes the sqrt-count refresh rows that are known
 to fail (m = 19, 20, 21), so it exits 1 by design; the default battery is
@@ -46,7 +47,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -56,7 +56,7 @@ import numpy as np
 from .checkers import check1, check_sqrt, row_top, run_exception_tables
 from .majorant import verify_constants, verify_majorant, verify_tail_sign
 from .margins import (CHUNK_POINTS, DEFAULT_SLACK, BoundEval, ColumnBlock,
-                      worst_margin)
+                      _encode, worst_margin)
 # perfbench's traced run rebinds phi_table here as the sieve layer's entry
 # point, so the name stays bound in this module
 from .sieve import phi_table  # noqa: F401
@@ -64,8 +64,8 @@ from .tables import (load_table4, load_table5, load_table6, load_table7,
                      load_table8)
 from .thm1 import (h1, hsqrt, totients, verify_thm1_at, verify_thm1_largeq,
                    window_operands, x0_of)
-from .thm23 import (corollary_default_n, verify_corollary, verify_thm2_at,
-                    verify_thm2_largeq, verify_thm3)
+from .thm23 import (THM3_STARTS, corollary_default_n, verify_corollary,
+                    verify_thm2_at, verify_thm2_largeq, verify_thm3)
 
 # The one exception to DEFAULT_SLACK: the q = 11 plain rho = 100 anchor's
 # inv_T margin is 1.32e-10, below the generic 1e-9 guard, so the family
@@ -77,8 +77,8 @@ _VERIFY_TARGETS = ("thm1-at", "thm1-tables", "thm2", "thm2-tables",
                    "thm3", "corollary", "lemma5", "lemma8")
 _CHECK_TARGETS = ("t5", "t6", "custom")
 DEFAULT_PARAMS = "0.5,1,30"
-# The widest grid range, thm3's [220, 1e6], holds fewer integers, and
-# `_grid` builds all of its points before deduplicating them.
+# The widest grid range, thm3's first-claim grid up to 1e6, holds fewer
+# integers, and `_grid` builds all of its points before deduplicating them.
 MAX_SAMPLE_GRID = 10**6
 
 # Where each flag means something: command -> targets (None for
@@ -111,7 +111,7 @@ class RunConfig:
     command: str
     target: str | None = None
     q: int | None = None
-    x: float | None = None
+    x: int | float | None = None
     x0: int | None = None
     params: str = DEFAULT_PARAMS
     sqrt: bool = False
@@ -128,6 +128,15 @@ class RunConfig:
 def _grid(lo: float, hi: float, n: int, skip=()) -> list[int]:
     pts = {int(round(g)) for g in np.geomspace(lo, hi, n)}
     return sorted(pts - set(skip))
+
+
+def _int_or_float(tok: str) -> int | float:
+    """--x: an integer literal stays exact, so a scan end past 2^53 is not
+    rounded; anything else is a float."""
+    try:
+        return int(tok)
+    except ValueError:
+        return float(tok)
 
 
 def _window_params(text: str) -> tuple[float, float, float]:
@@ -190,11 +199,12 @@ def _battery_thm1_at(cfg: RunConfig, recs: list) -> None:
     # columns become one ColumnBlock; no whole-range list is built.
     blocks = load_table6() if cfg.sqrt else load_table5()
     skip = sorted({q for q, _, _ in blocks[0].rows})
+    q_top = 10**5  # the sqrt sweep's and every sample grid's top modulus
     if cfg.full:
-        qs = range(3, (10**5 if cfg.sqrt else p1.q0) + 1)
+        qs = range(3, (q_top if cfg.sqrt else p1.q0) + 1)
         n_points = len(qs) - sum(q in qs for q in skip)
     else:
-        qs = _grid(3, 10**5, cfg.sample_grid or 200, skip)
+        qs = _grid(3, q_top, cfg.sample_grid or 200, skip)
         n_points = len(qs)
     if not n_points:  # a grid of one point is q = 3, an exception-table row
         return
@@ -254,16 +264,14 @@ def _battery_thm2_tables(cfg: RunConfig, recs: list[dict]) -> None:
 def _battery_thm3(cfg: RunConfig, recs: list[dict]) -> None:
     slack = _slack(cfg)
     suite = "verify:thm3"
-    thresholds = [(220, "first-claim", False), (35, "first-claim", True),
-                  (500, "sqrt-claim", False), (67, "sqrt-claim", True)]
-    seen = list(thresholds)
+    # each claim at its start, then each on a grid from its start up
+    seen = [(lo, mode, refined) for mode, starts in THM3_STARTS.items()
+            for refined, lo in zip((False, True), starts)]
     n = cfg.sample_grid or 25
-    for mode, lo in (("first-claim", 220), ("sqrt-claim", 500)):
-        for q in _grid(lo, 10**6, n):
-            seen.append((q, mode, False))
-    for mode, lo in (("first-claim", 35), ("sqrt-claim", 67)):
-        for q in _grid(lo, 1000, n):
-            seen.append((q, mode, True))
+    for refined, hi in ((False, 10**6), (True, 1000)):
+        for mode, starts in THM3_STARTS.items():
+            seen += [(q, mode, refined)
+                     for q in _grid(starts[refined], hi, n)]
     for q, mode, refined in seen:
         inputs = {"q": q, "mode": mode, "refined": refined}
         for ev in verify_thm3(q, mode=mode, refined=refined, slack=slack):
@@ -360,8 +368,6 @@ def _written(fh, cfg: RunConfig, records: list):
     """Write the report header to `fh`, then yield each dict row and
     ColumnBlock of `records` (as `_rows` does) once its lines are written."""
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    # one encoder for every dict row: json.dumps would build one per record
-    encode = json.JSONEncoder(sort_keys=True).encode
     fh.write(f"# apbounds {cfg.command}"
              f"{' ' + cfg.target if cfg.target else ''} report\n")
     fh.write(f"# generated: {stamp}\n")
@@ -370,7 +376,7 @@ def _written(fh, cfg: RunConfig, records: list):
         if isinstance(rec, ColumnBlock):
             fh.writelines(rec.lines())
         else:
-            fh.write(encode(rec) + "\n")
+            fh.write(_encode(rec) + "\n")
         yield rec
 
 
@@ -426,7 +432,8 @@ def dispatch(cfg: RunConfig) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q", type=int, help="modulus")
-    p.add_argument("--x", type=float, help="evaluation point / scan end")
+    p.add_argument("--x", type=_int_or_float,
+                   help="evaluation point / scan end")
     p.add_argument("--x0", type=int, help="scan start")
     p.add_argument("--params",
                    help='check custom: window parameters "alpha,delta,rho" '
@@ -494,7 +501,8 @@ def main(argv=None) -> int:
                  f"got {ns.sample_grid}")
     if ns.slack is not None and not 0.0 <= ns.slack < math.inf:  # NaN too
         ap.error(f"--slack must be a finite number >= 0, got {ns.slack}")
-    if ns.x is not None and not 0.0 < ns.x < math.inf:  # NaN too
+    # an integer --x is exact, so it is bounded by the largest float
+    if ns.x is not None and not 0.0 < ns.x <= sys.float_info.max:  # NaN too
         ap.error(f"--x must be a finite number > 0, got {ns.x}")
     if ns.block is not None:
         n_blocks = len(load_table5() if target == "t5" else load_table6())

@@ -114,19 +114,24 @@ class BoundColumn:
 #: sizes that were measured.
 CHUNK_POINTS = 1024
 
+#: The one JSON encoder: the report writer's dict rows and every
+#: ColumnBlock line come from it (json.dumps would build one per call).
 _encode = json.JSONEncoder(sort_keys=True).encode
 
 
 def _json_args(values: list) -> list:
     """Each per-point input as the text the stdlib JSON encoder writes.
 
-    A plain int or a finite float is its repr, as the encoder writes it;
-    anything else (a bool, a string, NaN, an infinity) is encoded.  The
-    text is made once per point and then fills every column's row.
+    One `_encode` call writes the whole list, and its text is split on the
+    encoder's item separator ", ".  Only a value whose own text holds that
+    separator (a string with ", " in it) changes the count of pieces; then
+    each value is encoded by itself.  The text is made once per point and
+    then fills every column's row.
     """
-    return [repr(v) if type(v) is int
-            or (type(v) is float and math.isfinite(v)) else _encode(v)
-            for v in values]
+    parts = _encode(values)[1:-1].split(", ")
+    if len(parts) != len(values):  # an empty list, or a ", " in a value
+        parts = [_encode(v) for v in values]
+    return parts
 
 
 def _array_args(side: np.ndarray) -> list:

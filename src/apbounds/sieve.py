@@ -34,15 +34,8 @@ and then the tail.  Each block is yielded in quarters, so each consumer's
 per-cut arrays are a quarter of a block's primes, and the generator drops
 each quarter before it makes the next: with a consumer that does the same
 (`checkers._scan_shared`), one quarter's primes are alive at a time.  The
-offsets are int32 where they fit.
-Against the odd-only layout it replaced (2^20 odd numbers a segment,
-wheel 3..13 pre-struck), the mask has 8/15 of the entries per integer
-and multiples of 3 and 5 are never struck.  Sieving alone, in-process on a 2-vCPU box (medians of seven
-alternations), the six `scan-far` windows of seed 1 take 0.62 s (0.92 s
-before), the nine merged ranges of `check t5` plus `check t6` 0.37 s
-(0.40 s), and one window of 6e7 integers 0.086 / 0.090 / 0.097 / 0.120 s
-at 1e8 / 1e9 / 1e10 / 1e11 (0.088 / 0.141 / 0.150 / 0.166 s).
-notes/decisions.md has the tables.
+offsets are int32 where they fit.  notes/decisions.md, "Segment size of
+the sieve", has the measurements behind this layout.
 
 `phi_segment(lo, hi)` gives the totients of a window, up to `PHI_HI` =
 2^32 - 1, from the prime powers p^k <= hi with p <= isqrt(hi): a table of

@@ -3,8 +3,11 @@
 Every certified run starts from one of these: the majorant coefficients,
 the large-modulus parameter rows, the two exception-interval tables for the
 prime scans, and the starting thresholds for the rho = 100 bound family.
-Data lives in text files under ``data/``, and each file is the only source
-of its numbers.
+Data lives in text files under ``data/``.  Table 4 is the one source of
+each parameter row: the [block] headers of tables 5 and 6 restate rows
+1-11, and the loaders check each header's (alpha, delta, rho), the numbers
+the scans use, against its row.  Their m and ell columns are not read (see
+notes/decisions.md, "Exception block headers").
 """
 from __future__ import annotations
 
@@ -43,13 +46,12 @@ class ParamSet:
 
 @dataclass(frozen=True)
 class ExceptionBlock:
-    """Parameters plus the (q, x0, x) exception intervals they leave open."""
+    """The window parameters of table-4 row k, for block k, plus the
+    (q, x0, x) exception intervals they leave open."""
 
     alpha: float
     delta: float
     rho: float
-    m: float
-    ell: float
     rows: tuple[tuple[int, int, int], ...]
 
 
@@ -101,25 +103,28 @@ def load_table4() -> tuple[ParamSet, ...]:
 
 
 def _load_exception_blocks(name: str) -> tuple[ExceptionBlock, ...]:
-    blocks: list[ExceptionBlock] = []
-    header: tuple[float, ...] | None = None
-    rows: list[tuple[int, int, int]] = []
+    """The blocks of `name`, block k checked against table-4 row k.
 
-    def flush() -> None:
-        if header is not None:
-            a, d, r, m, e = header
-            blocks.append(ExceptionBlock(a, d, r, m, e, tuple(rows)))
-
+    A header reads [block] alpha delta rho m ell.  Its (alpha, delta, rho)
+    must be row k's, else ValueError; its m and ell are not read.
+    """
+    params = load_table4()
+    blocks: list[tuple[tuple, list]] = []
     for ln in _lines(name):
-        if ln.startswith("[block]"):
-            flush()
-            header = tuple(_num(t) for t in ln.split()[1:])
-            rows = []
+        t = ln.split()
+        if t[0] == "[block]":
+            k = len(blocks) + 1
+            header = tuple(_num(v) for v in t[1:4])
+            row = params[k - 1] if k <= len(params) else None
+            if row is None or header != (row.alpha, row.delta, row.rho):
+                raise ValueError(f"{name} block {k}: (alpha, delta, rho) = "
+                                 f"{header} differs from table-4 row {k}")
+            blocks.append((header, []))
         else:
-            q, x0, x = (int(t) for t in ln.split())
-            rows.append((q, x0, x))
-    flush()
-    return tuple(blocks)
+            q, x0, x = map(int, t)
+            blocks[-1][1].append((q, x0, x))
+    return tuple(ExceptionBlock(*header, tuple(rows))
+                 for header, rows in blocks)
 
 
 @lru_cache(maxsize=None)

@@ -32,6 +32,7 @@ __all__ = [
     "E_of",
     "RHO2",
     "RefreshDetail",
+    "THM3_STARTS",
     "Thm2Context",
     "Thm2Tilde",
     "corollary_default_n",
@@ -298,7 +299,9 @@ def verify_thm2_largeq(m: float, q0: int, sqrt_mode: bool = False,
 # exponential-scale thresholds: x = e^q
 # ---------------------------------------------------------------------------
 
-_THM3_MODES = ("first-claim", "sqrt-claim")
+#: Where each claim of Theorem 3 starts: mode -> (q with the flat
+#: surcharge E(q), q with the refined one).
+THM3_STARTS = {"first-claim": (220, 35), "sqrt-claim": (500, 67)}
 
 
 def verify_thm3(q: int, mode: str = "first-claim",
@@ -309,8 +312,9 @@ def verify_thm3(q: int, mode: str = "first-claim",
     first-claim is the single-prime statement, sqrt-claim the sqrt-count
     one; `refined` swaps the flat surcharge E(q) for the sharper _a47.
     """
-    if mode not in _THM3_MODES:
-        raise ValueError(f"mode must be one of {_THM3_MODES}, got {mode!r}")
+    if mode not in THM3_STARTS:
+        raise ValueError(f"mode must be one of {tuple(THM3_STARTS)}, "
+                         f"got {mode!r}")
     if q < 14:
         raise ValueError(f"exponential-scale claims start at q = 14, got {q}")
     sqrt_mode = mode == "sqrt-claim"

@@ -202,6 +202,30 @@ def test_accept_rho100_sqrt_rows_19_20_21():
     assert all_ok
 
 
+# (table-4 row, sqrt mode, q): the one modulus at which each of these rows
+# fails `main` at x0(q); none of them is in the row's t5/t6 block
+TABLE4_BELOW_Q0_FAILURES = ((4, False, 35), (9, True, 26), (11, True, 24))
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="three table-4 rows fail main at x0(q) below q0, "
+                          "one modulus each; notes/decisions.md records the "
+                          "counterexamples")
+def test_accept_table4_rows_4_9_11_below_q0():
+    params = load_table4()
+    all_ok = True
+    for k, sqrt_mode, q in TABLE4_BELOW_Q0_FAILURES:
+        row = params[k - 1]
+        x0 = float(x0_of(row, q, sqrt_mode))
+        evals = verify_thm1_at(q, x0, row, sqrt_mode=sqrt_mode)
+        ok = all(e.passed for e in evals)
+        worst = min(e.margin for e in evals)
+        announce(f"table4-row{k}-{'sqrt' if sqrt_mode else 'plain'} q={q}",
+                 ok, f"x0(q)={x0:.6g}, worst margin {worst:+.4f}")
+        all_ok = all_ok and ok
+    assert all_ok
+
+
 # 6 ------------------------------------------------------------------------
 
 def test_accept_exponential_scale_thresholds():

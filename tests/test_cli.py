@@ -15,6 +15,7 @@ import pytest
 
 from apbounds import cli, thm1
 from apbounds.arith import factorize
+from apbounds.checkers import CheckReport
 from apbounds.cli import (_BATTERIES, RunConfig, _grid, _print_summary, _rows,
                           _run_check, _run_report, dispatch, main)
 from apbounds.margins import CHUNK_POINTS, BoundColumn, ColumnBlock
@@ -499,6 +500,24 @@ def test_check_custom_end_of_range_fails_closed(tmp_path):
     assert rc == 1
     (rec,) = read_records(out)
     assert rec["lhs"] == -2.0
+
+
+def test_check_custom_x_keeps_an_integer_exact(monkeypatch, capsys):
+    # a float --x would round 2^53 + 1 down and put --x0 past it; the scan
+    # is replaced, so nothing is sieved near 2^53
+    calls = []
+
+    def scan(alpha, delta, rho, q, x0, x_end):
+        calls.append((alpha, delta, rho, q, x0, x_end))
+        return CheckReport(q, x0, x_end, "single", (), 1, 0, 0.0)
+
+    monkeypatch.setattr(cli, "check1", scan)
+    x = str(2**53 + 1)
+    assert main(["check", "custom", "--q", "3", "--x0", x, "--x", x,
+                 "--params", "0,0,1e-9"]) == 0
+    assert capsys.readouterr().err == ""
+    ((*_, x0, x_end),) = calls
+    assert x0 == x_end == 2**53 + 1 and type(x_end) is int
 
 
 def test_check_custom_sqrt():

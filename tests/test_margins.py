@@ -6,10 +6,11 @@ import math
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from apbounds.margins import (CHUNK_POINTS, DEFAULT_SLACK, BoundColumn,
-                              BoundEval, ColumnBlock, slack_threshold,
-                              worst_margin)
+                              BoundEval, ColumnBlock, _json_args,
+                              slack_threshold, worst_margin)
 
 NAN = math.nan
 
@@ -109,6 +110,22 @@ def test_block_lines_match_stdlib_encoder():
     assert all(c.count("\n") == len(cols) and c.endswith("\n")
                for c in chunks)
     assert "".join(chunks) == stdlib_text(block)
+
+
+@pytest.mark.parametrize("values", [
+    np.array([3, -5, 2**63 - 1, -2**63, 0], dtype=np.int64).tolist(),
+    np.array([NAN, math.inf, -math.inf, -0.0, 5e-324, 1e22, 0.1 + 0.2],
+             dtype=np.float64).tolist(),
+    [True, False, True],
+    [2**64 + 1, 10**30, -2**70],
+    ["a, b", "c", 'd", "e', ", "],  # the split misses: one value at a time
+    ["a,b", "c d", '"', "", "%s"],  # no ", " in any value's text
+    [1, 2.5, "x, y", False],
+    [],
+], ids=["int64", "float64", "bool", "bigint", "comma-space", "strings",
+        "mixed", "empty"])
+def test_json_args_match_the_encoder_value_by_value(values):
+    assert _json_args(values) == [ENCODE(v) for v in values]
 
 
 def test_block_lines_write_non_finite_sides_as_json_does():
