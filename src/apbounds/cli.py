@@ -23,21 +23,21 @@ moduli go CHUNK_POINTS at a time through one columnar call each, and each
 chunk's rows come out as one `margins.ColumnBlock`.  The writer encodes a
 block's lines straight from its columns, byte for byte what the stdlib
 encoder writes for the dict rows, and hands the file one point's lines at
-a time (the file's own buffer joins them); the chunks of a sweep share one
-line template per layout.  The stdout summary takes its counts and worst
-margin from numpy (a NaN margin counts as the worst).  One pass over the
-records writes and tallies each block and then drops it, so a sweep holds
-one chunk's columns at a time, whatever its range; the `# records:`
-header comes from the sweep's point count.
+a time (the file's own buffer joins them); each block builds its own line
+template.  The stdout summary takes its counts and worst margin from numpy
+(a NaN margin counts as the worst).  One pass over the records writes and
+tallies each block and then drops it, so a sweep holds one chunk's columns
+at a time, whatever its range; the `# records:` header comes from the
+sweep's point count.
 
-A flag that the chosen target would ignore is a usage error (exit 2), and
-so is a value out of range: `--slack` must be finite and >= 0, `--x`
-finite and > 0 (an integer literal is read exactly), `--q`, `--x0`,
-`--sample-grid` and `--jobs` at least 1, `--sample-grid` at most 10^6,
-`--block` a block of the table, `--params` three finite numbers, and
-`--x0` at most `--x`, with every prime of the row at most
-`sieve.MAX_HI` (about 9.22e18).  A `verify thm1-at` point
-needs a window: 0 < phi(q) log q < sqrt(x).
+The run's config is the parsed command line, checked by `_config`.  A flag
+that the chosen target would ignore is a usage error (exit 2), and so is a
+value out of range: `--slack` must be finite and >= 0, `--x` finite and > 0
+(an integer literal is read exactly), `--q`, `--x0`, `--sample-grid` and
+`--jobs` at least 1, `--sample-grid` at most 10^6, `--block` a block of the
+table, `--params` three finite numbers, and `--x0` at most `--x`, with
+every prime of the row at most `sieve.MAX_HI` (about 9.22e18).  A
+`verify thm1-at` point needs a window: 0 < phi(q) log q < sqrt(x).
 `regen-report --full` includes the sqrt-count refresh rows that are known
 to fail (m = 19, 20, 21), so it exits 1 by design; the default battery is
 all-green.
@@ -49,7 +49,6 @@ import argparse
 import datetime
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,7 +82,7 @@ MAX_SAMPLE_GRID = 10**6
 
 # Where each flag means something: command -> targets (None for
 # regen-report, which has none).  A flag set anywhere else would be
-# ignored, so main() rejects it as a usage error.
+# ignored, so _config() rejects it as a usage error.
 _FLAG_SCOPE = {
     "q": {"verify": ("thm1-at",), "check": ("custom",)},
     "x": {"verify": ("thm1-at",), "check": ("custom",)},
@@ -102,25 +101,6 @@ _FLAG_SCOPE = {
     "slack": {"verify": tuple(t for t in _VERIFY_TARGETS if t != "lemma5"),
               "regen-report": (None,)},
 }
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation; constructible directly for programmatic use."""
-
-    command: str
-    target: str | None = None
-    q: int | None = None
-    x: int | float | None = None
-    x0: int | None = None
-    params: str = DEFAULT_PARAMS
-    sqrt: bool = False
-    block: int | None = None
-    jobs: int = 1
-    out: str | None = None
-    slack: float | None = None
-    sample_grid: int | None = None
-    full: bool = False
 
 
 # ---------------------------------------------------------------- records
@@ -147,7 +127,7 @@ def _window_params(text: str) -> tuple[float, float, float]:
     return alpha, delta, rho
 
 
-def _slack(cfg: RunConfig, default: float = DEFAULT_SLACK) -> float:
+def _slack(cfg: argparse.Namespace, default: float = DEFAULT_SLACK) -> float:
     return cfg.slack if cfg.slack is not None else default
 
 
@@ -179,7 +159,7 @@ class _Sweep:
         yield from map(self._evaluate, chunks)
 
 
-def _battery_thm1_at(cfg: RunConfig, recs: list) -> None:
+def _battery_thm1_at(cfg: argparse.Namespace, recs: list) -> None:
     p1 = load_table4()[0]
     slack = _slack(cfg)
     suite = "verify:thm1-at"
@@ -214,19 +194,17 @@ def _battery_thm1_at(cfg: RunConfig, recs: list) -> None:
             q = np.array(qs[lo:lo + CHUNK_POINTS], dtype=np.int64)
             yield q[~np.isin(q, skip)]
 
-    templates: dict = {}  # the chunks' line templates, one per layout
-
     def evaluate(q):
         phi = totients(q)  # once a chunk, for x0 and the check
         x = x0_of(p1, q, cfg.sqrt, phi=phi)
         cols = verify_thm1_at(q, x, p1, sqrt_mode=cfg.sqrt, slack=slack,
                               phi=phi)
         return ColumnBlock(suite, cols, {"q": q.tolist(), "x": x.tolist(),
-                                         "sqrt": cfg.sqrt}, templates)
+                                         "sqrt": cfg.sqrt})
     recs.append(_Sweep(n_points, moduli, evaluate))
 
 
-def _battery_thm1_tables(cfg: RunConfig, recs: list[dict]) -> None:
+def _battery_thm1_tables(cfg: argparse.Namespace, recs: list[dict]) -> None:
     slack = _slack(cfg)
     for row in load_table4():
         for sqrt_mode in (False, True):
@@ -238,10 +216,10 @@ def _battery_thm1_tables(cfg: RunConfig, recs: list[dict]) -> None:
                 recs.append(ev.record("verify:thm1-tables", inputs))
 
 
-def _battery_thm2(cfg: RunConfig, recs: list[dict]) -> None:
+def _battery_thm2(cfg: argparse.Namespace, recs: list[dict]) -> None:
     t7 = load_table7()
     slack = _slack(cfg, THM2_SLACK)
-    for q in range(3, 13):
+    for q in t7.plain:  # the anchor moduli; each row gives both modes
         for sqrt_mode in (False, True):
             x0 = (t7.sqrt if sqrt_mode else t7.plain)[q]
             for ev in verify_thm2_at(q, math.log(float(x0)),
@@ -250,7 +228,7 @@ def _battery_thm2(cfg: RunConfig, recs: list[dict]) -> None:
                                       {"q": q, "x0": x0, "sqrt": sqrt_mode}))
 
 
-def _battery_thm2_tables(cfg: RunConfig, recs: list[dict]) -> None:
+def _battery_thm2_tables(cfg: argparse.Namespace, recs: list[dict]) -> None:
     slack = _slack(cfg)
     plain8, sqrt8 = load_table8()
     for sqrt_mode, rows in ((False, plain8), (True, sqrt8)):
@@ -261,7 +239,7 @@ def _battery_thm2_tables(cfg: RunConfig, recs: list[dict]) -> None:
                 recs.append(ev.record("verify:thm2-tables", inputs))
 
 
-def _battery_thm3(cfg: RunConfig, recs: list[dict]) -> None:
+def _battery_thm3(cfg: argparse.Namespace, recs: list[dict]) -> None:
     slack = _slack(cfg)
     suite = "verify:thm3"
     # each claim at its start, then each on a grid from its start up
@@ -278,7 +256,7 @@ def _battery_thm3(cfg: RunConfig, recs: list[dict]) -> None:
             recs.append(ev.record(suite, inputs))
 
 
-def _battery_corollary(cfg: RunConfig, recs: list[dict]) -> None:
+def _battery_corollary(cfg: argparse.Namespace, recs: list[dict]) -> None:
     slack = _slack(cfg)
     for q in _grid(3, 10**4, cfg.sample_grid or 25):
         n = corollary_default_n(q)
@@ -286,14 +264,14 @@ def _battery_corollary(cfg: RunConfig, recs: list[dict]) -> None:
             recs.append(ev.record("verify:corollary", {"q": q, "n": n}))
 
 
-def _battery_lemma5(cfg: RunConfig, recs: list[dict]) -> None:
+def _battery_lemma5(cfg: argparse.Namespace, recs: list[dict]) -> None:
     ev = verify_majorant()
     recs.append(ev.record("verify:lemma5", {"g_dominated_to": 5}))
     ev = verify_tail_sign()
     recs.append(ev.record("verify:lemma5", {"n_min": 2, "n_positive": 4}))
 
 
-def _battery_lemma8(cfg: RunConfig, recs: list[dict]) -> None:
+def _battery_lemma8(cfg: argparse.Namespace, recs: list[dict]) -> None:
     for ev in verify_constants(slack=_slack(cfg)):
         recs.append(ev.record("verify:lemma8", {}))
 
@@ -312,16 +290,15 @@ _BATTERIES = {
 
 # ---------------------------------------------------------------- check
 
-def _run_check(cfg: RunConfig, recs: list[dict]) -> None:
+def _run_check(cfg: argparse.Namespace, recs: list[dict]) -> None:
     if cfg.target in ("t5", "t6"):
         suite = f"check:{cfg.target}"
         reports = run_exception_tables(cfg.target, block=cfg.block,
                                        jobs=cfg.jobs)
     else:
         suite = "check:custom"
-        alpha, delta, rho = _window_params(cfg.params)
         scan = check_sqrt if cfg.sqrt else check1
-        reports = [scan(alpha, delta, rho, cfg.q, cfg.x0, int(cfg.x))]
+        reports = [scan(*cfg.params, cfg.q, cfg.x0, int(cfg.x))]
     for rep in reports:
         # an exact count: the default slack cannot move its verdict
         ev = BoundEval("coverage", -float(len(rep.failures)), -0.5)
@@ -341,7 +318,7 @@ _REPORT_DEFAULT = ("thm1-tables", "thm2", "thm3", "corollary", "lemma8")
 _REPORT_FULL_EXTRA = ("lemma5", "thm2-tables")
 
 
-def _run_report(cfg: RunConfig, recs: list[dict]) -> None:
+def _run_report(cfg: argparse.Namespace, recs: list[dict]) -> None:
     targets = _REPORT_DEFAULT + (_REPORT_FULL_EXTRA if cfg.full else ())
     for target in targets:
         _BATTERIES[target](cfg, recs)
@@ -364,7 +341,7 @@ def _rows(records: list):
             yield rec
 
 
-def _written(fh, cfg: RunConfig, records: list):
+def _written(fh, cfg: argparse.Namespace, records: list):
     """Write the report header to `fh`, then yield each dict row and
     ColumnBlock of `records` (as `_rows` does) once its lines are written."""
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -409,16 +386,14 @@ def _print_summary(records) -> tuple[int, int]:
             sum(len(t[2]) for t in suites.values()))
 
 
-def dispatch(cfg: RunConfig) -> int:
+def dispatch(cfg: argparse.Namespace) -> int:
     records: list = []  # dict rows, ColumnBlocks and sweeps, in report order
     if cfg.command == "verify":
         _BATTERIES[cfg.target](cfg, records)
     elif cfg.command == "check":
         _run_check(cfg, records)
-    elif cfg.command == "regen-report":
+    else:  # regen-report: _config's parser allows no other command
         _run_report(cfg, records)
-    else:  # pragma: no cover - argparse restricts choices
-        raise SystemExit(f"unknown command {cfg.command!r}")
     # one pass: each row or block is written (with --out), tallied and
     # dropped, so a sweep holds one chunk's columns at a time
     if cfg.out:
@@ -481,10 +456,14 @@ def _scope_text(scope: dict) -> str:
                         for command, targets in scope.items())
 
 
-def main(argv=None) -> int:
+def _config(argv=None) -> argparse.Namespace:
+    """The checked command line, with `target` (None for regen-report),
+    `params` parsed into (alpha, delta, rho) from --params or
+    DEFAULT_PARAMS, and `jobs` 1 unless --jobs is given.  Any usage error
+    exits 2 here."""
     ap = _parser()
     ns = ap.parse_args(argv)
-    target = getattr(ns, "target", None)
+    ns.target = target = getattr(ns, "target", None)
     for flag, scope in _FLAG_SCOPE.items():
         value = getattr(ns, flag)
         if value is not None and value is not False \
@@ -509,21 +488,21 @@ def main(argv=None) -> int:
         if not 1 <= ns.block <= n_blocks:
             ap.error(f"--block: {target} has blocks 1..{n_blocks}, "
                      f"got {ns.block}")
-    if ns.params is not None:
-        try:
-            _window_params(ns.params)
-        except ValueError:
-            ap.error(f'--params takes three numbers "alpha,delta,rho", '
-                     f'all finite, got {ns.params!r}')
-    params = DEFAULT_PARAMS if ns.params is None else ns.params
+    text = DEFAULT_PARAMS if ns.params is None else ns.params
+    try:
+        ns.params = _window_params(text)
+    except ValueError:
+        ap.error(f'--params takes three numbers "alpha,delta,rho", '
+                 f'all finite, got {text!r}')
+    ns.jobs = ns.jobs or 1
     if (ns.command, target) == ("check", "custom"):
         if None in (ns.q, ns.x0, ns.x):
             ap.error("check custom needs --q, --x0 and --x")
         if ns.x0 > ns.x:
             ap.error(f"check custom: --x0 {ns.x0} lies past --x {ns.x:g}")
         try:
-            row_top(hsqrt if ns.sqrt else h1, *_window_params(params), ns.q,
-                    ns.x0, int(ns.x))
+            row_top(hsqrt if ns.sqrt else h1, *ns.params, ns.q, ns.x0,
+                    int(ns.x))
         except ValueError as exc:
             ap.error(f"check custom: {exc}")
     if (ns.command, target) == ("verify", "thm1-at"):
@@ -540,11 +519,11 @@ def main(argv=None) -> int:
                 window_operands(3 if ns.q is None else ns.q, ns.x)
             except ValueError as exc:
                 ap.error(f"verify thm1-at: a point {exc}")
-    cfg = RunConfig(command=ns.command, target=target,
-                    q=ns.q, x=ns.x, x0=ns.x0, params=params, sqrt=ns.sqrt,
-                    block=ns.block, jobs=ns.jobs or 1, out=ns.out,
-                    slack=ns.slack, sample_grid=ns.sample_grid, full=ns.full)
-    return dispatch(cfg)
+    return ns
+
+
+def main(argv=None) -> int:
+    return dispatch(_config(argv))
 
 
 if __name__ == "__main__":  # pragma: no cover

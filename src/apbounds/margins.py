@@ -185,9 +185,6 @@ class ColumnBlock:
     suite: str
     columns: tuple[BoundColumn, ...]
     inputs: dict
-    #: line templates by layout (see `lines`); a sweep hands its blocks one
-    #: dict, so each layout is built once per sweep, not once per block
-    templates: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "columns", tuple(self.columns))
@@ -260,33 +257,18 @@ class ColumnBlock:
             fields += order
         return "".join(text), fields
 
-    def _layout(self) -> tuple:
-        """What the block's template is made of: the suite, the column
-        names, the input keys with each shared value's text, and the bits
-        of every side that is the same at every point (None for one that
-        varies).  Blocks with equal layouts have equal templates."""
-        shared = tuple((k, None if type(v) is list else _encode(v))
-                       for k, v in self.inputs.items())
-        sides = tuple(side[:1].tobytes() if _uniform(side) else None
-                      for c in self.columns for side in _sides(c))
-        return self.suite, tuple(c.name for c in self.columns), shared, sides
-
     def lines(self):
         """The rows as JSON text, one string per point.
 
         Each string holds the point's lines, one per column, and each line
         is byte for byte json.JSONEncoder(sort_keys=True).encode(row) plus
         a newline, for the rows that records() yields, in the same order.
-        The per-point fields are turned into text CHUNK_POINTS points at a
-        time, and the template is looked up in `templates` by the block's
-        layout, so blocks that share that dict build each layout once.
+        The block builds its template once, and the per-point fields are
+        turned into text CHUNK_POINTS points at a time.
         """
         if not len(self):
             return
-        layout = self._layout()
-        if layout not in self.templates:
-            self.templates[layout] = self._template()
-        template, fields = self.templates[layout]
+        template, fields = self._template()
         if not fields:  # no field varies: every point's lines are alike
             text = template % ()
             for _ in range(self.n_points):

@@ -33,6 +33,7 @@ from .tables import ParamSet
 
 __all__ = [
     "SQRT_SURCHARGE",
+    "T_FLOOR",
     "TildeThm1",
     "X_FLOOR",
     "h1",
@@ -47,6 +48,7 @@ __all__ = [
 ]
 
 X_FLOOR = 23656  # smallest x any single-interval claim covers
+T_FLOOR = 20.0  # smallest integration cutoff T any window claim allows
 
 # what the sqrt-count claim adds to the cost G on top of F log x
 SQRT_SURCHARGE = log(11.0 / 6.0)
@@ -165,9 +167,9 @@ def _Gbar(lq, log_sx_phi, params: ParamSet, sqrt_mode: bool, beta, T):
 
 
 def side_conditions(bound, inv_T, h_over_x, slack: float) -> list:
-    """The side conditions 1/T < 1/20 and h/x < 5/6 that every window claim
-    carries, as two `bound`s (BoundEval, or BoundColumn for columns)."""
-    return [bound("inv_T", 1.0 / 20.0, inv_T, slack),
+    """The side conditions 1/T < 1/T_FLOOR and h/x < 5/6 that every window
+    claim carries, as two `bound`s (BoundEval, or BoundColumn for columns)."""
+    return [bound("inv_T", 1.0 / T_FLOOR, inv_T, slack),
             bound("h_over_x", 5.0 / 6.0, h_over_x, slack)]
 
 
@@ -195,7 +197,7 @@ def verify_thm1_at(q, x, params: ParamSet, sqrt_mode: bool = False,
         *side_conditions(bound, 1.0 / T, beta / T, slack),  # T = beta x / h
         # half-unit shim so the integer floor itself passes cleanly
         bound("x_floor", x, X_FLOOR - 0.5, slack),
-        bound("T_floor", T, 20.0, slack),
+        bound("T_floor", T, T_FLOOR, slack),
     ]
 
 

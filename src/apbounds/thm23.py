@@ -26,7 +26,8 @@ import numpy as np
 
 from .arith import omega_of, phi_of
 from .margins import CHUNK_POINTS, DEFAULT_SLACK, BoundEval, clears
-from .thm1 import SQRT_SURCHARGE, side_conditions, totients
+from .thm1 import (_C_B0, _C_PHI, _C_T, SQRT_SURCHARGE, T_FLOOR,
+                   side_conditions, totients)
 
 __all__ = [
     "E_of",
@@ -71,7 +72,7 @@ class Thm2Context(NamedTuple):
 
     q: int
     log_x: float  # log x, or an upper bound
-    phi: float  # phi(q), or a lower bound (read only as 84.1 / phi and in _a47)
+    phi: float  # phi(q), or a lower bound (read only in _C_PHI / phi and _a47)
     E_q: float
     L: float  # log(q^2 x), or a lower bound: the tail and inv_T
     LG: float  # log(q sqrt(x)), or an upper bound: G and h_over_x
@@ -108,12 +109,14 @@ def thm2_FG(ctx: Thm2Context, sqrt_mode: bool = False,
     lq, L, LG, phi_over_sx = log(ctx.q), ctx.L, ctx.LG, ctx.phi_over_sx
     lr1 = log(2.0 / pi) + ctx.log_sx_phi  # log((2/pi) sx / phi)
     prod = (lr1 + 2.0 * lq) * lr1 / pi    # times log((2/pi) q^2 sx / phi)
-    tail = (0.79 + 16.08 / L) * pi * pi * phi_over_sx
-    F = (prod + 13.42 * lq + 81.86 + 84.1 / ctx.phi) * phi_over_sx + tail / L
+    # over L, the tail's second term is _C_B0 / beta^2 with beta = L / pi
+    tail = (0.79 + _C_B0 / L) * pi * pi * phi_over_sx
+    F = (prod + 13.42 * lq + 81.86 + _C_PHI / ctx.phi) * phi_over_sx \
+        + tail / L
     G = (ctx.E_q
          + (prod + 13.42 * lq) * LG * phi_over_sx
          - 0.747 * lq
-         + (81.86 + 84.1 / ctx.phi) * LG * phi_over_sx
+         + (81.86 + _C_PHI / ctx.phi) * LG * phi_over_sx
          + tail / 2.0)
     if refined:
         G = G - ctx.E_q + _a47(ctx, sqrt_mode)
@@ -175,7 +178,9 @@ def thm2_tilde(m: float, q, sqrt_mode: bool = False) -> Thm2Tilde:
 def tilde_threshold(m: float, q0: int, sqrt_mode: bool = False,
                     slack: float = DEFAULT_SLACK) -> int:
     """Smallest integer q >= q0 where the majorized main margin clears
-    `slack`."""
+    `slack`.  The bisection finds it only if that margin is monotone on
+    [q0, q*]: nothing here checks it, and the tests walk every q of the
+    four refresh rows of table 8 (plain m = 15, sqrt m = 19, 20, 21)."""
     def ok(q: int):
         return clears(thm2_tilde(m, q, sqrt_mode=sqrt_mode).main, 0.0, slack)
 
@@ -196,7 +201,7 @@ def tilde_threshold(m: float, q0: int, sqrt_mode: bool = False,
 def _a47(ctx: Thm2Context, sqrt_mode: bool) -> float:
     """Refined replacement for the flat surcharge E(q), at the context's x.
 
-    Uses the T >= 20 floor for the truncation term and keeps every
+    Uses the T >= T_FLOOR floor for the truncation term and keeps every
     x-dependent piece in log space.
     """
     q, log_x, phi, L = ctx.q, ctx.log_x, ctx.phi, ctx.L
@@ -205,7 +210,7 @@ def _a47(ctx: Thm2Context, sqrt_mode: bool) -> float:
     return (log(2.0 / pi) + 2.53 + 1.638 / phi
             + (2.0 * log(2.0 * pi) / (pi * beta)) * (1.0 - 1.0 / beta)
             + 1.0 / beta
-            + 2.0 * 2.89 / 20.0
+            + 2.0 * _C_T / T_FLOOR
             + 3.7 * exp(-log_x / 6.0)
             + omega_of(q) * (log(2.0) + log_x) * exp(-log_x / 2.0)
             + 1.7 * h_over_x32)

@@ -8,6 +8,7 @@ import math
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -16,11 +17,11 @@ import pytest
 from apbounds import cli, thm1
 from apbounds.arith import factorize
 from apbounds.checkers import CheckReport
-from apbounds.cli import (_BATTERIES, RunConfig, _grid, _print_summary, _rows,
+from apbounds.cli import (_BATTERIES, _config, _grid, _print_summary, _rows,
                           _run_check, _run_report, dispatch, main)
 from apbounds.margins import CHUNK_POINTS, BoundColumn, ColumnBlock
 from apbounds.sieve import phi_segment
-from apbounds.tables import load_table4, load_table6
+from apbounds.tables import load_table4, load_table6, load_table7
 from apbounds.thm1 import verify_thm1_at, x0_of
 
 
@@ -161,29 +162,6 @@ def test_thm1_sweep_streams_chunk_by_chunk(tmp_path, monkeypatch, capsys):
         + f"total: {checks} checks, {failed} failed\n"
 
 
-def test_thm1_sweep_builds_one_template_per_layout(tmp_path, monkeypatch):
-    # every chunk of a sweep has the same suite, names, inputs and broadcast
-    # sides, so its line template is built once per layout, not per chunk
-    chunks, built = [], []
-    template = ColumnBlock._template
-
-    def counted(q, *args, **kwargs):
-        chunks.append(len(q))
-        return verify_thm1_at(q, *args, **kwargs)
-
-    def counted_template(self):
-        built.append(template(self))
-        return built[-1]
-
-    monkeypatch.setattr(cli, "verify_thm1_at", counted)
-    monkeypatch.setattr(ColumnBlock, "_template", counted_template)
-    out = tmp_path / "sweep.jsonl"
-    assert main(["verify", "thm1-at", "--sample-grid", "10000", "--sqrt",
-                 "--out", str(out)]) == 0
-    assert len(chunks) >= 3
-    assert 1 <= len(built) == len({text for text, _ in built}) < len(chunks)
-
-
 def test_verify_thm1_tables(tmp_path):
     out = tmp_path / "t1.jsonl"
     assert main(["verify", "thm1-tables", "--out", str(out)]) == 0
@@ -200,6 +178,14 @@ def test_verify_thm2_small_q(tmp_path):
     recs = read_records(out)
     assert recs and all(r["pass"] for r in recs)
     assert {r["inputs"]["q"] for r in recs if "q" in r["inputs"]} >= set(range(3, 13))
+    # three records (main and the two side conditions) per table-7 anchor
+    t7 = load_table7()
+    anchors = [(q, sqrt_mode, x0) for sqrt_mode, col in
+               ((False, t7.plain), (True, t7.sqrt)) for q, x0 in col.items()]
+    assert len(anchors) == 20
+    got = Counter((r["inputs"]["q"], r["inputs"]["sqrt"], r["inputs"]["x0"])
+                  for r in recs)
+    assert got == {a: 3 for a in anchors}
 
 
 def test_verify_thm2_slack_override():
@@ -520,6 +506,27 @@ def test_check_custom_x_keeps_an_integer_exact(monkeypatch, capsys):
     assert x0 == x_end == 2**53 + 1 and type(x_end) is int
 
 
+def test_check_custom_takes_negative_params_after_equals(monkeypatch,
+                                                        capsys):
+    # "--params -1,0,0" reads as a flag and exits 2; "--params=-1,0,0" is
+    # the documented form, and its values reach the scan
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "custom", "--q", "3", "--x0", "23656", "--x",
+              "193269", "--params", "-1,0,0"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+    calls = []
+
+    def scan(alpha, delta, rho, q, x0, x_end):
+        calls.append((alpha, delta, rho))
+        return CheckReport(q, x0, x_end, "single", (), 1, 0, 0.0)
+
+    monkeypatch.setattr(cli, "check1", scan)
+    assert main(["check", "custom", "--q", "3", "--x0", "23656", "--x",
+                 "193269", "--params=-1,0,0"]) == 0
+    assert calls == [(-1.0, 0.0, 0.0)]
+
+
 def test_check_custom_sqrt():
     rc = main(["check", "custom", "--q", "3", "--x0", "81589", "--x", "332263",
                "--params", "0.5,1,30", "--sqrt"])
@@ -566,14 +573,14 @@ def test_records_are_plain_python():
     # every record type the CLI builds, in memory, down to exact builtin
     # types: json.dumps turns none of them away and writes no numpy repr
     items: list = []
-    _run_report(RunConfig(command="regen-report", full=True), items)
-    _BATTERIES["thm1-at"](RunConfig(command="verify", target="thm1-at",
-                                    sample_grid=20, sqrt=True), items)
-    _BATTERIES["thm1-at"](RunConfig(command="verify", target="thm1-at",
-                                    q=3, x=193269.0), items)
-    _run_check(RunConfig(command="check", target="custom", q=3, x0=23656,
-                         x=193269.0), items)
-    _run_check(RunConfig(command="check", target="t6", block=1), items)
+    _run_report(_config(["regen-report", "--full"]), items)
+    _BATTERIES["thm1-at"](_config(["verify", "thm1-at", "--sample-grid",
+                                    "20", "--sqrt"]), items)
+    _BATTERIES["thm1-at"](_config(["verify", "thm1-at", "--q", "3",
+                                    "--x", "193269.0"]), items)
+    _run_check(_config(["check", "custom", "--q", "3", "--x0", "23656",
+                        "--x", "193269.0"]), items)
+    _run_check(_config(["check", "t6", "--block", "1"]), items)
     items = list(_rows(items))  # a sweep's blocks, as the report pass reads them
     assert any(isinstance(r, ColumnBlock) for r in items)
     recs = [row for r in items for row in
@@ -621,7 +628,7 @@ def test_summary_and_verdict_take_blocks_and_rows_alike(capsys):
 # ---------------------------------------------------------------- plumbing
 
 def test_runconfig_dispatch_direct():
-    cfg = RunConfig(command="verify", target="corollary", sample_grid=6)
+    cfg = _config(["verify", "corollary", "--sample-grid", "6"])
     assert dispatch(cfg) == 0
 
 

@@ -170,25 +170,20 @@ def test_block_lines_with_no_varying_field():
     assert "".join(chunks) == stdlib_text(block)
 
 
-def test_blocks_sharing_templates_build_one_per_layout():
-    # a verdict column that is uniform in one block and varies in another
-    # makes two layouts; a third block like the first reuses its template
-    templates = {}
+def test_blocks_with_uniform_or_varying_sides_write_stdlib_bytes():
+    # a verdict column that is uniform in one block and varies in another,
+    # and a uniform side of -0.0: each block's own template writes its rows
     passing = np.array([2.0, 3.0, 4.0])
     mixed = np.array([2.0, 0.5, 4.0])
     blocks = [ColumnBlock("s", [BoundColumn("a", lhs, 1.0),
                                 BoundColumn("b", 0.75, lhs)],
-                          {"q": [3, 4, 5], "sqrt": True}, templates)
+                          {"q": [3, 4, 5], "sqrt": True})
               for lhs in (passing, mixed, passing * 2)]
+    blocks.append(ColumnBlock("s", [BoundColumn("a", passing, 1.0),
+                                    BoundColumn("b", -0.0, passing)],
+                              {"q": [3, 4, 5], "sqrt": False}))
     for block in blocks:
         assert "".join(block.lines()) == stdlib_text(block)
-    assert len(templates) == 2
-    # a shared value or a uniform side's bits are part of the layout
-    other = ColumnBlock("s", [BoundColumn("a", passing, 1.0),
-                              BoundColumn("b", -0.0, passing)],
-                        {"q": [3, 4, 5], "sqrt": False}, templates)
-    assert "".join(other.lines()) == stdlib_text(other)
-    assert len(templates) == 3
 
 
 def test_block_writer_traced_peak_stays_under_budget(tmp_path):

@@ -208,6 +208,19 @@ def test_tilde_threshold_frozen():
     assert tilde_threshold(21, 1398, sqrt_mode=True) == 1947
 
 
+@pytest.mark.parametrize("m, q0, sqrt_mode", [
+    (15, 5670, False), (19, 4200, True), (20, 2310, True), (21, 1398, True)])
+def test_tilde_threshold_bisects_a_monotone_margin(m, q0, sqrt_mode):
+    # the bisection returns the first q that clears only if the majorized
+    # main margin does not fall on [q0, q*]; walking every q shows it
+    qstar = tilde_threshold(m, q0, sqrt_mode)
+    mains = [thm2_tilde(m, q, sqrt_mode).main for q in range(q0, qstar + 1)]
+    assert qstar > q0
+    assert all(b >= a for a, b in zip(mains, mains[1:]))
+    assert not clears(mains[-2], 0.0, DEFAULT_SLACK)  # q* - 1 fails
+    assert clears(mains[-1], 0.0, DEFAULT_SLACK)
+
+
 def test_refresh_and_handoff_take_the_run_slack():
     # at slack 1e-3 the majorized margin at the default hand-off q* = 6709
     # (8.3e-4) would fail its own record, so the hand-off moves on
