@@ -10,7 +10,9 @@ rule of signs, no floating point in the decisive step): `verify_majorant`
 for F, `verify_tail_sign` for S(n) at every n at once.  The F and g
 printed below come from the demo's own termwise sum at 50 digits (the
 terms cancel to about 18 of them), not from the certificate.  A handful
-of frozen decimal constants are then re-derived to 40 digits.
+of frozen decimal constants are then re-derived by `verify_constants`,
+whose digamma and zeta sums run in the standard library's `decimal` at
+50 digits.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ print("  a pass places one root of R in each of (1/sqrt5, 1/2), (1/2, 1/sqrt3)"
       " n >= 2 but 4")
 
 # --- frozen scalar constants re-derived --------------------------------------
-print("\nscalar constants re-derived at 40-digit precision:")
+print("\nscalar constants re-derived at 50-digit precision:")
 for ev in verify_constants():
     print(f"  {ev.name:>14}: lhs={ev.lhs:+.10f}  rhs={ev.rhs:+.10f}  "
           f"margin={ev.margin:+.2e}  {'ok' if ev.passed else 'FAIL'}")

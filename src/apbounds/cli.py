@@ -18,17 +18,19 @@ Everything the library verifies is reachable from here:
 Each run produces a list of records (one verified inequality each); with
 --out they are written as JSON lines after a commented header, and the
 process exits 0 iff every record passed.  A record is a dict row
-(`BoundEval.record`), except that a thm1-at sweep adds one `_Sweep`: its
-moduli go CHUNK_POINTS at a time through one columnar call each, and each
-chunk's rows come out as one `margins.ColumnBlock`.  The writer encodes a
-block's lines straight from its columns, byte for byte what the stdlib
-encoder writes for the dict rows, and hands the file one point's lines at
-a time (the file's own buffer joins them); each block builds its own line
-template.  The stdout summary takes its counts and worst margin from numpy
-(a NaN margin counts as the worst).  One pass over the records writes and
-tallies each block and then drops it, so a sweep holds one chunk's columns
-at a time, whatever its range; the `# records:` header comes from the
-sweep's point count.
+(`BoundEval.record`), except that a thm1-at sweep and `verify thm3` each
+add one `_Stream`, whose records are evaluated as the pass reaches them.
+A sweep's moduli go CHUNK_POINTS at a time through one columnar call each,
+and each chunk's rows come out as one `margins.ColumnBlock`; thm3 yields
+its dict rows point by point.  The writer encodes a block's lines straight
+from its columns, byte for byte what the stdlib encoder writes for the
+dict rows, and hands the file one point's lines at a time (the file's own
+buffer joins them); each block builds its own line template.  The stdout
+summary takes its counts and worst margin from numpy (a NaN margin counts
+as the worst).  One pass over the records writes and tallies each row or
+block and then drops it, so a sweep holds one chunk's columns at a time,
+whatever its range; the `# records:` header comes from each stream's
+point count.
 
 The run's config is the parsed command line, checked by `_config`.  A flag
 that the chosen target would ignore is a usage error (exit 2), and so is a
@@ -133,30 +135,23 @@ def _slack(cfg: argparse.Namespace, default: float = DEFAULT_SLACK) -> float:
 
 # ---------------------------------------------------------------- batteries
 
-class _Sweep:
-    """The rows of a `verify thm1-at` sweep, one ColumnBlock per chunk.
+class _Stream:
+    """A battery's records, each evaluated when a pass reaches it.
 
-    `moduli()` yields the sweep's moduli in chunks of at most CHUNK_POINTS
-    and `evaluate` turns a chunk into its block.  Iterating yields the
-    blocks in order, each evaluated when the pass reaches it, so a pass
-    holds one chunk's columns at a time.  The first block is evaluated up
-    front: its columns give the rows per point, and so `len`, the number of
-    records, before any pass.
+    `rows()` starts a pass: it yields the dict rows or ColumnBlocks in
+    report order, so a pass holds one point's rows or one chunk's columns
+    at a time.  `len` is the number of records, which the battery knows
+    before any pass (the report header states it).
     """
 
-    def __init__(self, n_points: int, moduli, evaluate) -> None:
-        self._moduli, self._evaluate = moduli, evaluate
-        self._first = evaluate(next(moduli()))
-        self._rows = n_points * len(self._first.columns)
+    def __init__(self, n_records: int, rows) -> None:
+        self._n_records, self._rows = n_records, rows
 
     def __len__(self) -> int:
-        return self._rows
+        return self._n_records
 
     def __iter__(self):
-        chunks = self._moduli()
-        next(chunks)
-        yield self._first
-        yield from map(self._evaluate, chunks)
+        return iter(self._rows())
 
 
 def _battery_thm1_at(cfg: argparse.Namespace, recs: list) -> None:
@@ -201,7 +196,17 @@ def _battery_thm1_at(cfg: argparse.Namespace, recs: list) -> None:
                               phi=phi)
         return ColumnBlock(suite, cols, {"q": q.tolist(), "x": x.tolist(),
                                          "sqrt": cfg.sqrt})
-    recs.append(_Sweep(n_points, moduli, evaluate))
+
+    def blocks():
+        chunks = moduli()
+        next(chunks)
+        yield first
+        yield from map(evaluate, chunks)
+
+    # the first block is evaluated up front: its columns are the rows of
+    # every point
+    first = evaluate(next(moduli()))
+    recs.append(_Stream(n_points * len(first.columns), blocks))
 
 
 def _battery_thm1_tables(cfg: argparse.Namespace, recs: list[dict]) -> None:
@@ -239,21 +244,30 @@ def _battery_thm2_tables(cfg: argparse.Namespace, recs: list[dict]) -> None:
                 recs.append(ev.record("verify:thm2-tables", inputs))
 
 
-def _battery_thm3(cfg: argparse.Namespace, recs: list[dict]) -> None:
+def _battery_thm3(cfg: argparse.Namespace, recs: list) -> None:
     slack = _slack(cfg)
     suite = "verify:thm3"
     # each claim at its start, then each on a grid from its start up
-    seen = [(lo, mode, refined) for mode, starts in THM3_STARTS.items()
-            for refined, lo in zip((False, True), starts)]
+    claims = [(mode, refined, [lo]) for mode, starts in THM3_STARTS.items()
+              for refined, lo in zip((False, True), starts)]
     n = cfg.sample_grid or 25
     for refined, hi in ((False, 10**6), (True, 1000)):
         for mode, starts in THM3_STARTS.items():
-            seen += [(q, mode, refined)
-                     for q in _grid(starts[refined], hi, n)]
-    for q, mode, refined in seen:
-        inputs = {"q": q, "mode": mode, "refined": refined}
-        for ev in verify_thm3(q, mode=mode, refined=refined, slack=slack):
-            recs.append(ev.record(suite, inputs))
+            claims.append((mode, refined, _grid(starts[refined], hi, n)))
+
+    def rows():
+        for mode, refined, qs in claims:
+            for q in qs:
+                inputs = {"q": q, "mode": mode, "refined": refined}
+                for ev in verify_thm3(q, mode=mode, refined=refined,
+                                      slack=slack):
+                    yield ev.record(suite, inputs)
+
+    # every point has as many rows as the first, so the count is known
+    # before the pass that evaluates them
+    mode, refined, qs = claims[0]
+    per_point = len(verify_thm3(qs[0], mode=mode, refined=refined))
+    recs.append(_Stream(per_point * sum(len(c[2]) for c in claims), rows))
 
 
 def _battery_corollary(cfg: argparse.Namespace, recs: list[dict]) -> None:
@@ -327,15 +341,15 @@ def _run_report(cfg: argparse.Namespace, recs: list[dict]) -> None:
 # ---------------------------------------------------------------- driver
 
 def _size(rec) -> int:
-    """How many records a dict row, a ColumnBlock or a sweep stands for."""
+    """How many records a dict row, a ColumnBlock or a stream stands for."""
     return 1 if isinstance(rec, dict) else len(rec)
 
 
 def _rows(records: list):
     """The dict rows and ColumnBlocks of `records` in report order, a
-    sweep's block by block as each is evaluated."""
+    stream's one by one as each is evaluated."""
     for rec in records:
-        if isinstance(rec, _Sweep):
+        if isinstance(rec, _Stream):
             yield from rec
         else:
             yield rec
@@ -387,7 +401,7 @@ def _print_summary(records) -> tuple[int, int]:
 
 
 def dispatch(cfg: argparse.Namespace) -> int:
-    records: list = []  # dict rows, ColumnBlocks and sweeps, in report order
+    records: list = []  # dict rows, ColumnBlocks and streams, in report order
     if cfg.command == "verify":
         _BATTERIES[cfg.target](cfg, records)
     elif cfg.command == "check":

@@ -21,9 +21,16 @@ any count or sign other than the expected one.
   n = 4.  S(n) = n^{-5/4} R(n^{-1/2}) / SCALE for the integer polynomial
   R(u) = sum_j a_scaled[j] u^j, so R's roots in (0, 1) and its exact signs
   at u = 0 and u = 1/sqrt(k), k = 5..1, decide every n at once.
+
+`verify_constants` replays the six sums over the weights that lemma8
+states: three rational ones, exact, and the digamma and zeta sums, in
+`decimal` at 50 digits from the standard library alone.
 """
 from __future__ import annotations
 
+import functools
+import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .margins import DEFAULT_SLACK, BoundEval
@@ -256,12 +263,117 @@ def verify_tail_sign(a_scaled: tuple[int, ...] | None = None) -> BoundEval:
 # companion constant sums
 # ---------------------------------------------------------------------------
 
+# lemma8's sums are taken in decimal at _DIGITS significant digits; each
+# psi, zeta and zeta' value is computed _GUARD digits above that and then
+# rounded to it, so the rounding of its own sums cannot reach _DIGITS.
+_DIGITS, _GUARD = 50, 10
+# Term counts of the expansions: psi is shifted up to at least _N before
+# its asymptotic series, zeta sums _N - 1 terms directly before its
+# Euler-Maclaurin tail, and both keep _M Bernoulli terms.  Each bound on
+# the truncation below is under 2e-62 times the value at these counts, so
+# no digit of _DIGITS depends on them.
+_N, _M = 30, 40
+
+
+@functools.cache
+def _bernoulli(m: int) -> tuple[Fraction, ...]:
+    """B_2, B_4, .., B_2m, exact, from sum_k binom(n + 1, k) B_k = 0 (the
+    odd B_k past B_1 are zero)."""
+    b = [Fraction(1), Fraction(-1, 2)]
+    for n in range(2, 2 * m + 1, 2):
+        b += [Fraction(-sum(math.comb(n + 1, k) * b[k] for k in range(n)),
+                       n + 1), Fraction(0)]
+    return tuple(b[2::2][:m])
+
+
+def _digamma(x: Decimal) -> Decimal:
+    """psi(x) for x > 0, to _DIGITS digits.
+
+    psi(x) = psi(z) - sum_{k < n} 1 / (x + k), with z = x + n >= _N, and
+    psi(z) = log z - 1/(2z) - sum_{k=1}^{M} B_2k / (2k z^2k) + R.
+    Euler-Maclaurin on sum_{n < L} 1 / (z + n) = psi(z + L) - psi(z), as
+    L -> oo, puts R at most the size of the last term kept,
+    |B_2M| / (2M z^2M), as |B~_2M(t)| <= |B_2M|: below 2e-65 at z >= 30,
+    M = 40, and |psi| > 0.08 at every lemma8 argument.
+    """
+    with localcontext() as ctx:
+        ctx.prec = _DIGITS + _GUARD
+        n = max(0, math.ceil(_N - x))
+        z = x + n
+        inv_z2 = 1 / (z * z)
+        tail, power = Decimal(0), Decimal(1)
+        for k, b in enumerate(_bernoulli(_M), start=1):
+            power *= inv_z2
+            tail += b.numerator * power / (2 * k * b.denominator)
+        psi = z.ln() - 1 / (2 * z) - tail - sum(1 / (x + k)
+                                                for k in range(n))
+        ctx.prec = _DIGITS
+        return +psi
+
+
+def _powers(n: int, count: int) -> list[Decimal]:
+    """n^-s_j at s_j = 3/4 + j/2, j = 1..count: n^-3/4 r^j with
+    r = n^-1/2, from square roots and products only."""
+    r = 1 / Decimal(n).sqrt()
+    power = r * r.sqrt()
+    out = []
+    for _ in range(count):
+        power *= r
+        out.append(power)
+    return out
+
+
+def _zeta_pairs(count: int) -> list[tuple[Decimal, Decimal]]:
+    """(zeta(s), zeta'(s)) at s_j = 3/4 + j/2, j = 1..count, to _DIGITS
+    digits.
+
+    zeta(s) = sum_{n < N} n^-s + N^(1-s) / (s - 1) + N^-s / 2
+              + sum_{k=1}^{M} B_2k / (2k)! (s)_{2k-1} N^(1-s-2k) + R(s),
+    (s)_i the rising factorial, and zeta'(s) is its s-derivative term by
+    term.  R(s) = -(s)_2M / (2M)! int_N^oo B~_2M(t) t^(-s-2M) dt with
+    |B~_2M| <= |B_2M|, so |R| <= T = |B_2M| / (2M)! (s)_2M N^(1-s-2M) /
+    (s + 2M - 1), and |R'| <= T (H + log N + 1 / (s + 2M - 1)) with
+    H = sum_{i < 2M} 1 / (s + i).  At N = 30, M = 40 and the 23 s_j,
+    T < 7e-65 and |R'| < 5e-64, with zeta > 1 and |zeta'| > 1.4e-4: at
+    most 1.1e-62 of either value.
+    """
+    with localcontext() as ctx:
+        ctx.prec = _DIGITS + _GUARD
+        zeta = [Decimal(1)] * count
+        dzeta = [Decimal(0)] * count
+        for n in range(2, _N):
+            log_n = Decimal(n).ln()
+            for j, power in enumerate(_powers(n, count)):
+                zeta[j] += power
+                dzeta[j] -= log_n * power
+        log_n = Decimal(_N).ln()
+        coeffs = [b.numerator / Decimal(b.denominator * math.factorial(2 * k))
+                  for k, b in enumerate(_bernoulli(_M), start=1)]  # B_2k/(2k)!
+        for j, power in enumerate(_powers(_N, count)):  # N^-s
+            s = Decimal(3) / 4 + Decimal(j + 1) / 2
+            edge = _N * power / (s - 1)  # N^(1-s) / (s - 1)
+            zeta[j] += edge + power / 2
+            dzeta[j] -= edge * (log_n + 1 / (s - 1)) + log_n * power / 2
+            rise, h, term = s, 1 / s, power / _N  # (s)_1, H_1, N^(-s-1)
+            for k, c in enumerate(coeffs, start=1):
+                part = c * rise * term
+                zeta[j] += part
+                dzeta[j] += part * (h - log_n)
+                rise *= (s + 2 * k - 1) * (s + 2 * k)
+                h += 1 / (s + 2 * k - 1) + 1 / (s + 2 * k)
+                term /= _N * _N
+        ctx.prec = _DIGITS
+        return [(+z, +dz) for z, dz in zip(zeta, dzeta)]
+
+
 def verify_constants(a_scaled: tuple[int, ...] | None = None,
                      slack: float = DEFAULT_SLACK) -> list[BoundEval]:
     """Replay the six coefficient-sum inequalities the envelope relies on.
 
-    The rational sums are exact; the digamma and zeta sums are taken at 40
-    working digits and rounded once at the end.
+    The rational sums are exact.  The digamma and zeta sums are taken in
+    `decimal` at _DIGITS digits, from psi (`_digamma`), zeta and zeta'
+    (`_zeta_pairs`) and 4^-s, and rounded once to a float at the end; the
+    standard library serves all of it.
     """
     if a_scaled is None:
         a_scaled = load_table2()
@@ -269,18 +381,16 @@ def verify_constants(a_scaled: tuple[int, ...] | None = None,
     s_frac = [Fraction(3, 4) + Fraction(j, 2) for j in range(1, 24)]
     ratio = sum(Fraction(a, SCALE) * (2 / s + 2 / (s - 1))
                 for a, s in zip(a_scaled, s_frac))
-    # lemma8 is the one battery that needs mpmath, so it loads it here
-    from mpmath import mp
-    with mp.workdps(40):
-        a_mp = [mp.mpf(a) / SCALE for a in a_scaled]
-        s_mp = [mp.mpf(3) / 4 + mp.mpf(j) / 2 for j in range(1, 24)]
-        dig_half = mp.fsum(a * mp.digamma(s / 2) for a, s in zip(a_mp, s_mp))
-        dig_shift = mp.fsum(a * mp.digamma((s + 1) / 2)
-                            for a, s in zip(a_mp, s_mp))
-        zsum = mp.fsum(a * mp.zeta(s, 1, 1) / mp.zeta(s)
-                       for a, s in zip(a_mp, s_mp))
-        s4 = mp.fsum(a * mp.power(4, -s) for a, s in zip(a_mp, s_mp))
-        zeta_weighted = float(zsum + mp.log(2) * s4)
+    with localcontext() as ctx:
+        ctx.prec = _DIGITS
+        a_dec = [Decimal(a) / SCALE for a in a_scaled]
+        s_dec = [Decimal(3) / 4 + Decimal(j) / 2 for j in range(1, 24)]
+        dig_half = sum(a * _digamma(s / 2) for a, s in zip(a_dec, s_dec))
+        dig_shift = sum(a * _digamma((s + 1) / 2)
+                        for a, s in zip(a_dec, s_dec))
+        zsum = sum(a * dz / z for a, (z, dz) in zip(a_dec, _zeta_pairs(23)))
+        s4 = sum(a * Decimal(4) ** -s for a, s in zip(a_dec, s_dec))
+        zeta_weighted = float(zsum + Decimal(2).ln() * s4)
     return [
         BoundEval("sum_a_lower", float(total), 1.4999, slack),
         BoundEval("sum_a_upper", 1.5, float(total), slack),

@@ -108,11 +108,15 @@ class BoundColumn:
 
 
 #: Points per chunk: the moduli `verify thm1-at` evaluates in one columnar
-#: call (and `thm23.exact_refresh_scan` sieves the totients of), and the
-#: points ColumnBlock.lines turns into field text at once, so a sweep holds
-#: neither its body nor its columns whole.  notes/decisions.md has the
-#: sizes that were measured.
+#: call (and `thm23.exact_refresh_scan` sieves the totients of), so a sweep
+#: holds neither its body nor its columns whole.  notes/decisions.md has
+#: the sizes that were measured.
 CHUNK_POINTS = 1024
+
+#: Points whose field text ColumnBlock.lines makes at once: the text of a
+#: few points is alive at a time, not a chunk's (notes/decisions.md,
+#: "Bounded passes").
+TEXT_POINTS = 128
 
 #: The one JSON encoder: the report writer's dict rows and every
 #: ColumnBlock line come from it (json.dumps would build one per call).
@@ -264,7 +268,7 @@ class ColumnBlock:
         is byte for byte json.JSONEncoder(sort_keys=True).encode(row) plus
         a newline, for the rows that records() yields, in the same order.
         The block builds its template once, and the per-point fields are
-        turned into text CHUNK_POINTS points at a time.
+        turned into text TEXT_POINTS points at a time.
         """
         if not len(self):
             return
@@ -274,8 +278,8 @@ class ColumnBlock:
             for _ in range(self.n_points):
                 yield text
             return
-        for lo in range(0, self.n_points, CHUNK_POINTS):
-            hi = min(lo + CHUNK_POINTS, self.n_points)
+        for lo in range(0, self.n_points, TEXT_POINTS):
+            hi = min(lo + TEXT_POINTS, self.n_points)
             args = {}
             for f in dict.fromkeys(fields):
                 if f[0] == "in":

@@ -41,6 +41,9 @@ the sieve", has the measurements behind this layout.
 2^32 - 1, from the prime powers p^k <= hi with p <= isqrt(hi): a table of
 them is built once, on first use, from the primes below 2^16, and each
 window takes a prefix of it.  `phi_table(n)` is its lo = 0 case.
+`phi_at(n)` gives the totients at any array of integers: it sieves only
+the `_PHI_SPAN`-wide passes that hold some of them and keeps only theirs,
+so no array spans the window between the smallest and the largest.
 """
 from __future__ import annotations
 
@@ -53,6 +56,7 @@ import numpy as np
 __all__ = [
     "MAX_HI",
     "PHI_HI",
+    "phi_at",
     "phi_segment",
     "phi_table",
     "prime_array_segments",
@@ -269,8 +273,10 @@ def _prime_powers() -> tuple[np.ndarray, ...]:
     return table
 
 
-# integers per pass of phi_segment, so that its strike arrays stay near 2 MB
-_PHI_SPAN = 1 << 14
+# integers per pass of phi_segment and phi_at: a pass's arrays peak near
+# 0.3 MB below 10^5 and 0.8 MB at PHI_HI (notes/decisions.md, "Bounded
+# passes")
+_PHI_SPAN = 1 << 12
 
 
 def phi_segment(lo: int, hi: int) -> np.ndarray:
@@ -320,3 +326,23 @@ def phi_segment(lo: int, hi: int) -> np.ndarray:
 
 #: Euler totients 0..n, phi(0) = 0: phi_segment's lo = 0 case.
 phi_table = functools.partial(phi_segment, 0)
+
+
+def phi_at(n) -> np.ndarray:
+    """Euler totients at the integers of the array `n` (any shape or
+    order, repeats allowed), each in [0, PHI_HI].
+
+    The window from min(n) up is cut into passes of _PHI_SPAN integers;
+    `phi_segment` sieves each pass that holds some of n, up to the last of
+    them, and the pass hands over only their totients.
+    """
+    n = np.asarray(n, dtype=np.int64)
+    u, where = np.unique(n, return_inverse=True)
+    out = np.empty(u.size, dtype=np.int64)
+    if u.size:
+        k = (u - u[0]) // _PHI_SPAN  # each integer's pass
+        cuts = (np.flatnonzero(np.diff(k)) + 1).tolist()
+        for i, j in zip([0] + cuts, cuts + [u.size]):
+            a = int(u[0] + k[i] * _PHI_SPAN)
+            out[i:j] = phi_segment(a, int(u[j - 1]))[u[i:j] - a]
+    return out[where].reshape(n.shape)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .arith import phi_of
 from .margins import DEFAULT_SLACK, BoundColumn, BoundEval, clears
-from .sieve import phi_segment
+from .sieve import phi_at
 from .tables import ParamSet
 
 __all__ = [
@@ -84,12 +84,10 @@ def _hatted(params: ParamSet, sqrt_mode: bool) -> tuple[float, float, float]:
 
 def totients(q):
     """phi(q): a single modulus is factored, an array of moduli is served by
-    one segmented totient sieve over the window [min q, max q]."""
+    one `sieve.phi_at` call, which sieves them in bounded passes."""
     if np.ndim(q) == 0:
         return phi_of(int(q))
-    hi = int(np.max(q, initial=1))
-    lo = int(np.min(q, initial=hi))
-    return phi_segment(lo, hi)[np.asarray(q) - lo]
+    return phi_at(q)
 
 
 def window_operands(q, x, phi=None):
@@ -179,10 +177,10 @@ def verify_thm1_at(q, x, params: ParamSet, sqrt_mode: bool = False,
 
     For scalar q and x this returns five BoundEvals.  q and x may instead be
     equal-length arrays; then each of the five inequalities comes back as
-    one BoundColumn over the points, with phi from one segmented totient
-    sieve over [min q, max q].  A point and a column run the same numpy
-    expressions.  A caller that already holds `totients(q)` (the CLI's
-    sweep, which computed it for x0) passes it as `phi`.
+    one BoundColumn over the points, with phi from `totients`.  A point and
+    a column run the same numpy expressions.  A caller that already holds
+    `totients(q)` (the CLI's sweep, which computed it for x0) passes it as
+    `phi`.
     """
     q, x, phi = window_operands(q, x, phi)
     beta, T = _beta_T(params, q, x, sqrt_mode, phi)

@@ -233,7 +233,7 @@ def exact_refresh_scan(m: float, q0: int, qstar: int,
     """Exact-phi rho = 100 test at x0(q) for every integer q in [q0, qstar).
 
     The moduli go CHUNK_POINTS at a time: each chunk's phi column comes
-    from one `thm1.totients` window sieve (so qstar - 1 is at most
+    from one `thm1.totients` call (so qstar - 1 is at most
     `sieve.PHI_HI`), and each modulus is then judged on scalar `math`, as
     `verify_thm2_at` judges it.  Moduli failing with the flat surcharge
     E(q) are retried with the refined replacement _a47; a modulus failing

@@ -1,6 +1,6 @@
 """Command-line interface tests. Everything runs in-process through main()
 except the tests that need a fresh interpreter: a smoke test, the import
-budgets and the benchmark tracer's entry points."""
+budgets, a peak-RSS budget and the benchmark tracer's entry points."""
 from __future__ import annotations
 
 import json
@@ -20,7 +20,7 @@ from apbounds.checkers import CheckReport
 from apbounds.cli import (_BATTERIES, _config, _grid, _print_summary, _rows,
                           _run_check, _run_report, dispatch, main)
 from apbounds.margins import CHUNK_POINTS, BoundColumn, ColumnBlock
-from apbounds.sieve import phi_segment
+from apbounds.sieve import phi_at
 from apbounds.tables import load_table4, load_table6, load_table7
 from apbounds.thm1 import verify_thm1_at, x0_of
 
@@ -134,18 +134,18 @@ def test_thm1_sweep_streams_chunk_by_chunk(tmp_path, monkeypatch, capsys):
         sizes.append(len(q))
         return verify_thm1_at(q, *args, **kwargs)
 
-    def counted_phi(lo, hi):
-        sieved.append((lo, hi))
-        return phi_segment(lo, hi)
+    def counted_phi(q):
+        sieved.append(len(q))
+        return phi_at(q)
 
     monkeypatch.setattr(cli, "verify_thm1_at", counted)
-    monkeypatch.setattr(thm1, "phi_segment", counted_phi)
+    monkeypatch.setattr(thm1, "phi_at", counted_phi)
     out = tmp_path / "sweep.jsonl"
     assert main(["verify", "thm1-at", "--sample-grid", "10000", "--sqrt",
                  "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
     assert len(sizes) >= 3
-    assert len(sieved) == len(sizes)
+    assert sieved == sizes
     assert max(sizes) <= CHUNK_POINTS
     p1 = load_table4()[0]
     qs = _grid(3, 10**5, 10000, {q for q, _, _ in load_table6()[0].rows})
@@ -220,6 +220,38 @@ def test_verify_thm3(tmp_path):
     out = tmp_path / "t3.jsonl"
     assert main(["verify", "thm3", "--sample-grid", "25", "--out", str(out)]) == 0
     assert all(r["pass"] for r in read_records(out))
+
+
+# The child reads its own peak from VmHWM: ru_maxrss would count the pages
+# of the forked test process before the exec.
+_PEAK_SCRIPT = """
+import contextlib, io, sys
+import apbounds.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = apbounds.cli.main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    kib = next(int(ln.split()[1]) for ln in fh if ln.startswith("VmHWM:"))
+print(rc, kib)
+"""
+
+
+def test_verify_thm3_streams_its_grid(tmp_path):
+    # thm3 yields each point's rows as it evaluates them, so a grid of
+    # 10^4 points per claim peaks about 2.5 MB above the default 25
+    # (20 MB when every record was held until the report pass)
+    peaks = {}
+    for grid in ("25", "10000"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_SCRIPT, "verify", "thm3",
+             "--sample-grid", grid, "--out", str(tmp_path / f"{grid}.jsonl")],
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        rc, kib = map(int, proc.stdout.split())
+        assert rc == 0
+        peaks[grid] = kib / 1024
+    assert peaks["10000"] - peaks["25"] < 8.0, peaks
+    head = (tmp_path / "10000.jsonl").read_text().splitlines()[2]
+    assert head == f"# records: {len(read_records(tmp_path / '10000.jsonl'))}"
 
 
 def test_verify_corollary():
@@ -659,9 +691,10 @@ def test_cli_import_leaves_scipy_out():
     assert proc.stdout.strip() == "False"
 
 
-# Loaded only by the batteries that run them: mpmath by lemma8 (and the sin^2
-# integral), the process pool and multiprocessing by `check --jobs J > 1`
-# when the rows split into at least two groups.
+# Loaded only by the code that runs them: mpmath by no battery (only the
+# unreached sin^2 integral imports it), the process pool and
+# multiprocessing by `check --jobs J > 1` when the rows split into at least
+# two groups.
 _LAZY_MODULES = ("mpmath", "concurrent.futures", "multiprocessing")
 
 _BUDGET_SCRIPT = """
@@ -688,17 +721,32 @@ def test_import_budget_batteries_load_only_what_they_run():
               "--x", "193269"],
              ["verify", "thm1-at", "--sample-grid", "30", "--sqrt"],
              ["verify", "thm2"],
-             ["verify", "lemma5"]]
-    script = _BUDGET_SCRIPT.format(lazy=_LAZY_MODULES,
-                                   argvs=quiet + [["verify", "lemma8"]])
+             ["verify", "lemma5"],
+             # its digamma and zeta sums are taken in decimal
+             ["verify", "lemma8"]]
+    script = _BUDGET_SCRIPT.format(lazy=_LAZY_MODULES, argvs=quiet)
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     steps = json.loads(proc.stdout.splitlines()[-1])
-    *before, (step, rc, mods) = steps
-    assert before == [[s, 0, []] for s in
-                      ["import"] + [" ".join(a) for a in quiet]]
-    assert (step, rc, mods) == ("verify lemma8", 0, ["mpmath"])
+    assert steps == [[s, 0, []] for s in
+                     ["import"] + [" ".join(a) for a in quiet]]
+
+
+def test_full_report_runs_without_mpmath(tmp_path):
+    # regen-report --full runs every battery of the report, lemma8 and
+    # lemma5 included (exit 1: the known refresh failures)
+    script = _BUDGET_SCRIPT.format(
+        lazy=_LAZY_MODULES,
+        argvs=[["regen-report", "--full", "--out", str(tmp_path / "r")]])
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout.splitlines()[-1])
+    assert [s[:2] for s in steps] == [["import", 0],
+                                      [f"regen-report --full --out "
+                                       f"{tmp_path / 'r'}", 1]]
+    assert "mpmath" not in steps[1][2]
 
 
 _JOBS_SCRIPT = """

@@ -3,6 +3,7 @@ certificate, and the companion constant sums."""
 from __future__ import annotations
 
 import math
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -371,3 +372,63 @@ def test_verify_constants_catches_perturbation():
     bumped[3] += 10**9  # ~100 in a_j units
     evals = verify_constants(tuple(bumped))
     assert not all(e.passed for e in evals)
+
+
+# ------------------------------------------- the decimal route against mpmath
+
+S_DEC = [Decimal(3) / 4 + Decimal(j) / 2 for j in range(1, 24)]
+PSI_ARGS = [s / 2 for s in S_DEC] + [(s + 1) / 2 for s in S_DEC]
+
+
+def test_bernoulli_numbers_match_mpmath():
+    want = tuple(Fraction(*mp.bernfrac(2 * k)) for k in range(1, 41))
+    assert majorant._bernoulli(40) == want
+
+
+def test_digamma_and_zeta_match_mpmath():
+    assert len(PSI_ARGS) == 46
+    with mp.workdps(60):
+        for x in PSI_ARGS:
+            want = mp.digamma(mp.mpf(str(x)))
+            got = mp.mpf(str(majorant._digamma(x)))
+            assert abs(got - want) <= 1e-38 * abs(want), x
+        pairs = majorant._zeta_pairs(23)
+        assert len(pairs) == 23
+        for s, (z, dz) in zip(S_DEC, pairs):
+            s_mp = mp.mpf(str(s))
+            for got, want in ((z, mp.zeta(s_mp)), (dz, mp.zeta(s_mp, 1, 1))):
+                assert abs(mp.mpf(str(got)) - want) <= 1e-38 * abs(want), s
+
+
+def test_constant_sums_round_to_mpmaths_floats():
+    # the three transcendental sums as mpmath takes them at 40 digits
+    with mp.workdps(40):
+        a_mp = [mp.mpf(a) / SCALE for a in C]
+        s_mp = [mp.mpf(3) / 4 + mp.mpf(j) / 2 for j in range(1, 24)]
+        want = {
+            "digamma_half": float(mp.fsum(a * mp.digamma(s / 2)
+                                          for a, s in zip(a_mp, s_mp))),
+            "digamma_shift": float(mp.fsum(a * mp.digamma((s + 1) / 2)
+                                           for a, s in zip(a_mp, s_mp))),
+            "zeta_weighted": float(
+                mp.fsum(a * mp.zeta(s, 1, 1) / mp.zeta(s)
+                        for a, s in zip(a_mp, s_mp))
+                + mp.log(2) * mp.fsum(a * mp.power(4, -s)
+                                      for a, s in zip(a_mp, s_mp))),
+        }
+    evals = verify_constants()
+    assert {name: by_name(evals, name).rhs for name in want} == want
+
+
+def test_doubling_every_term_count_moves_no_digit(monkeypatch):
+    before = ([majorant._digamma(x) for x in PSI_ARGS],
+              majorant._zeta_pairs(23))
+    monkeypatch.setattr(majorant, "_N", 2 * majorant._N)
+    monkeypatch.setattr(majorant, "_M", 2 * majorant._M)
+    after = ([majorant._digamma(x) for x in PSI_ARGS],
+             majorant._zeta_pairs(23))
+    assert after == before
+    # and each value is given to the working precision, not past it
+    work = Context(prec=majorant._DIGITS)
+    values = after[0] + [v for pair in after[1] for v in pair]
+    assert all(work.plus(v) == v for v in values)

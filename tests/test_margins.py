@@ -8,8 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from apbounds.margins import (CHUNK_POINTS, DEFAULT_SLACK, BoundColumn,
-                              BoundEval, ColumnBlock, _json_args,
+from apbounds.margins import (CHUNK_POINTS, DEFAULT_SLACK, TEXT_POINTS,
+                              BoundColumn, BoundEval, ColumnBlock, _json_args,
                               slack_threshold, worst_margin)
 
 NAN = math.nan
@@ -143,13 +143,14 @@ def test_block_lines_write_non_finite_sides_as_json_does():
 
 
 def test_block_lines_stream_in_chunks_of_points():
-    n = 2 * CHUNK_POINTS + 3  # not a multiple of the chunk size
+    n = 2 * CHUNK_POINTS + 3
+    assert n > TEXT_POINTS and n % TEXT_POINTS  # a partial last pass
     lhs = np.linspace(-1.0, 2.0, n)
     cols = [BoundColumn("a", lhs, 0.0), BoundColumn("b", 1.0, lhs)]
     block = ColumnBlock("s", cols, {"q": list(range(n)),
                                     "x": (lhs * 1e5).tolist(), "sqrt": True})
     chunks = list(block.lines())
-    # the fields are made CHUNK_POINTS points at a time, across the chunk
+    # the fields are made TEXT_POINTS points at a time; across the pass
     # boundaries each point still comes out as its own string
     assert [c.count("\n") for c in chunks] == [2] * n
     assert all(c.endswith("\n") for c in chunks)
@@ -187,9 +188,10 @@ def test_blocks_with_uniform_or_varying_sides_write_stdlib_bytes():
 
 
 def test_block_writer_traced_peak_stays_under_budget(tmp_path):
-    # the writer hands the file one point's lines at a time, so no chunk
-    # of text is built: writing 3 * CHUNK_POINTS points of five columns
-    # peaks at about 0.75 MB traced (2.8 MB when each chunk was joined)
+    # the writer hands the file one point's lines at a time and makes the
+    # field text TEXT_POINTS points at a time: writing 3 * CHUNK_POINTS
+    # points of five columns peaks at about 0.12 MB traced (0.75 MB with
+    # the text of a whole chunk at once, 2.8 MB when each chunk was joined)
     n = 3 * CHUNK_POINTS
     q = np.arange(3, 3 + n)
     x = (q * np.log(q)) ** 2.0
@@ -210,7 +212,7 @@ def test_block_writer_traced_peak_stays_under_budget(tmp_path):
         finally:
             tracemalloc.stop()
     assert out.read_text(encoding="utf-8") == stdlib_text(block)
-    assert peak < 1.5e6, peak
+    assert peak < 0.3e6, peak
 
 
 def test_empty_block():

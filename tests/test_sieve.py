@@ -8,8 +8,8 @@ import pytest
 
 from apbounds import sieve
 from apbounds.arith import phi_of
-from apbounds.sieve import (phi_segment, phi_table, prime_array_segments,
-                            primes_between)
+from apbounds.sieve import (phi_at, phi_segment, phi_table,
+                            prime_array_segments, primes_between)
 
 
 def naive_primes(lo: int, hi: int) -> list[int]:
@@ -479,3 +479,44 @@ def test_phi_segment_refuses_out_of_range(lo, hi):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 10**5])
 def test_phi_table_is_phi_segment_from_zero(n):
     assert np.array_equal(phi_table(n), phi_segment(0, n))
+
+
+def test_phi_at_any_order_and_repeats():
+    rng = np.random.default_rng(25)
+    n = np.concatenate([rng.integers(0, 3 * 10**6, 400), [0, 1, 2, 4, 4]])
+    n = np.concatenate([n, n[:40]])
+    rng.shuffle(n)
+    got = phi_at(n)
+    assert got.dtype == np.int64 and got.shape == n.shape
+    assert got.tolist() == [0 if v == 0 else phi_of(v) for v in n.tolist()]
+    grid = n[:60].reshape(6, 10)
+    assert np.array_equal(phi_at(grid), got[:60].reshape(6, 10))
+    assert phi_at([]).tolist() == []
+
+
+@pytest.mark.parametrize("span", [7, 64, 1000])
+def test_phi_at_sieves_only_the_passes_it_needs(monkeypatch, span):
+    # the window from min(n) up is cut into passes of _PHI_SPAN integers;
+    # each pass that holds some of n is sieved once, up to the last of them
+    monkeypatch.setattr(sieve, "_PHI_SPAN", span)
+    calls = []
+
+    def counted(lo, hi):
+        calls.append((lo, hi))
+        return phi_segment(lo, hi)
+
+    monkeypatch.setattr(sieve, "phi_segment", counted)
+    n = np.unique(np.geomspace(1000, 2 * 10**6, 300).astype(np.int64))
+    assert phi_at(n[::-1]).tolist() == [phi_of(v) for v in n[::-1].tolist()]
+    passes = sorted(set(((n - n[0]) // span).tolist()))
+    assert [(lo - n[0]) // span for lo, _ in calls] == passes
+    for lo, hi in calls:
+        held = n[(lo <= n) & (n <= hi)]
+        assert lo == n[0] + (lo - n[0]) // span * span
+        assert hi == held[-1] and hi - lo < span
+
+
+@pytest.mark.parametrize("bad", [[-1, 5], [3, sieve.PHI_HI + 1]])
+def test_phi_at_refuses_out_of_range(bad):
+    with pytest.raises(ValueError):
+        phi_at(bad)

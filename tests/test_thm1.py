@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from apbounds.arith import phi_of
 from apbounds.margins import BoundColumn, BoundEval
 from apbounds import thm1
+from apbounds.cli import _grid
 from apbounds.tables import load_table4, load_table5, load_table6
 from apbounds.thm1 import (
     h1,
@@ -491,3 +493,19 @@ def test_guard_slope_test_takes_the_run_slack():
         == "mono_guard[segmented:1]"
     g = guard_of(verify_thm1_largeq(row, sqrt_mode=True, slack=0.0))
     assert g.name == "mono_guard[direct]" and g.passed
+
+
+def test_totients_of_a_sample_grid_sieve_in_bounded_passes():
+    # verify thm1-at --sample-grid 1000 asks for 1000 moduli of [3, 10^5];
+    # the sieve's passes hand over only their totients, so the traced peak
+    # is about 0.32 MB (1.79 MB when the whole window was one array)
+    qs = np.array(_grid(3, 10**5, 1000), dtype=np.int64)
+    thm1.totients(qs[:1])  # builds the sieve's shared prime-power table
+    tracemalloc.start()
+    try:
+        got = thm1.totients(qs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == [phi_of(q) for q in qs.tolist()]
+    assert peak < 0.6e6, peak
