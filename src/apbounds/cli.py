@@ -15,22 +15,17 @@ Everything the library verifies is reachable from here:
     apbounds check custom --q Q --x0 X0 --x X [--params "a,d,r"] [--sqrt]
     apbounds regen-report [--full] [--sample-grid N] --out report.jsonl
 
-Each run produces a list of records (one verified inequality each); with
---out they are written as JSON lines after a commented header, and the
-process exits 0 iff every record passed.  A record is a dict row
-(`BoundEval.record`), except that a thm1-at sweep and `verify thm3` each
-add one `_Stream`, whose records are evaluated as the pass reaches them.
-A sweep's moduli go CHUNK_POINTS at a time through one columnar call each,
-and each chunk's rows come out as one `margins.ColumnBlock`; thm3 yields
-its dict rows point by point.  The writer encodes a block's lines straight
-from its columns, byte for byte what the stdlib encoder writes for the
-dict rows, and hands the file one point's lines at a time (the file's own
-buffer joins them); each block builds its own line template.  The stdout
-summary takes its counts and worst margin from numpy (a NaN margin counts
-as the worst).  One pass over the records writes and tallies each row or
-block and then drops it, so a sweep holds one chunk's columns at a time,
-whatever its range; the `# records:` header comes from each stream's
-point count.
+Each run produces records (one verified inequality each); with --out they
+are written as JSON lines after a commented header, and the process exits
+0 iff every record passed.  Every battery hands over `margins.ColumnBlock`s,
+the one record type: one per point of an analytic battery, one per
+CHUNK_POINTS moduli of a thm1-at sweep and one over all of a check's scans.
+A thm1-at sweep and `verify thm3` add a `_Stream`, whose blocks are
+evaluated as the pass reaches them.  One pass writes each block's lines
+straight from its columns (byte for byte the stdlib encoder's text), tallies
+its count, worst margin (NaN counts as the worst) and failed rows per suite,
+and drops it, so a sweep holds one chunk's columns at a time, whatever its
+range.
 
 The run's config is the parsed command line, checked by `_config`.  A flag
 that the chosen target would ignore is a usage error (exit 2), and so is a
@@ -51,13 +46,17 @@ import argparse
 import datetime
 import math
 import sys
+from itertools import chain
 
 import numpy as np
 
 from .checkers import check1, check_sqrt, row_top, run_exception_tables
 from .majorant import verify_constants, verify_majorant, verify_tail_sign
-from .margins import (CHUNK_POINTS, DEFAULT_SLACK, BoundEval, ColumnBlock,
-                      _encode, worst_margin)
+from .margins import (CHUNK_POINTS, DEFAULT_SLACK, BoundColumn, ColumnBlock,
+                      worst_margin)
+# perfbench's traced run rebinds BoundEval here to count evaluations, so the
+# name stays bound in this module
+from .margins import BoundEval  # noqa: F401
 # perfbench's traced run rebinds phi_table here as the sieve layer's entry
 # point, so the name stays bound in this module
 from .sieve import phi_table  # noqa: F401
@@ -107,9 +106,20 @@ _FLAG_SCOPE = {
 
 # ---------------------------------------------------------------- records
 
-def _grid(lo: float, hi: float, n: int, skip=()) -> list[int]:
-    pts = {int(round(g)) for g in np.geomspace(lo, hi, n)}
-    return sorted(pts - set(skip))
+def _grid(lo: float, hi: float, n: int, skip=()) -> np.ndarray:
+    """n geometric points of [lo, hi] rounded half to even, increasing and
+    distinct, less `skip`.  The rounded points never decrease, so a repeat
+    is its left neighbour's (np.unique costs 1 MB resident: numpy.ma)."""
+    pts = np.rint(np.geomspace(lo, hi, n)).astype(np.int64)
+    new = np.diff(pts, prepend=lo - 1) != 0
+    return pts[new & ~np.isin(pts, list(skip))]
+
+
+def _points(grid):
+    """The grid's integers as Python ints (np.int64 does not JSON-encode),
+    made CHUNK_POINTS at a time."""
+    for lo in range(0, len(grid), CHUNK_POINTS):
+        yield from grid[lo:lo + CHUNK_POINTS].tolist()
 
 
 def _int_or_float(tok: str) -> int | float:
@@ -136,22 +146,22 @@ def _slack(cfg: argparse.Namespace, default: float = DEFAULT_SLACK) -> float:
 # ---------------------------------------------------------------- batteries
 
 class _Stream:
-    """A battery's records, each evaluated when a pass reaches it.
+    """A battery's blocks, each evaluated when the pass reaches it.
 
-    `rows()` starts a pass: it yields the dict rows or ColumnBlocks in
-    report order, so a pass holds one point's rows or one chunk's columns
-    at a time.  `len` is the number of records, which the battery knows
-    before any pass (the report header states it).
+    `blocks` yields the ColumnBlocks in report order, once, so the pass
+    holds one point's or one chunk's block at a time.  `len` is the number
+    of records, which the battery knows before the pass (the report header
+    states it).
     """
 
-    def __init__(self, n_records: int, rows) -> None:
-        self._n_records, self._rows = n_records, rows
+    def __init__(self, n_records: int, blocks) -> None:
+        self._n_records, self._blocks = n_records, blocks
 
     def __len__(self) -> int:
         return self._n_records
 
     def __iter__(self):
-        return iter(self._rows())
+        return iter(self._blocks)
 
 
 def _battery_thm1_at(cfg: argparse.Namespace, recs: list) -> None:
@@ -163,8 +173,8 @@ def _battery_thm1_at(cfg: argparse.Namespace, recs: list) -> None:
         q = cfg.q if cfg.q is not None else 3
         x = float(cfg.x)
         inputs = {"q": q, "x": x, "sqrt": cfg.sqrt}
-        recs.extend(ev.record(suite, inputs) for ev in
-                    verify_thm1_at(q, x, p1, sqrt_mode=cfg.sqrt, slack=slack))
+        recs.append(ColumnBlock(suite, verify_thm1_at(
+            q, x, p1, sqrt_mode=cfg.sqrt, slack=slack), inputs))
         return
     # Sweep mode: every modulus outside the finite exception table, checked
     # at its reference scale x0(q).  --full walks the whole certified range
@@ -197,58 +207,51 @@ def _battery_thm1_at(cfg: argparse.Namespace, recs: list) -> None:
         return ColumnBlock(suite, cols, {"q": q.tolist(), "x": x.tolist(),
                                          "sqrt": cfg.sqrt})
 
-    def blocks():
-        chunks = moduli()
-        next(chunks)
-        yield first
-        yield from map(evaluate, chunks)
-
     # the first block is evaluated up front: its columns are the rows of
     # every point
-    first = evaluate(next(moduli()))
-    recs.append(_Stream(n_points * len(first.columns), blocks))
+    chunks = map(evaluate, moduli())
+    first = next(chunks)
+    recs.append(_Stream(n_points * len(first.columns), chain([first], chunks)))
 
 
-def _battery_thm1_tables(cfg: argparse.Namespace, recs: list[dict]) -> None:
+def _battery_thm1_tables(cfg: argparse.Namespace, recs: list) -> None:
     slack = _slack(cfg)
     for row in load_table4():
         for sqrt_mode in (False, True):
             q0 = row.q0_sqrt if sqrt_mode else row.q0
             inputs = {"alpha": row.alpha, "delta": row.delta,
                       "rho": row.rho, "q0": q0, "sqrt": sqrt_mode}
-            for ev in verify_thm1_largeq(row, sqrt_mode=sqrt_mode,
-                                         slack=slack):
-                recs.append(ev.record("verify:thm1-tables", inputs))
+            recs.append(ColumnBlock("verify:thm1-tables", verify_thm1_largeq(
+                row, sqrt_mode=sqrt_mode, slack=slack), inputs))
 
 
-def _battery_thm2(cfg: argparse.Namespace, recs: list[dict]) -> None:
+def _battery_thm2(cfg: argparse.Namespace, recs: list) -> None:
     t7 = load_table7()
     slack = _slack(cfg, THM2_SLACK)
     for q in t7.plain:  # the anchor moduli; each row gives both modes
         for sqrt_mode in (False, True):
             x0 = (t7.sqrt if sqrt_mode else t7.plain)[q]
-            for ev in verify_thm2_at(q, math.log(float(x0)),
-                                     sqrt_mode=sqrt_mode, slack=slack):
-                recs.append(ev.record("verify:thm2",
-                                      {"q": q, "x0": x0, "sqrt": sqrt_mode}))
+            recs.append(ColumnBlock("verify:thm2", verify_thm2_at(
+                q, math.log(float(x0)), sqrt_mode=sqrt_mode, slack=slack),
+                {"q": q, "x0": x0, "sqrt": sqrt_mode}))
 
 
-def _battery_thm2_tables(cfg: argparse.Namespace, recs: list[dict]) -> None:
+def _battery_thm2_tables(cfg: argparse.Namespace, recs: list) -> None:
     slack = _slack(cfg)
     plain8, sqrt8 = load_table8()
     for sqrt_mode, rows in ((False, plain8), (True, sqrt8)):
         for m, q0 in rows:
             inputs = {"m": int(m), "q0": int(q0), "sqrt": sqrt_mode}
-            for ev in verify_thm2_largeq(m, q0, sqrt_mode=sqrt_mode,
-                                         slack=slack):
-                recs.append(ev.record("verify:thm2-tables", inputs))
+            recs.append(ColumnBlock("verify:thm2-tables", verify_thm2_largeq(
+                m, q0, sqrt_mode=sqrt_mode, slack=slack), inputs))
 
 
 def _battery_thm3(cfg: argparse.Namespace, recs: list) -> None:
     slack = _slack(cfg)
     suite = "verify:thm3"
     # each claim at its start, then each on a grid from its start up
-    claims = [(mode, refined, [lo]) for mode, starts in THM3_STARTS.items()
+    claims = [(mode, refined, np.array([lo]))
+              for mode, starts in THM3_STARTS.items()
               for refined, lo in zip((False, True), starts)]
     n = cfg.sample_grid or 25
     for refined, hi in ((False, 10**6), (True, 1000)):
@@ -257,37 +260,37 @@ def _battery_thm3(cfg: argparse.Namespace, recs: list) -> None:
 
     def rows():
         for mode, refined, qs in claims:
-            for q in qs:
-                inputs = {"q": q, "mode": mode, "refined": refined}
-                for ev in verify_thm3(q, mode=mode, refined=refined,
-                                      slack=slack):
-                    yield ev.record(suite, inputs)
+            for q in _points(qs):
+                yield ColumnBlock(suite, verify_thm3(
+                    q, mode=mode, refined=refined, slack=slack),
+                    {"q": q, "mode": mode, "refined": refined})
 
     # every point has as many rows as the first, so the count is known
     # before the pass that evaluates them
     mode, refined, qs = claims[0]
-    per_point = len(verify_thm3(qs[0], mode=mode, refined=refined))
-    recs.append(_Stream(per_point * sum(len(c[2]) for c in claims), rows))
+    per_point = len(verify_thm3(int(qs[0]), mode=mode, refined=refined))
+    recs.append(_Stream(per_point * sum(len(c[2]) for c in claims), rows()))
 
 
-def _battery_corollary(cfg: argparse.Namespace, recs: list[dict]) -> None:
+def _battery_corollary(cfg: argparse.Namespace, recs: list) -> None:
     slack = _slack(cfg)
-    for q in _grid(3, 10**4, cfg.sample_grid or 25):
+    for q in _points(_grid(3, 10**4, cfg.sample_grid or 25)):
         n = corollary_default_n(q)
-        for ev in verify_corollary(q, n, slack=slack):
-            recs.append(ev.record("verify:corollary", {"q": q, "n": n}))
+        recs.append(ColumnBlock("verify:corollary",
+                                verify_corollary(q, n, slack=slack),
+                                {"q": q, "n": n}))
 
 
-def _battery_lemma5(cfg: argparse.Namespace, recs: list[dict]) -> None:
-    ev = verify_majorant()
-    recs.append(ev.record("verify:lemma5", {"g_dominated_to": 5}))
-    ev = verify_tail_sign()
-    recs.append(ev.record("verify:lemma5", {"n_min": 2, "n_positive": 4}))
+def _battery_lemma5(cfg: argparse.Namespace, recs: list) -> None:
+    recs.append(ColumnBlock("verify:lemma5", [verify_majorant()],
+                            {"g_dominated_to": 5}))
+    recs.append(ColumnBlock("verify:lemma5", [verify_tail_sign()],
+                            {"n_min": 2, "n_positive": 4}))
 
 
-def _battery_lemma8(cfg: argparse.Namespace, recs: list[dict]) -> None:
-    for ev in verify_constants(slack=_slack(cfg)):
-        recs.append(ev.record("verify:lemma8", {}))
+def _battery_lemma8(cfg: argparse.Namespace, recs: list) -> None:
+    recs.append(ColumnBlock("verify:lemma8",
+                            verify_constants(slack=_slack(cfg)), {}))
 
 
 _BATTERIES = {
@@ -304,7 +307,7 @@ _BATTERIES = {
 
 # ---------------------------------------------------------------- check
 
-def _run_check(cfg: argparse.Namespace, recs: list[dict]) -> None:
+def _run_check(cfg: argparse.Namespace, recs: list) -> None:
     if cfg.target in ("t5", "t6"):
         suite = f"check:{cfg.target}"
         reports = run_exception_tables(cfg.target, block=cfg.block,
@@ -314,16 +317,18 @@ def _run_check(cfg: argparse.Namespace, recs: list[dict]) -> None:
         scan = check_sqrt if cfg.sqrt else check1
         reports = [scan(*cfg.params, cfg.q, cfg.x0, int(cfg.x))]
     for rep in reports:
-        # an exact count: the default slack cannot move its verdict
-        ev = BoundEval("coverage", -float(len(rep.failures)), -0.5)
-        inputs = {"q": rep.q, "x0": rep.x0, "x_end": rep.x_end,
-                  "mode": rep.mode, "primes_scanned": rep.primes_scanned}
-        recs.append(ev.record(suite, inputs))
         # wall_time goes to stdout only: records must be reproducible
         print(f"[{suite}] q={rep.q} [{rep.x0}, {rep.x_end}] {rep.mode}: "
               f"{len(rep.failures)} failures over {rep.primes_scanned} "
               f"primes ({rep.primes_proved} by block proof) in "
               f"{rep.wall_time:.2f}s")
+    # an exact count, negated as a float (no failure reads -0.0): the
+    # default slack cannot move its verdict
+    failures = np.array([len(rep.failures) for rep in reports], dtype=float)
+    inputs = {k: [getattr(rep, k) for rep in reports]
+              for k in ("q", "x0", "x_end", "mode", "primes_scanned")}
+    recs.append(ColumnBlock(suite, [BoundColumn("coverage", -failures, -0.5)],
+                            inputs))
 
 
 # ---------------------------------------------------------------- report
@@ -332,7 +337,7 @@ _REPORT_DEFAULT = ("thm1-tables", "thm2", "thm3", "corollary", "lemma8")
 _REPORT_FULL_EXTRA = ("lemma5", "thm2-tables")
 
 
-def _run_report(cfg: argparse.Namespace, recs: list[dict]) -> None:
+def _run_report(cfg: argparse.Namespace, recs: list) -> None:
     targets = _REPORT_DEFAULT + (_REPORT_FULL_EXTRA if cfg.full else ())
     for target in targets:
         _BATTERIES[target](cfg, recs)
@@ -340,15 +345,13 @@ def _run_report(cfg: argparse.Namespace, recs: list[dict]) -> None:
 
 # ---------------------------------------------------------------- driver
 
-def _size(rec) -> int:
-    """How many records a dict row, a ColumnBlock or a stream stands for."""
-    return 1 if isinstance(rec, dict) else len(rec)
-
-
 def _rows(records: list):
-    """The dict rows and ColumnBlocks of `records` in report order, a
-    stream's one by one as each is evaluated."""
-    for rec in records:
+    """The ColumnBlocks of `records` in report order, a stream's one by one
+    as each is evaluated.  The pass takes each item out of `records`, so
+    it holds no block (and no sides that block read) it has moved past."""
+    records.reverse()
+    while records:
+        rec = records.pop()
         if isinstance(rec, _Stream):
             yield from rec
         else:
@@ -356,43 +359,34 @@ def _rows(records: list):
 
 
 def _written(fh, cfg: argparse.Namespace, records: list):
-    """Write the report header to `fh`, then yield each dict row and
-    ColumnBlock of `records` (as `_rows` does) once its lines are written."""
+    """Write the report header to `fh`, then yield each ColumnBlock of
+    `records` (as `_rows` does) once its lines are written."""
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     fh.write(f"# apbounds {cfg.command}"
              f"{' ' + cfg.target if cfg.target else ''} report\n")
     fh.write(f"# generated: {stamp}\n")
-    fh.write(f"# records: {sum(_size(r) for r in records)}\n")
-    for rec in _rows(records):
-        if isinstance(rec, ColumnBlock):
-            fh.writelines(rec.lines())
-        else:
-            fh.write(_encode(rec) + "\n")
-        yield rec
+    fh.write(f"# records: {sum(map(len, records))}\n")
+    for block in _rows(records):
+        fh.writelines(block.lines())
+        yield block
 
 
-def _print_summary(records) -> tuple[int, int]:
+def _print_summary(blocks) -> tuple[int, int]:
     """One line per suite and one per failed record; returns the number of
-    checks and of failed checks.  One pass over `records`, which may be a
+    checks and of failed checks.  One pass over `blocks`, which may be a
     generator; a sweep is tallied block by block as each is evaluated."""
-    suites: dict[str, list] = {}  # suite -> [checks, worst margins, fails]
-    for rec in _rows(records):
-        if isinstance(rec, ColumnBlock):
-            if not len(rec):
-                continue
-            suite, worst = rec.suite, rec.worst_margin
-            fails = list(rec.records(failed_only=True))
-        else:
-            suite, worst = rec["suite"], rec["margin"]
-            fails = [] if rec["pass"] else [rec]
-        tally = suites.setdefault(suite, [0, [], []])
-        tally[0] += _size(rec)
-        tally[1].append(worst)
-        tally[2] += fails
-    for suite, (checks, worsts, fails) in suites.items():
+    suites: dict[str, list] = {}  # suite -> [checks, worst margin, fails]
+    for block in blocks:
+        if not len(block):
+            continue
+        tally = suites.setdefault(block.suite, [0, math.inf, []])
+        tally[0] += len(block)
+        tally[1] = worst_margin((tally[1], block.worst_margin))
+        tally[2] += block.records(failed_only=True)
+    for suite, (checks, worst, fails) in suites.items():
         verdict = "PASS" if not fails else "FAIL"
         print(f"[{suite}] {verdict}: {checks} checks, "
-              f"{len(fails)} failed, worst margin {worst_margin(worsts):.6e}")
+              f"{len(fails)} failed, worst margin {worst:.6e}")
         for r in fails:
             print(f"    FAIL {r['name']} inputs={r['inputs']} "
                   f"lhs={r['lhs']:.9e} rhs={r['rhs']:.9e}")
@@ -401,20 +395,20 @@ def _print_summary(records) -> tuple[int, int]:
 
 
 def dispatch(cfg: argparse.Namespace) -> int:
-    records: list = []  # dict rows, ColumnBlocks and streams, in report order
+    records: list = []  # ColumnBlocks and streams, in report order
     if cfg.command == "verify":
         _BATTERIES[cfg.target](cfg, records)
     elif cfg.command == "check":
         _run_check(cfg, records)
     else:  # regen-report: _config's parser allows no other command
         _run_report(cfg, records)
-    # one pass: each row or block is written (with --out), tallied and
-    # dropped, so a sweep holds one chunk's columns at a time
+    # one pass: each block is written (with --out), tallied and dropped,
+    # so a sweep holds one chunk's columns at a time
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             checks, failed = _print_summary(_written(fh, cfg, records))
     else:
-        checks, failed = _print_summary(records)
+        checks, failed = _print_summary(_rows(records))
     print(f"total: {checks} checks, {failed} failed")
     return 0 if not failed else 1
 

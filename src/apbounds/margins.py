@@ -10,19 +10,20 @@ the two sides and floors at the absolute slack itself.
 taken at a column of inputs, as equal-length arrays.  Both judge through
 `clears`, the one pass rule, one numpy expression for a point and a column
 alike; the walks that decide without a record call it too.
-`_record` is the one report row layout: `BoundEval.record` fills it in,
-and a `ColumnBlock` (BoundColumns over shared points, with their inputs as
-columns) gives the same rows as dicts (`records`) or as JSON text written
-straight from its arrays (`lines`, one small string per point, so no text
-larger than a point's lines is ever built), byte for byte what the stdlib
-encoder writes for those dicts.  `worst_margin` is the one rule
-for the worst of several margins: a NaN margin is the worst.
+A `ColumnBlock` is the one record type: a point's BoundEvals (a block of
+one point) or BoundColumns over shared points, with their inputs; `_sides`
+reads either kind as 1-d arrays.  A block gives its rows, in the one layout
+`_record`, as dicts (`records`) or as JSON text written straight from its
+arrays (`lines`, one small string per point), byte for byte what the
+stdlib encoder writes for those dicts.  `worst_margin` is the one rule for
+the worst of several margins: a NaN margin is the worst.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,7 +47,7 @@ def clears(lhs, rhs, slack: float = DEFAULT_SLACK):
 
 def _record(suite: str, name: str, inputs: dict, lhs: float, rhs: float,
             margin: float, passed: bool) -> dict:
-    """The one report row layout, for BoundEval and BoundColumn alike."""
+    """The one report row layout."""
     return {"suite": suite, "name": name, "inputs": inputs, "lhs": lhs,
             "rhs": rhs, "margin": margin, "pass": passed}
 
@@ -56,9 +57,9 @@ class BoundEval:
     """One verified inequality, oriented as lhs >= rhs.
 
     The sides are stored as plain floats; margin and passed are derived from
-    (lhs, rhs, slack) at construction, so a record is JSON-ready as it
-    stands.  Exact equality counts as a failure (the underlying inequalities
-    are strict).
+    (lhs, rhs, slack) at construction, so each is JSON-ready as it stands.
+    Exact equality counts as a failure (the underlying inequalities are
+    strict).
     """
 
     name: str
@@ -76,11 +77,6 @@ class BoundEval:
         object.__setattr__(self, "margin", margin)
         object.__setattr__(self, "passed",
                            bool(clears(lhs, rhs, self.slack)))
-
-    def record(self, suite: str, inputs: dict) -> dict:
-        """Serializable report row (the CLI's line format)."""
-        return _record(suite, self.name, inputs, self.lhs, self.rhs,
-                       self.margin, self.passed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,8 +114,8 @@ CHUNK_POINTS = 1024
 #: "Bounded passes").
 TEXT_POINTS = 128
 
-#: The one JSON encoder: the report writer's dict rows and every
-#: ColumnBlock line come from it (json.dumps would build one per call).
+#: The one JSON encoder: every ColumnBlock line comes from it (json.dumps
+#: would build one per call).
 _encode = json.JSONEncoder(sort_keys=True).encode
 
 
@@ -155,15 +151,17 @@ def _array_args(side: np.ndarray) -> list:
 def _uniform(side: np.ndarray) -> bool:
     """Every entry has the same bits (so -0.0 and 0.0 differ), and one text
     serves every point."""
-    if side.strides == (0,):  # a scalar side, broadcast
+    if len(side) == 1 or side.strides == (0,):  # one point, or broadcast
         return True
     bits = side.view(np.int64) if side.dtype == np.float64 else side
     return bool(np.all(bits == bits[0]))
 
 
-def _sides(col: BoundColumn) -> tuple:
-    """The per-point fields of a column's rows, in `_record` order."""
-    return col.lhs, col.rhs, col.margin, col.passed
+def _sides(col: BoundEval | BoundColumn) -> tuple:
+    """The per-point fields of a comparison's rows, in `_record` order, as
+    1-d arrays: a BoundEval's float sides and bool verdict become arrays of
+    one point.  (On a bool, `~True` is -2, which is truthy.)"""
+    return tuple(np.atleast_1d(col.lhs, col.rhs, col.margin, col.passed))
 
 
 def worst_margin(margins) -> float:
@@ -178,32 +176,38 @@ def worst_margin(margins) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ColumnBlock:
-    """Report rows of BoundColumns over the same points, point by point.
+    """Report rows of comparisons over the same points, point by point.
 
-    `inputs` maps each input name to a list with one value per point or to
-    a value shared by every point (anything but a list).  For point i the
-    block holds one row per column, in column order, all with the same
-    inputs; each row reads exactly as BoundEval(...).record would.
+    `columns` holds one point's BoundEvals (a block of one point) or
+    BoundColumns over shared points.  `inputs` maps each input name to a
+    list with one value per point or to a value shared by every point
+    (anything but a list).  For point i the block holds one row per column,
+    in column order, all with the same inputs, in the `_record` layout.
     """
 
     suite: str
-    columns: tuple[BoundColumn, ...]
+    columns: tuple[BoundEval | BoundColumn, ...]
     inputs: dict
+    n_points: int = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "columns", tuple(self.columns))
-
-    @property
-    def n_points(self) -> int:
-        return len(self.columns[0].margin) if self.columns else 0
+        object.__setattr__(self, "n_points", len(_sides(self.columns[0])[2])
+                           if self.columns else 0)
 
     def __len__(self) -> int:
         return self.n_points * len(self.columns)
 
+    @cached_property
+    def sides(self) -> list[tuple]:
+        """Each column's `_sides`, read when a pass first asks: a block that
+        waits in a report's list holds only its comparisons."""
+        return [_sides(c) for c in self.columns]
+
     @property
     def worst_margin(self) -> float:
-        # np.min returns NaN when any margin is NaN, as worst_margin does
-        return worst_margin(float(np.min(c.margin)) for c in self.columns)
+        # min() returns NaN when any margin is NaN, as worst_margin does
+        return worst_margin(float(s[2].min()) for s in self.sides)
 
     def records(self, failed_only: bool = False):
         """The rows as dicts, point-major; the rows of a point share one
@@ -212,13 +216,12 @@ class ColumnBlock:
             return
         keep = np.ones(self.n_points, dtype=bool)
         if failed_only:
-            keep = np.logical_or.reduce([~c.passed for c in self.columns])
+            keep = ~np.logical_and.reduce([s[3] for s in self.sides])
         points = np.flatnonzero(keep)
         if not points.size:
             return
-        cols = [(c.name, c.lhs[points].tolist(), c.rhs[points].tolist(),
-                 c.margin[points].tolist(), c.passed[points].tolist())
-                for c in self.columns]
+        cols = [(c.name, *(side[points].tolist() for side in s))
+                for c, s in zip(self.columns, self.sides)]
         for n, i in enumerate(points.tolist()):
             inp = {k: v[i] if type(v) is list else v
                    for k, v in self.inputs.items()}
@@ -238,18 +241,17 @@ class ColumnBlock:
         stands.  A field is ("in", key) for a per-point input or (j, i)
         for side i of column j, in `_record` order.
         """
-        per_point = [k for k, v in self.inputs.items() if type(v) is list]
+        per_point = [("in", k) for k, v in self.inputs.items()
+                     if type(v) is list]
         text, fields = [], []
-        for j, c in enumerate(self.columns):
-            sides = _sides(c)
-            slots = [("in", k) for k in per_point]
-            slots += [(j, i) for i, side in enumerate(sides)
-                      if not _uniform(side)]
+        for j, (c, sides) in enumerate(zip(self.columns, self.sides)):
+            slots = per_point + [(j, i) for i, side in enumerate(sides)
+                                 if not _uniform(side)]
             marks = {f: f"\x00{n}" for n, f in enumerate(slots)}
             inp = {k: marks.get(("in", k), v) for k, v in self.inputs.items()}
-            row = _encode(_record(self.suite, c.name, inp, *(
-                marks.get((j, i), side[0].item())
-                for i, side in enumerate(sides))))
+            values = [marks.get((j, i)) or side.item(0)
+                      for i, side in enumerate(sides)]
+            row = _encode(_record(self.suite, c.name, inp, *values))
             row = row.replace("%", "%%")
             order = sorted(marks, key=lambda f: row.index(_encode(marks[f])))
             for f in order:
@@ -286,6 +288,6 @@ class ColumnBlock:
                     args[f] = _json_args(self.inputs[f[1]][lo:hi])
                 else:
                     j, i = f
-                    args[f] = _array_args(_sides(self.columns[j])[i][lo:hi])
+                    args[f] = _array_args(self.sides[j][i][lo:hi])
             for row in zip(*(args[f] for f in fields)):
                 yield template % row

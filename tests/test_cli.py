@@ -3,6 +3,7 @@ except the tests that need a fresh interpreter: a smoke test, the import
 budgets, a peak-RSS budget and the benchmark tracer's entry points."""
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
@@ -19,7 +20,8 @@ from apbounds.arith import factorize
 from apbounds.checkers import CheckReport
 from apbounds.cli import (_BATTERIES, _config, _grid, _print_summary, _rows,
                           _run_check, _run_report, dispatch, main)
-from apbounds.margins import CHUNK_POINTS, BoundColumn, ColumnBlock
+from apbounds.margins import (CHUNK_POINTS, BoundColumn, BoundEval,
+                              ColumnBlock)
 from apbounds.sieve import phi_at
 from apbounds.tables import load_table4, load_table6, load_table7
 from apbounds.thm1 import verify_thm1_at, x0_of
@@ -110,7 +112,9 @@ def test_thm1_sweep_matches_scalar_calls(tmp_path, sqrt_mode):
     for q in dict.fromkeys(r["inputs"]["q"] for r in recs):
         x = x0_of(p1, q, sqrt_mode)
         inputs = {"q": q, "x": x, "sqrt": sqrt_mode}
-        want += [ev.record("verify:thm1-at", inputs)
+        want += [{"suite": "verify:thm1-at", "name": ev.name,
+                  "inputs": inputs, "lhs": ev.lhs, "rhs": ev.rhs,
+                  "margin": ev.margin, "pass": ev.passed}
                  for ev in verify_thm1_at(q, x, p1, sqrt_mode=sqrt_mode)]
     assert len(recs) == len(want) > 5 * 150
     for got, exp in zip(recs, want):
@@ -148,7 +152,8 @@ def test_thm1_sweep_streams_chunk_by_chunk(tmp_path, monkeypatch, capsys):
     assert sieved == sizes
     assert max(sizes) <= CHUNK_POINTS
     p1 = load_table4()[0]
-    qs = _grid(3, 10**5, 10000, {q for q, _, _ in load_table6()[0].rows})
+    qs = _grid(3, 10**5, 10000,
+               {q for q, _, _ in load_table6()[0].rows}).tolist()
     assert sum(sizes) == len(qs)
     x = x0_of(p1, np.array(qs), True)
     whole = ColumnBlock("verify:thm1-at",
@@ -236,11 +241,13 @@ print(rc, kib)
 
 
 def test_verify_thm3_streams_its_grid(tmp_path):
-    # thm3 yields each point's rows as it evaluates them, so a grid of
-    # 10^4 points per claim peaks about 2.5 MB above the default 25
-    # (20 MB when every record was held until the report pass)
+    # thm3 yields each point's block as it evaluates it, walks its grid
+    # array CHUNK_POINTS points at a time and keeps one running worst
+    # margin per suite, so a grid of 10^5 points per claim peaks about
+    # 3 MB above the default 25 (17.5 MB above with a list of the grid and
+    # every margin held until the summary)
     peaks = {}
-    for grid in ("25", "10000"):
+    for grid in ("25", "10000", "100000"):
         proc = subprocess.run(
             [sys.executable, "-c", _PEAK_SCRIPT, "verify", "thm3",
              "--sample-grid", grid, "--out", str(tmp_path / f"{grid}.jsonl")],
@@ -250,6 +257,7 @@ def test_verify_thm3_streams_its_grid(tmp_path):
         assert rc == 0
         peaks[grid] = kib / 1024
     assert peaks["10000"] - peaks["25"] < 8.0, peaks
+    assert peaks["100000"] - peaks["25"] < 8.0, peaks
     head = (tmp_path / "10000.jsonl").read_text().splitlines()[2]
     assert head == f"# records: {len(read_records(tmp_path / '10000.jsonl'))}"
 
@@ -595,6 +603,49 @@ def test_regen_report_reproducible(tmp_path):
     assert len(read_records(a)) > 50
 
 
+# sha256 of each battery's report body (every line but the "#" header) and
+# its exit code: any change to how records are built or written moves one
+BODY_SHA256 = {
+    "verify thm1-at --q 3 --x 193269.0": (
+        0, "855d7f10fa30f190719047bf6d62f4307fc7b3e9a84635af340b1521684440bc"),
+    "verify thm1-at --q 3 --x 193269.0 --sqrt": (
+        1, "71ffc3b3a380e1cb3000a57d82c4879486f1d1acdde9bd0b531190c4d92b7824"),
+    "verify thm1-at --sample-grid 50": (
+        0, "7610f742301a0e281d4d5e17d8c0503f092eaabab1ccb15f849e2d2487d8e144"),
+    "verify thm1-tables": (
+        0, "96908bc18be2956f00c4b761eec541229bb55557425843e93c81bbbe74ff35a2"),
+    "verify thm2": (
+        0, "1207e7b2593452053d7e0bd82f28e43afbd50630945463bb49676104b3c7756d"),
+    "verify thm2-tables": (
+        1, "1fe5245509b9c67c056d36885e99034825a94dd3e6204c05f8d8b2aff2dc9d01"),
+    "verify thm3": (
+        0, "2cc139504c567068f20c03bdd8313e18f71d6ccde7e808316ee98ac83652cbed"),
+    "verify corollary": (
+        0, "1ddc6899baede28966fc51dc8947d75771649e73a602d45bde44f39093b0564e"),
+    "verify lemma5": (
+        0, "038ff537f2107886fdef94e896251a77d5c62e964c70ff5b49da6a5e4928201a"),
+    "verify lemma8": (
+        0, "f0b759370b201398387f5802820877507929b81fe7e85f534bf7f829c4184504"),
+    "check custom --q 3 --x0 23656 --x 193269": (
+        0, "0900b769fc221d8b1ed3c2e5c759143144328312ebf34c5a8134676ae3ec2fcb"),
+    "check custom --q 3 --x0 97 --x 98 --params 0,0,0.101": (
+        1, "df8f25b378865c90645601fa060d10067ece6a022f4adfebc8251350bcf87a77"),
+    "check t6 --block 1": (
+        0, "6790be9d02575bdf12fd64677d32a895dd7604f5a377e5780a2921442f2c2409"),
+    "regen-report": (
+        0, "8cf02d9a611e270b735258a94b86207ea3eee33cea034d4e66ab784286be8d08"),
+}
+
+
+@pytest.mark.parametrize("argv", list(BODY_SHA256))
+def test_report_body_is_pinned(tmp_path, argv):
+    out = tmp_path / "r.jsonl"
+    rc = main(argv.split() + ["--out", str(out)])
+    body = b"".join(ln for ln in out.read_bytes().splitlines(keepends=True)
+                    if not ln.startswith(b"#"))
+    assert (rc, hashlib.sha256(body).hexdigest()) == BODY_SHA256[argv]
+
+
 def _plain_json(v):
     if type(v) is dict:
         return all(type(k) is str and _plain_json(w) for k, w in v.items())
@@ -613,10 +664,11 @@ def test_records_are_plain_python():
     _run_check(_config(["check", "custom", "--q", "3", "--x0", "23656",
                         "--x", "193269.0"]), items)
     _run_check(_config(["check", "t6", "--block", "1"]), items)
+    pending = items
     items = list(_rows(items))  # a sweep's blocks, as the report pass reads them
-    assert any(isinstance(r, ColumnBlock) for r in items)
-    recs = [row for r in items for row in
-            (r.records() if isinstance(r, ColumnBlock) else [r])]
+    assert pending == []  # the pass takes each item out of the list
+    assert all(isinstance(r, ColumnBlock) for r in items)
+    recs = [row for r in items for row in r.records()]
     suites = {r["suite"] for r in recs}
     assert {"verify:lemma5", "verify:lemma8", "verify:thm2-tables",
             "verify:thm1-at", "check:custom", "check:t6"} <= suites
@@ -626,35 +678,37 @@ def test_records_are_plain_python():
         json.dumps(r)
 
 
-def _row(suite, margin):
-    return {"suite": suite, "name": "c", "inputs": {}, "lhs": margin,
-            "rhs": 0.0, "margin": margin, "pass": margin > 0}
+def _point(suite, margin, **inputs):
+    """A one-point block of one comparison, lhs = margin against rhs = 0."""
+    return ColumnBlock(suite, [BoundEval("c", margin, 0.0)], inputs)
 
 
 def test_summary_reports_a_nan_margin_as_worst(capsys):
     # min() would print 5.0e-01 here: NaN compares false both ways
-    rows = [_row("s", 1.0), _row("s", math.nan), _row("s", 0.5)]
+    points = [_point("s", 1.0), _point("s", math.nan), _point("s", 0.5)]
     lhs = np.array([1.0, math.nan, 0.5])
     block = ColumnBlock("b", [BoundColumn("c", lhs, 0.0)], {"i": [0, 1, 2]})
-    for order in (rows, rows[::-1], [block], [block, _row("b", 0.25)]):
+    for order in (points, points[::-1], [block],
+                  [block, _point("b", 0.25)]):
         assert _print_summary(order)[1] == 1
         head = capsys.readouterr().out.splitlines()[0]
         assert head.endswith("1 failed, worst margin nan"), head
-    assert _print_summary([_row("s", 1.0), _row("s", 0.5)]) == (2, 0)
+    assert _print_summary([_point("s", 1.0), _point("s", 0.5)]) == (2, 0)
     assert capsys.readouterr().out.splitlines()[0].endswith(
         "worst margin 5.000000e-01")
 
 
 def test_summary_and_verdict_take_blocks_and_rows_alike(capsys):
+    # a block over three points and a one-point block of a BoundEval
     lhs = np.array([1.0, -1.0, 0.5])
     block = ColumnBlock("s", [BoundColumn("a", lhs, 0.0),
                               BoundColumn("b", 1.0, np.zeros(3))],
                         {"q": [3, 4, 5]})
-    assert _print_summary([block, _row("s", -2.0)]) == (7, 2)
+    assert _print_summary([block, _point("s", -2.0, q=7)]) == (7, 2)
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "[s] FAIL: 7 checks, 2 failed, worst margin -2.000000e+00"
     assert out[1].startswith("    FAIL a inputs={'q': 4} lhs=-1.0")
-    assert out[2].startswith("    FAIL c inputs={} lhs=-2.0")
+    assert out[2].startswith("    FAIL c inputs={'q': 7} lhs=-2.0")
 
 
 # ---------------------------------------------------------------- plumbing

@@ -26,6 +26,12 @@ CASES = [
 ]
 
 
+def row(suite, ev, inputs):
+    """The report row of one comparison, written out in the report layout."""
+    return {"suite": suite, "name": ev.name, "inputs": inputs, "lhs": ev.lhs,
+            "rhs": ev.rhs, "margin": ev.margin, "pass": ev.passed}
+
+
 def test_slack_threshold_scalar_values():
     assert slack_threshold(3.0, -7.0) == DEFAULT_SLACK * 7.0
     assert slack_threshold(0.1, -0.2) == DEFAULT_SLACK
@@ -62,7 +68,7 @@ def test_bound_eval_holds_plain_types():
         for v in (ev.lhs, ev.rhs, ev.margin):
             assert type(v) is float
         assert type(ev.passed) is bool
-        json.dumps(ev.record("s", {}))
+        json.dumps(row("s", ev, {}))
 
 
 def test_column_records_match_bound_eval_records_point_major():
@@ -71,7 +77,7 @@ def test_column_records_match_bound_eval_records_point_major():
     inputs = [{"i": i} for i in range(3)]
     block = ColumnBlock("s", cols, {"i": [0, 1, 2]})
     rows = list(block.records())
-    want = [BoundEval(c.name, c.lhs[i], c.rhs[i]).record("s", inputs[i])
+    want = [row("s", BoundEval(c.name, c.lhs[i], c.rhs[i]), inputs[i])
             for i in range(3) for c in cols]
     assert rows == want
     assert len(block) == len(rows) == 6
@@ -213,6 +219,37 @@ def test_block_writer_traced_peak_stays_under_budget(tmp_path):
             tracemalloc.stop()
     assert out.read_text(encoding="utf-8") == stdlib_text(block)
     assert peak < 0.3e6, peak
+
+
+def test_one_point_block_of_bound_evals_writes_stdlib_bytes():
+    # a point's BoundEvals make a block of one point, with every input
+    # shared: its lines are what the stdlib encoder writes for its rows,
+    # non-finite sides, -0.0 and a failing verdict included
+    with np.errstate(invalid="ignore"):
+        evs = [BoundEval("nan", NAN, 1.0), BoundEval("inf", math.inf, 1.0),
+               BoundEval("-inf", 1.0, math.inf),
+               BoundEval("zero", -0.0, -0.5), BoundEval("fail%s", -1.0, 0.0)]
+    inputs = {"q": 3, "x": 1e22, "sqrt": False}
+    block = ColumnBlock("s", evs, inputs)
+    assert block.n_points == 1 and len(block) == 5
+    want = [ENCODE(row("s", ev, inputs)) + "\n" for ev in evs]
+    assert [ENCODE(r) + "\n" for r in block.records()] == want
+    assert list(block.lines()) == ["".join(want)]
+    assert '"lhs": -0.0' in want[3] and '"lhs": NaN' in want[0]
+    assert [r["name"] for r in block.records(failed_only=True)] \
+        == [ev.name for ev in evs if not ev.passed]
+    assert "zero" not in [ev.name for ev in evs if not ev.passed]
+    assert math.isnan(block.worst_margin)
+
+
+def test_passing_one_point_block_yields_no_failed_rows():
+    # ~True is -2 on a Python bool, which is truthy: the verdict is read as
+    # an array, so a passing point is not reported as failed
+    block = ColumnBlock("s", [BoundEval("a", 2.0, 1.0),
+                              BoundEval("b", 1.0, 0.5)], {"q": 3})
+    assert all(r["pass"] for r in block.records())
+    assert list(block.records(failed_only=True)) == []
+    assert block.worst_margin == 0.5
 
 
 def test_empty_block():
