@@ -21,11 +21,23 @@ are written as JSON lines after a commented header, and the process exits
 the one record type: one per point of an analytic battery, one per
 CHUNK_POINTS moduli of a thm1-at sweep and one over all of a check's scans.
 A thm1-at sweep and `verify thm3` add a `_Stream`, whose blocks are
-evaluated as the pass reaches them.  One pass writes each block's lines
-straight from its columns (byte for byte the stdlib encoder's text), tallies
-its count, worst margin (NaN counts as the worst) and failed rows per suite,
-and drops it, so a sweep holds one chunk's columns at a time, whatever its
-range.
+evaluated turn by turn as the pass reaches them: a turn is CHUNK_POINTS
+moduli of a sweep, or a run of at most CHUNK_POINTS thm3 grid points.  One
+pass writes each block's lines straight from its columns (byte for byte the
+stdlib encoder's text), tallies its count, worst margin (NaN counts as the
+worst) and failed rows per suite, and drops it, so a process holds one
+turn's blocks at a time, whatever the range.
+
+Formatting floats is nearly all of a sweep's time, so on Linux a stream's
+turns are taken by R = min(usable CPUs, turns) processes in rotation
+(`_Stream.run`).  Each evaluates and formats its own turns and writes each
+one into the report file through the file description they share, once the
+process before it has passed a one-byte token round a ring of pipes.  The
+children send their tallies back through pipes, and the summary merges them
+in turn order, so bodies, stdout and exit codes do not depend on R.  A
+process that fails makes the run raise (a nonzero exit, never a PASS), and
+no process outlives the call.  R = 1 (one turn, one usable CPU, or no
+fork) runs the same loop in this process.
 
 The run's config is the parsed command line, checked by `_config`.  A flag
 that the chosen target would ignore is a usage error (exit 2), and so is a
@@ -35,9 +47,10 @@ value out of range: `--slack` must be finite and >= 0, `--x` finite and > 0
 table, `--params` three finite numbers, and `--x0` at most `--x`, with
 every prime of the row at most `sieve.MAX_HI` (about 9.22e18).  A
 `verify thm1-at` point needs a window: 0 < phi(q) log q < sqrt(x).
-`regen-report --full` includes the sqrt-count refresh rows that are known
-to fail (m = 19, 20, 21), so it exits 1 by design; the default battery is
-all-green.
+A report file that cannot be opened is a usage error too: `--out` is opened
+before any battery runs.  `regen-report --full` includes the sqrt-count
+refresh rows that are known to fail (m = 19, 20, 21), so it exits 1 by
+design; the default battery is all-green.
 """
 
 from __future__ import annotations
@@ -45,8 +58,10 @@ from __future__ import annotations
 import argparse
 import datetime
 import math
+import os
+import pickle
 import sys
-from itertools import chain
+from itertools import accumulate
 
 import numpy as np
 
@@ -146,22 +161,147 @@ def _slack(cfg: argparse.Namespace, default: float = DEFAULT_SLACK) -> float:
 # ---------------------------------------------------------------- batteries
 
 class _Stream:
-    """A battery's blocks, each evaluated when the pass reaches it.
+    """A battery's blocks, evaluated turn by turn as the pass reaches them.
 
-    `blocks` yields the ColumnBlocks in report order, once, so the pass
-    holds one point's or one chunk's block at a time.  `len` is the number
-    of records, which the battery knows before the pass (the report header
-    states it).
+    `turns` is a sequence, and `evaluate(turn)` yields that turn's
+    ColumnBlocks in report order, so a process holds one turn's blocks at
+    a time.  `len` is the number of records, which the battery knows
+    before the pass (the report header states it).  `run` takes the turns
+    on every usable CPU.
     """
 
-    def __init__(self, n_records: int, blocks) -> None:
-        self._n_records, self._blocks = n_records, blocks
+    def __init__(self, n_records: int, turns, evaluate) -> None:
+        self._n_records, self.turns, self.evaluate = n_records, turns, evaluate
 
     def __len__(self) -> int:
         return self._n_records
 
-    def __iter__(self):
-        return iter(self._blocks)
+    def _take(self, fh, rank: int, ranks: int, wait=None, done=None):
+        """Take turns rank, rank + ranks, ... in order; yield each one's
+        tally (see `_tally`).
+
+        A turn's lines are built as a list first.  With a ring (`wait` and
+        `done`, pipe ends), the rank waits for the token from the rank
+        before it (not at turn 0), writes and flushes the lines into the
+        file description every rank shares, and passes the token on (not
+        after the last turn), so the turns reach the file in order.
+        """
+        n = len(self.turns)
+        for t in range(rank, n, ranks):
+            tally, lines = {}, []
+            for block in self.evaluate(self.turns[t]):
+                if fh is not None:
+                    lines += block.lines()
+                _tally(tally, block)
+            if t and wait is not None and os.read(wait, 1) != _TOKEN:
+                raise RuntimeError(f"turn {t}: the rank before it ended "
+                                   f"without passing the token")
+            if fh is not None:
+                fh.writelines(lines)
+                fh.flush()
+            if t + 1 < n and done is not None:
+                os.write(done, _TOKEN)
+            yield tally
+
+    def run(self, fh) -> list[dict]:
+        """Each turn's tally in turn order, with the turns' lines written to
+        `fh` (None: no report) in turn order.
+
+        R = `_ranks(len(turns))` processes take the turns in rotation:
+        this process is rank 0, and R - 1 forked children are ranks 1 to
+        R - 1.  A token passes round a ring of pipes so that each turn is
+        written after the one before it; each child sends its tallies back
+        through its own pipe and ends with `os._exit`.  A child that fails,
+        or sends a short tally, makes this raise, so a missing turn never
+        reads as a pass, and no child outlives the call.  With R = 1 the
+        same loop runs here, with no fork and no pipes.
+        """
+        n = len(self.turns)
+        ranks = _ranks(n)
+        if ranks == 1:
+            return list(self._take(fh, 0, 1))
+        # nothing buffered before the fork may be written twice
+        if fh is not None:
+            fh.flush()
+        sys.stdout.flush()
+        sys.stderr.flush()
+        # rank r writes tokens[r], which rank r + 1 (mod R) reads; child r
+        # writes its tallies to tallies[r]
+        tokens = [os.pipe() for _ in range(ranks)]
+        tallies = {r: os.pipe() for r in range(1, ranks)}
+        fds = {fd for pair in tokens + list(tallies.values()) for fd in pair}
+        pids = []
+        try:
+            for rank in range(1, ranks):
+                pid = os.fork()
+                if pid == 0:  # rank `rank`: its turns, then their tallies
+                    code = 1
+                    try:
+                        wait, done, out = (tokens[rank - 1][0],
+                                           tokens[rank][1], tallies[rank][1])
+                        for fd in fds - {wait, done, out}:
+                            os.close(fd)
+                        data = pickle.dumps(
+                            list(self._take(fh, rank, ranks, wait, done)))
+                        while data:
+                            data = data[os.write(out, data):]
+                        code = 0
+                    except BaseException:  # EOF on `wait` included
+                        sys.excepthook(*sys.exc_info())
+                        sys.stderr.flush()
+                    finally:  # buffers inherited from rank 0 stay unwritten
+                        os._exit(code)
+                pids.append(pid)
+            keep = {tokens[-1][0], tokens[0][1]} \
+                | {pair[0] for pair in tallies.values()}
+            for fd in fds - keep:
+                os.close(fd)
+            fds = keep
+            per_rank = [list(self._take(fh, 0, ranks, tokens[-1][0],
+                                        tokens[0][1]))]
+            for rank in range(1, ranks):
+                with open(tallies[rank][0], "rb", closefd=False) as pipe:
+                    data = pipe.read()  # up to EOF: the child has ended
+                got = pickle.loads(data) if data else []
+                if len(got) != len(range(rank, n, ranks)):
+                    raise RuntimeError(f"rank {rank} sent the tallies of "
+                                       f"{len(got)} of its turns")
+                per_rank.append(got)
+        except BaseException:
+            for pid in pids:  # none of them may outlive a failed run
+                os.kill(pid, _SIGKILL)
+            raise
+        finally:
+            for fd in fds:
+                os.close(fd)
+            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                     for pid in pids]
+        if any(codes):
+            raise RuntimeError(f"a rank of the stream failed: exit codes "
+                               f"{codes}")
+        return [per_rank[t % ranks][t // ranks] for t in range(n)]
+
+
+# the one byte each rank passes on once its turn is written
+_TOKEN = b"."
+# SIGKILL, which takes no import of the signal module (9 on every Linux
+# architecture; a ring is only run on Linux)
+_SIGKILL = 9
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, which `taskset`
+    narrows (Python 3.13+ reads it through os.process_cpu_count)."""
+    count = getattr(os, "process_cpu_count", None)
+    return (count() if count else len(os.sched_getaffinity(0))) or 1
+
+
+def _ranks(n_turns: int) -> int:
+    """Processes for a stream of `n_turns` turns: one per usable CPU and at
+    most one per turn; 1 unless this is Linux and os.fork exists."""
+    if sys.platform != "linux" or not hasattr(os, "fork"):
+        return 1
+    return max(1, min(_usable_cpus(), n_turns))
 
 
 def _battery_thm1_at(cfg: argparse.Namespace, recs: list) -> None:
@@ -179,9 +319,9 @@ def _battery_thm1_at(cfg: argparse.Namespace, recs: list) -> None:
     # Sweep mode: every modulus outside the finite exception table, checked
     # at its reference scale x0(q).  --full walks the whole certified range
     # (up to the all-moduli threshold q0 for the plain window); otherwise a
-    # geometric subsample of --sample-grid points (default 200).  The moduli
-    # go through CHUNK_POINTS at a time, one columnar call per chunk whose
-    # columns become one ColumnBlock; no whole-range list is built.
+    # geometric subsample of --sample-grid points (default 200).  One turn
+    # is CHUNK_POINTS moduli: one columnar call, whose columns become one
+    # ColumnBlock; no whole-range list is built.
     blocks = load_table6() if cfg.sqrt else load_table5()
     skip = sorted({q for q, _, _ in blocks[0].rows})
     q_top = 10**5  # the sqrt sweep's and every sample grid's top modulus
@@ -194,24 +334,23 @@ def _battery_thm1_at(cfg: argparse.Namespace, recs: list) -> None:
     if not n_points:  # a grid of one point is q = 3, an exception-table row
         return
 
-    def moduli():
-        for lo in range(0, len(qs), CHUNK_POINTS):
-            q = np.array(qs[lo:lo + CHUNK_POINTS], dtype=np.int64)
-            yield q[~np.isin(q, skip)]
-
-    def evaluate(q):
+    def evaluate(lo):
+        q = np.array(qs[lo:lo + CHUNK_POINTS], dtype=np.int64)
+        q = q[~np.isin(q, skip)]
         phi = totients(q)  # once a chunk, for x0 and the check
         x = x0_of(p1, q, cfg.sqrt, phi=phi)
         cols = verify_thm1_at(q, x, p1, sqrt_mode=cfg.sqrt, slack=slack,
                               phi=phi)
-        return ColumnBlock(suite, cols, {"q": q.tolist(), "x": x.tolist(),
-                                         "sqrt": cfg.sqrt})
+        yield ColumnBlock(suite, cols, {"q": q.tolist(), "x": x.tolist(),
+                                        "sqrt": cfg.sqrt})
 
-    # the first block is evaluated up front: its columns are the rows of
-    # every point
-    chunks = map(evaluate, moduli())
-    first = next(chunks)
-    recs.append(_Stream(n_points * len(first.columns), chain([first], chunks)))
+    # every point has as many rows as one point has checks, so the count is
+    # known before the pass that evaluates them
+    q = int(next(q for q in qs if q not in skip))
+    per_point = len(verify_thm1_at(q, x0_of(p1, q, cfg.sqrt), p1,
+                                   sqrt_mode=cfg.sqrt))
+    recs.append(_Stream(n_points * per_point,
+                        range(0, len(qs), CHUNK_POINTS), evaluate))
 
 
 def _battery_thm1_tables(cfg: argparse.Namespace, recs: list) -> None:
@@ -258,9 +397,14 @@ def _battery_thm3(cfg: argparse.Namespace, recs: list) -> None:
         for mode, starts in THM3_STARTS.items():
             claims.append((mode, refined, _grid(starts[refined], hi, n)))
 
-    def rows():
-        for mode, refined, qs in claims:
-            for q in _points(qs):
+    # the claims' grids laid end to end: a turn is the run of at most
+    # CHUNK_POINTS points from `lo`, one block per point
+    starts = list(accumulate((len(c[2]) for c in claims), initial=0))
+
+    def evaluate(lo):
+        for (mode, refined, qs), start in zip(claims, starts):
+            part = qs[max(lo - start, 0):max(lo + CHUNK_POINTS - start, 0)]
+            for q in part.tolist():
                 yield ColumnBlock(suite, verify_thm3(
                     q, mode=mode, refined=refined, slack=slack),
                     {"q": q, "mode": mode, "refined": refined})
@@ -269,7 +413,8 @@ def _battery_thm3(cfg: argparse.Namespace, recs: list) -> None:
     # before the pass that evaluates them
     mode, refined, qs = claims[0]
     per_point = len(verify_thm3(int(qs[0]), mode=mode, refined=refined))
-    recs.append(_Stream(per_point * sum(len(c[2]) for c in claims), rows()))
+    recs.append(_Stream(per_point * starts[-1],
+                        range(0, starts[-1], CHUNK_POINTS), evaluate))
 
 
 def _battery_corollary(cfg: argparse.Namespace, recs: list) -> None:
@@ -345,44 +490,52 @@ def _run_report(cfg: argparse.Namespace, recs: list) -> None:
 
 # ---------------------------------------------------------------- driver
 
-def _rows(records: list):
-    """The ColumnBlocks of `records` in report order, a stream's one by one
-    as each is evaluated.  The pass takes each item out of `records`, so
-    it holds no block (and no sides that block read) it has moved past."""
+def _add(suites: dict, suite: str, checks: int, worst: float,
+         fails) -> None:
+    tally = suites.setdefault(suite, [0, math.inf, []])
+    tally[0] += checks
+    tally[1] = worst_margin((tally[1], worst))
+    tally[2] += fails
+
+
+def _tally(suites: dict, block: ColumnBlock) -> None:
+    """Add `block` to `suites`, suite -> [checks, worst margin (NaN counts
+    as the worst), failed rows], in report order."""
+    if len(block):
+        _add(suites, block.suite, len(block), block.worst_margin,
+             block.records(failed_only=True))
+
+
+def _written(fh, cfg: argparse.Namespace, records: list) -> dict:
+    """One pass over `records` in report order: with a report file `fh`,
+    write its header and each block's lines; tally each block (see
+    `_tally`) and drop it.  A stream runs its turns through `_Stream.run`.
+    The pass takes each item out of `records`, so it holds no block (and
+    no sides that block read) it has moved past.  Returns the tallies."""
+    if fh is not None:
+        stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        fh.write(f"# apbounds {cfg.command}"
+                 f"{' ' + cfg.target if cfg.target else ''} report\n")
+        fh.write(f"# generated: {stamp}\n")
+        fh.write(f"# records: {sum(map(len, records))}\n")
+    suites: dict = {}
     records.reverse()
     while records:
         rec = records.pop()
         if isinstance(rec, _Stream):
-            yield from rec
+            for turn in rec.run(fh):
+                for suite, tally in turn.items():
+                    _add(suites, suite, *tally)
         else:
-            yield rec
+            if fh is not None:
+                fh.writelines(rec.lines())
+            _tally(suites, rec)
+    return suites
 
 
-def _written(fh, cfg: argparse.Namespace, records: list):
-    """Write the report header to `fh`, then yield each ColumnBlock of
-    `records` (as `_rows` does) once its lines are written."""
-    stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    fh.write(f"# apbounds {cfg.command}"
-             f"{' ' + cfg.target if cfg.target else ''} report\n")
-    fh.write(f"# generated: {stamp}\n")
-    fh.write(f"# records: {sum(map(len, records))}\n")
-    for block in _rows(records):
-        fh.writelines(block.lines())
-        yield block
-
-
-def _print_summary(blocks) -> tuple[int, int]:
-    """One line per suite and one per failed record; returns the number of
-    checks and of failed checks.  One pass over `blocks`, which may be a
-    generator; a sweep is tallied block by block as each is evaluated."""
-    suites: dict[str, list] = {}  # suite -> [checks, worst margin, fails]
-    for block in blocks:
-        if not len(block):
-            continue
-        tally = suites.setdefault(block.suite, [0, math.inf, []])
-        tally[0] += len(block)
-        tally[1] = worst_margin((tally[1], block.worst_margin))
-        tally[2] += block.records(failed_only=True)
+def _print_summary(suites: dict) -> tuple[int, int]:
+    """One line per suite of the tallies and one per failed record; returns
+    the number of checks and of failed checks."""
     for suite, (checks, worst, fails) in suites.items():
         verdict = "PASS" if not fails else "FAIL"
         print(f"[{suite}] {verdict}: {checks} checks, "
@@ -395,20 +548,34 @@ def _print_summary(blocks) -> tuple[int, int]:
 
 
 def dispatch(cfg: argparse.Namespace) -> int:
-    records: list = []  # ColumnBlocks and streams, in report order
-    if cfg.command == "verify":
-        _BATTERIES[cfg.target](cfg, records)
-    elif cfg.command == "check":
-        _run_check(cfg, records)
-    else:  # regen-report: _config's parser allows no other command
-        _run_report(cfg, records)
-    # one pass: each block is written (with --out), tallied and dropped,
-    # so a sweep holds one chunk's columns at a time
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            checks, failed = _print_summary(_written(fh, cfg, records))
-    else:
-        checks, failed = _print_summary(_rows(records))
+    # the report file is opened before any battery runs: a path that cannot
+    # be written is a usage error, not a failed run.  Its text layer is made
+    # after the batteries: made before a scan, it left the process's peak
+    # RSS 0.3 MB higher (measured; the cause was not traced).
+    try:
+        fd = os.open(cfg.out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666) \
+            if cfg.out else None
+    except OSError as exc:
+        _parser().error(f"--out {cfg.out}: {exc.strerror}")
+    fh = None
+    try:
+        records: list = []  # ColumnBlocks and streams, in report order
+        if cfg.command == "verify":
+            _BATTERIES[cfg.target](cfg, records)
+        elif cfg.command == "check":
+            _run_check(cfg, records)
+        else:  # regen-report: _config's parser allows no other command
+            _run_report(cfg, records)
+        if fd is not None:
+            fh = open(fd, "w", encoding="utf-8")
+        # one pass: each block is written (with --out), tallied and
+        # dropped, so a process holds one turn's blocks at a time
+        checks, failed = _print_summary(_written(fh, cfg, records))
+    finally:
+        if fh is not None:
+            fh.close()
+        elif fd is not None:
+            os.close(fd)
     print(f"total: {checks} checks, {failed} failed")
     return 0 if not failed else 1
 

@@ -270,7 +270,8 @@ class ColumnBlock:
         is byte for byte json.JSONEncoder(sort_keys=True).encode(row) plus
         a newline, for the rows that records() yields, in the same order.
         The block builds its template once, and the per-point fields are
-        turned into text TEXT_POINTS points at a time.
+        turned into text TEXT_POINTS points at a time; a side that is a
+        per-point input, bit for bit, takes that input's text (`_twins`).
         """
         if not len(self):
             return
@@ -280,14 +281,35 @@ class ColumnBlock:
             for _ in range(self.n_points):
                 yield text
             return
+        distinct = list(dict.fromkeys(fields))
+        twins = self._twins(distinct)
         for lo in range(0, self.n_points, TEXT_POINTS):
             hi = min(lo + TEXT_POINTS, self.n_points)
-            args = {}
-            for f in dict.fromkeys(fields):
-                if f[0] == "in":
-                    args[f] = _json_args(self.inputs[f[1]][lo:hi])
-                else:
+            args = {f: _json_args(self.inputs[f[1]][lo:hi])
+                    for f in distinct if f[0] == "in"}
+            for f in distinct:
+                if f[0] != "in":
                     j, i = f
-                    args[f] = _array_args(self.sides[j][i][lo:hi])
+                    args[f] = args[twins[f]] if f in twins \
+                        else _array_args(self.sides[j][i][lo:hi])
             for row in zip(*(args[f] for f in fields)):
                 yield template % row
+
+    def _twins(self, fields: list) -> dict:
+        """The float sides among `fields` whose bits equal a per-point input's
+        at every point (thm1's `x_floor` lhs is the input x), each mapped
+        to that input's field, whose text then serves both.  Bits, not
+        values: -0.0 and 0.0 write different text.  Only an input of Python
+        floats qualifies, since an int writes no decimal point."""
+        floats = {f: np.array(self.inputs[f[1]]).view(np.int64)
+                  for f in fields if f[0] == "in"
+                  and all(type(v) is float for v in self.inputs[f[1]])}
+        twins = {}
+        for f in fields:
+            if f[0] == "in" or self.sides[f[0]][f[1]].dtype != np.float64:
+                continue
+            side = self.sides[f[0]][f[1]].view(np.int64)
+            for g, bits in floats.items():
+                if np.array_equal(side, bits):
+                    twins[f] = g
+        return twins

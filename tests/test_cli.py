@@ -6,10 +6,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import re
 import subprocess
 import sys
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +20,9 @@ import pytest
 from apbounds import cli, thm1
 from apbounds.arith import factorize
 from apbounds.checkers import CheckReport
-from apbounds.cli import (_BATTERIES, _config, _grid, _print_summary, _rows,
-                          _run_check, _run_report, dispatch, main)
+from apbounds.cli import (_BATTERIES, _config, _grid, _print_summary,
+                          _run_check, _run_report, _Stream, _tally, dispatch,
+                          main)
 from apbounds.margins import (CHUNK_POINTS, BoundColumn, BoundEval,
                               ColumnBlock)
 from apbounds.sieve import phi_at
@@ -39,6 +42,14 @@ def read_records(path):
 def body_bytes(path):
     return b"\n".join(ln for ln in path.read_bytes().splitlines()
                       if not ln.startswith(b"#"))
+
+
+def summary(blocks):
+    """The report pass's tallies of `blocks`, for `_print_summary`."""
+    suites = {}
+    for block in blocks:
+        _tally(suites, block)
+    return suites
 
 
 # ---------------------------------------------------------------- verify
@@ -131,11 +142,14 @@ def test_thm1_sweep_matches_scalar_calls(tmp_path, sqrt_mode):
 def test_thm1_sweep_streams_chunk_by_chunk(tmp_path, monkeypatch, capsys):
     # the sweep evaluates at most CHUNK_POINTS moduli a call, sieves each
     # chunk's totients once for x0 and the check, and writes and
-    # summarizes exactly what one block over all of its moduli would
+    # summarizes exactly what one block over all of its moduli would.  One
+    # process takes every turn, so the counters see every call; the one
+    # scalar call counts a point's checks.
     sizes, sieved = [], []
 
     def counted(q, *args, **kwargs):
-        sizes.append(len(q))
+        if np.ndim(q):
+            sizes.append(len(q))
         return verify_thm1_at(q, *args, **kwargs)
 
     def counted_phi(q):
@@ -144,6 +158,7 @@ def test_thm1_sweep_streams_chunk_by_chunk(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "verify_thm1_at", counted)
     monkeypatch.setattr(thm1, "phi_at", counted_phi)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     out = tmp_path / "sweep.jsonl"
     assert main(["verify", "thm1-at", "--sample-grid", "10000", "--sqrt",
                  "--out", str(out)]) == 0
@@ -162,7 +177,11 @@ def test_thm1_sweep_streams_chunk_by_chunk(tmp_path, monkeypatch, capsys):
     lines = out.read_bytes().splitlines(keepends=True)
     assert lines[2] == f"# records: {len(whole)}\n".encode()
     assert b"".join(lines[3:]) == "".join(whole.lines()).encode()
-    checks, failed = _print_summary([whole])
+    # each point's x is formatted once: the x_floor lhs reuses its text
+    fields = list(dict.fromkeys(whole._template()[1]))
+    j = [c.name for c in whole.columns].index("x_floor")
+    assert whole._twins(fields) == {(j, 0): ("in", "x")}
+    checks, failed = _print_summary(summary([whole]))
     assert stdout == capsys.readouterr().out \
         + f"total: {checks} checks, {failed} failed\n"
 
@@ -228,15 +247,17 @@ def test_verify_thm3(tmp_path):
 
 
 # The child reads its own peak from VmHWM: ru_maxrss would count the pages
-# of the forked test process before the exec.
+# of the forked test process before the exec.  A stream's ranks are forked
+# after the exec, so their peak is RUSAGE_CHILDREN's ru_maxrss (KiB).
 _PEAK_SCRIPT = """
-import contextlib, io, sys
+import contextlib, io, resource, sys
 import apbounds.cli
 with contextlib.redirect_stdout(io.StringIO()):
     rc = apbounds.cli.main(sys.argv[1:])
 with open("/proc/self/status") as fh:
     kib = next(int(ln.split()[1]) for ln in fh if ln.startswith("VmHWM:"))
-print(rc, kib)
+kids = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+print(rc, max(kib, kids))
 """
 
 
@@ -472,6 +493,12 @@ def test_table_flags_rejected_elsewhere(argv, capsys):
     # a grid builds all of its points first; 10^6 covers the widest range
     (["verify", "thm1-at", "--sample-grid", "1000001"],
      "--sample-grid must be at most 1000000"),
+    # the report file is opened before any battery runs (a scan included)
+    (["verify", "lemma8", "--out", "/nonexistent/d/r.jsonl"],
+     "--out /nonexistent/d/r.jsonl: No such file or directory"),
+    (["verify", "lemma8", "--out", "."], "--out .: Is a directory"),
+    (["check", "t6", "--out", "/nonexistent/d/r.jsonl"],
+     "No such file or directory"),
 ])
 def test_ignored_flags_rejected(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -646,6 +673,105 @@ def test_report_body_is_pinned(tmp_path, argv):
     assert (rc, hashlib.sha256(body).hexdigest()) == BODY_SHA256[argv]
 
 
+# Taken at the commit before streams ran on several processes: the body
+# sha256, the stdout sha256 and the exit code, which no count of ranks may
+# change.  The thm1-at grid of 5000 points makes 3 turns, and thm3's grid
+# of 3000 points per claim 8; with
+# --slack 0.05 about 3,000 rows fail, spread over every turn.
+RANKED_SHA256 = {
+    "verify thm1-at --sample-grid 5000": (
+        0, "a129bbbe2ee455fb055b8ad97418c9ed83a7eadd4f36513107eececc6d5c9d01",
+        "e88737bded57957351b3c143fe679499cdd486cc2d498340677407005831a295"),
+    "verify thm1-at --sample-grid 5000 --sqrt": (
+        0, "6df2a40268a50dcbca002f59d2e178f2c777e21c7f6bd862c3dd12f2167b4159",
+        "a8a96f783ea78cfdf19cbcd4864ae090da85fc963ddbbabbb7962b3571c528ca"),
+    "verify thm1-at --sample-grid 5000 --slack 0.05": (
+        1, "d1acdf383928770134349b9e28015e7dae8c40ef7835665bbb37ab967344aa68",
+        "cb29930293a6fe0c8770732b31d8fc8869f029b93b2564f5d2246cf487e36cc2"),
+    "verify thm3 --sample-grid 3000": (
+        0, "da7d95c91d4788941244eecf7279a14ce3922beccaf5d6058885f3af0b324380",
+        "2be29897a8471051337fad0a9e10eb3dd4a88c02c58dd0a25a9efe0856720343"),
+    "regen-report --sample-grid 3000": (
+        0, "edabb786e0afc997590d9b14eb9de87a92d14024f8b7959e347f9733e000b6c2",
+        "5105f5fc0f631f890937a480ec849bbc5153918a9d371729afcec39e56229093"),
+}
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("ranks", [1, 2, 3])
+@pytest.mark.parametrize("argv", list(RANKED_SHA256))
+def test_stream_ranks_write_the_same_bytes(tmp_path, monkeypatch, capsys,
+                                           argv, ranks):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: ranks)
+    out = tmp_path / "r.jsonl"
+    rc = main(argv.split() + ["--out", str(out)])
+    body = b"".join(ln for ln in out.read_bytes().splitlines(keepends=True)
+                    if not ln.startswith(b"#"))
+    stdout = capsys.readouterr().out.encode()
+    assert (rc, hashlib.sha256(body).hexdigest(),
+            hashlib.sha256(stdout).hexdigest()) == RANKED_SHA256[argv]
+    _no_child_left()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "thm1-at", "--sample-grid", "1000"], ["verify", "thm3"],
+    ["regen-report"]])
+def test_one_turn_never_forks(monkeypatch, argv):
+    def fork():
+        raise AssertionError("forked for one turn")
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(os, "fork", fork)
+    assert main(argv) == 0
+
+
+def _failing_turn(monkeypatch, in_child: bool):
+    """verify_thm1_at that raises on its second column call in a child of
+    this process (in_child) or in this process."""
+    home, calls = os.getpid(), Counter()
+
+    def verify(q, *args, **kwargs):
+        if np.ndim(q):
+            calls[os.getpid()] += 1
+            if (os.getpid() != home) == in_child \
+                    and calls[os.getpid()] == 2:
+                raise ValueError("second turn")
+        return verify_thm1_at(q, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_thm1_at", verify)
+
+
+# --sample-grid 8000 makes 5 turns.  With 2 ranks, rank 1 dies in turn 3,
+# so rank 0 finds its pipe closed when it passes the token after turn 2,
+# or reads EOF when it waits for the token of turn 4.  With 3 ranks, rank 1
+# dies in the last turn, and rank 0 finds its tallies missing.
+@pytest.mark.parametrize("ranks", [2, 3])
+def test_a_failing_child_fails_the_run(tmp_path, monkeypatch, capfd, ranks):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: ranks)
+    _failing_turn(monkeypatch, in_child=True)
+    with pytest.raises((RuntimeError, BrokenPipeError)):
+        main(["verify", "thm1-at", "--sample-grid", "8000",
+              "--out", str(tmp_path / "r.jsonl")])
+    out, err = capfd.readouterr()
+    assert "PASS" not in out and "total:" not in out
+    assert "ValueError: second turn" in err
+    _no_child_left()
+
+
+def test_a_failing_rank_0_reaps_its_children(tmp_path, monkeypatch, capfd):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    _failing_turn(monkeypatch, in_child=False)
+    with pytest.raises(ValueError, match="second turn"):
+        main(["verify", "thm1-at", "--sample-grid", "8000",
+              "--out", str(tmp_path / "r.jsonl")])
+    assert "total:" not in capfd.readouterr().out
+    _no_child_left()
+
+
 def _plain_json(v):
     if type(v) is dict:
         return all(type(k) is str and _plain_json(w) for k, w in v.items())
@@ -664,8 +790,12 @@ def test_records_are_plain_python():
     _run_check(_config(["check", "custom", "--q", "3", "--x0", "23656",
                         "--x", "193269.0"]), items)
     _run_check(_config(["check", "t6", "--block", "1"]), items)
+    # a stream's blocks, turn by turn, as the report pass evaluates them
     pending = items
-    items = list(_rows(items))  # a sweep's blocks, as the report pass reads them
+    items = [b for r in items for b in
+             (chain.from_iterable(map(r.evaluate, r.turns))
+              if isinstance(r, _Stream) else [r])]
+    cli._written(None, None, pending)  # no report file: tallies only
     assert pending == []  # the pass takes each item out of the list
     assert all(isinstance(r, ColumnBlock) for r in items)
     recs = [row for r in items for row in r.records()]
@@ -690,10 +820,11 @@ def test_summary_reports_a_nan_margin_as_worst(capsys):
     block = ColumnBlock("b", [BoundColumn("c", lhs, 0.0)], {"i": [0, 1, 2]})
     for order in (points, points[::-1], [block],
                   [block, _point("b", 0.25)]):
-        assert _print_summary(order)[1] == 1
+        assert _print_summary(summary(order))[1] == 1
         head = capsys.readouterr().out.splitlines()[0]
         assert head.endswith("1 failed, worst margin nan"), head
-    assert _print_summary([_point("s", 1.0), _point("s", 0.5)]) == (2, 0)
+    assert _print_summary(summary([_point("s", 1.0), _point("s", 0.5)])) \
+        == (2, 0)
     assert capsys.readouterr().out.splitlines()[0].endswith(
         "worst margin 5.000000e-01")
 
@@ -704,7 +835,7 @@ def test_summary_and_verdict_take_blocks_and_rows_alike(capsys):
     block = ColumnBlock("s", [BoundColumn("a", lhs, 0.0),
                               BoundColumn("b", 1.0, np.zeros(3))],
                         {"q": [3, 4, 5]})
-    assert _print_summary([block, _point("s", -2.0, q=7)]) == (7, 2)
+    assert _print_summary(summary([block, _point("s", -2.0, q=7)])) == (7, 2)
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "[s] FAIL: 7 checks, 2 failed, worst margin -2.000000e+00"
     assert out[1].startswith("    FAIL a inputs={'q': 4} lhs=-1.0")

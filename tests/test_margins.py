@@ -148,6 +148,23 @@ def test_block_lines_write_non_finite_sides_as_json_does():
     assert [json.loads(ln)["pass"] for ln in text.splitlines()] == [False] * 6
 
 
+def test_a_side_with_an_inputs_bits_shares_its_text():
+    # thm1's x_floor lhs is the input x: its text is made once per point.
+    # Equal values with other bits (-0.0 and 0.0) or an int input (no
+    # decimal point) keep their own text.
+    x = [1.5, -0.0, NAN, 1e22, 5e-324]
+    same = np.array(x)
+    flipped = np.array([1.5, 0.0, NAN, 1e22, 5e-324])
+    cols = [BoundColumn("same", same, 0.0), BoundColumn("flipped", flipped, 0.0),
+            BoundColumn("ints", np.arange(5.0), 9.0)]
+    block = ColumnBlock("s", cols, {"x": x, "q": list(range(5))})
+    fields = [("in", "x"), ("in", "q"), (0, 0), (1, 0), (2, 0)]
+    assert block._twins(fields) == {(0, 0): ("in", "x")}
+    text = "".join(block.lines())
+    assert text == stdlib_text(block)
+    assert text.count('"lhs": -0.0') == 1 and text.count('"lhs": 0.0') == 2
+
+
 def test_block_lines_stream_in_chunks_of_points():
     n = 2 * CHUNK_POINTS + 3
     assert n > TEXT_POINTS and n % TEXT_POINTS  # a partial last pass
