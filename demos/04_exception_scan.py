@@ -41,5 +41,5 @@ for rep in run_exception_tables("t5", block=2):
           f"{rep.primes_proved / rep.primes_scanned:.0%} proved by block "
           f"samples, {rep.wall_time:.2f}s")
 
-print("\n(the full tables are `apbounds check t5` / `check t6`; add")
-print(" --jobs N to scan N groups of rows in parallel, --block B for one block)")
+print("\n(the full tables are `apbounds check t5` / `check t6`, their sieve")
+print(" blocks taken on every usable CPU; add --block B for one block)")

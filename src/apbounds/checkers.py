@@ -54,20 +54,32 @@ it.  `check1` and `check_sqrt` run it on one row, and
 `run_exception_tables` on a table's rows, so overlapping rows share one
 sieve.  Results are invariant under how the stream is chunked, which the
 tests exercise by substituting `prime_array_segments` with one that yields
-deliberately awkward chunk sizes.  `run_exception_tables` with `jobs` > 1
-scans its groups of rows in a process pool; `concurrent.futures` (and
-multiprocessing under it) is imported on that path only, so a serial scan
-never loads it.
+deliberately awkward chunk sizes.
+
+The sieve blocks of the merged ranges, laid end to end, are the turns of a
+`ring.run` on every usable CPU (`_scan_ring`).  Rank r strikes the blocks
+t = r (mod R) from base primes and first offsets made once before the
+fork.  A rank feeds its block's primes to the rows only once the token of
+the turn has come: it carries the state of the rows still open (per-class
+deadline, last point and thinned countdown, failures and counts, as a few
+flat arrays), so every row sees its primes in order, in one process at a
+time, and every report is what one process gives.  With one rank (one
+block, one usable CPU, or no `os.fork`) the ranges are sieved in this
+process, and no state is packed.
 """
 from __future__ import annotations
 
+import contextlib
 import math
+import pickle
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .sieve import MAX_HI, prime_array_segments
+from . import ring
+from .sieve import MAX_HI, Blocks, prime_array_segments
 from .tables import ExceptionBlock, load_table5, load_table6
 from .thm1 import h1, hsqrt
 
@@ -143,6 +155,8 @@ class _RowScan:
     """
 
     mode: str
+    # the per-class arrays carried from one cut to the next
+    carried = ("deadline", "last")
 
     def __init__(self, alpha: float, delta: float, rho: float, q: int,
                  x0: int, x_end: int) -> None:
@@ -350,13 +364,14 @@ class _ScanSqrt(_RowScan):
 
     mode = "sqrt"
     h = staticmethod(hsqrt)
+    carried = ("deadline", "last", "todo")
 
     def __init__(self, alpha: float, delta: float, rho: float, q: int,
                  x0: int, x_end: int) -> None:
         super().__init__(alpha, delta, rho, q, x0, x_end)
-        # 1-based countdown to the next inspected class prime
-        self.todo = {a: self._jump(float(self.deadline[a]))
-                     for a in self.classes.tolist()}
+        # 1-based countdown to the next inspected class prime, by residue
+        self.todo = np.zeros(q, dtype=np.int64)
+        self.todo[self.classes] = self._jump(float(self.deadline[0]))
 
     @staticmethod
     def _jump(deadline: float) -> int:
@@ -376,7 +391,7 @@ class _ScanSqrt(_RowScan):
             col, d = cum[:, a], float(self.deadline[a])
             n = int(col[-1])
             self.scanned += n
-            idx = self.todo[a] - 1  # 0-based position of the next inspection
+            idx = int(self.todo[a]) - 1  # 0-based: the next inspection
             while idx < n:
                 # the idx-th class prime: in the first block whose running
                 # count passes idx, at rank idx - (count before that block)
@@ -428,61 +443,141 @@ def _merged_ranges(scans: list[_RowScan]) -> list[tuple[int, int, list]]:
     return merged
 
 
+def _feed(group: list[_RowScan], seg: np.ndarray) -> None:
+    """Hand `seg` to each row of `group` that overlaps it, cut to the row's
+    own [lo, hi].  A row whose range misses the segment's first-to-last
+    span is skipped before either search, so the sieve's fine split costs
+    the rows it does not touch nothing."""
+    if seg.size:
+        first, last = int(seg[0]), int(seg[-1])
+        for s in group:
+            if s.lo <= last and first <= s.hi:
+                s.feed(seg[np.searchsorted(seg, s.lo, "left"):
+                           np.searchsorted(seg, s.hi, "right")])
+
+
 def _scan_shared(scans: list[_RowScan]) -> list[CheckReport]:
     """Run row scanners off one shared sieve; reports in the order given.
 
-    Each merged range is sieved once; every segment goes to each row that
-    overlaps it, cut to the row's own [lo, hi].  A row whose range misses
-    the segment's first-to-last span is skipped before either search, so
-    the sieve's fine split costs the rows it does not touch nothing.
-    Segments are streamed and never joined, and each is dropped before
-    the next is asked for, so one segment is alive at a time.
+    Each merged range is sieved once, and every segment goes to the rows
+    that overlap it (`_feed`).  Segments are streamed and never joined,
+    and each is dropped before the next is asked for, so one segment is
+    alive at a time.  The ranges' sieve blocks, laid end to end, are the
+    turns of a `ring.run` (`_scan_ring`); with one rank the ranges are
+    sieved here, one after the other.
     """
-    for lo, hi, group in _merged_ranges(scans):
+    ranges = _merged_ranges(scans)
+    plans = [Blocks(lo, hi) for lo, hi, _ in ranges]
+    if ring.ranks(sum(p.turns for p in plans)) > 1:
+        return _scan_ring(scans, ranges, plans)
+    for lo, hi, group in ranges:
         for seg in prime_array_segments(lo, hi):
-            if seg.size:
-                first, last = int(seg[0]), int(seg[-1])
-                for s in group:
-                    if s.lo <= last and first <= s.hi:
-                        s.feed(seg[np.searchsorted(seg, s.lo, "left"):
-                                   np.searchsorted(seg, s.hi, "right")])
+            _feed(group, seg)
             del seg
     return [s.finish() for s in scans]
 
 
-def _span_groups(scans: list[_RowScan], jobs: int) -> list[list[int]]:
-    """Split row indices, sorted by start, into at most `jobs` contiguous
-    groups of about equal work.
+def _scan_ring(scans, ranges, plans) -> list[CheckReport]:
+    """`_scan_shared` on the ranks of a ring: turn T is one sieve block.
 
-    A row's work is the integers it adds to the union (its share of the
-    sieve) plus its own span (its scan): rows low in t5 overlap heavily,
-    and balancing on the union span alone leaves their scanning to one
-    group.
+    Each rank strikes its block, then waits for the token, which carries
+    the state of the rows that earlier turns have fed and later ones
+    still feed (`_pack`).  It feeds the block's quarters to the rows
+    exactly as one process does, finishes the rows that end in the block,
+    and hands the state of the rows still open on.  A turn's result is
+    the reports of the rows it finished, indexed by row; rows with an
+    empty range are finished here.
     """
-    order = sorted(range(len(scans)), key=lambda i: scans[i].lo)
-    work, reach = [], -1
-    for i in order:
-        lo, hi = scans[i].lo, scans[i].hi
-        work.append(max(0, hi - max(lo, reach + 1) + 1) + max(0, hi - lo + 1))
-        reach = max(reach, hi)
-    total = sum(work) or 1
-    groups: list[list[int]] = [[] for _ in range(jobs)]
-    done = 0
-    for i, w in zip(order, work):
-        groups[min(jobs - 1, (2 * done + w) * jobs // (2 * total))].append(i)
-        done += w
-    return [g for g in groups if g]
+    for plan in plans:  # base primes and first offsets, once for all ranks
+        plan.ready()
+    index = {id(s): i for i, s in enumerate(scans)}
+    starts = list(accumulate((p.turns for p in plans), initial=0))
+    opens, ends = {}, {}  # turn -> rows open into it, rows it finishes
+    for plan, start, (_, _, group) in zip(plans, starts, ranges):
+        for s in group:
+            first, last = (start + t for t in plan.turns_of(s.lo, s.hi))
+            for t in range(first + 1, last + 1):
+                opens.setdefault(t, []).append(index[id(s)])
+            ends.setdefault(last, []).append(index[id(s)])
+
+    def work(rank, ranks, baton):
+        done = []
+        for plan, start, (lo, hi, group) in zip(plans, starts, ranges):
+
+            @contextlib.contextmanager
+            def turn(t, start=start):
+                t += start
+                _load([scans[i] for i in opens.get(t, ())], baton.take(t))
+                yield
+                done.append([(i, scans[i].finish()) for i in ends.get(t, ())])
+                rows = [scans[i] for i in opens.get(t + 1, ())]
+                baton.give(t, _pack(rows) if rows else b"")
+
+            for seg in prime_array_segments(lo, hi, plan, (rank - start)
+                                            % ranks, ranks, turn):
+                _feed(group, seg)
+                del seg
+        return done
+
+    reports: list = [None] * len(scans)
+    for finished in ring.run(starts[-1], work):
+        for i, rep in finished:
+            reports[i] = rep
+    return [rep if rep is not None else s.finish()
+            for s, rep in zip(scans, reports)]
 
 
-def run_exception_tables(table: str, block: int | None = None,
-                         jobs: int = 1) -> list[CheckReport]:
+def _pack(rows: list[_RowScan]) -> bytes:
+    """The carried state of `rows` as a few flat arrays: their per-class
+    arrays, counts, busy times and failures, each laid row after row."""
+    per_class: dict[str, list] = {}
+    for s in rows:
+        for name in s.carried:
+            per_class.setdefault(name, []).append(getattr(s, name)[s.classes])
+    fails = [f for s in rows for f in s.failures]
+    return pickle.dumps((
+        {name: np.concatenate(v) for name, v in per_class.items()},
+        np.array([(s.scanned, s.proved, len(s.failures)) for s in rows],
+                 dtype=np.int64),
+        np.array([s.busy for s in rows]),
+        np.array([a for a, _ in fails], dtype=np.int64),
+        np.array([d for _, d in fails], dtype=np.float64)), protocol=5)
+
+
+def _load(rows: list[_RowScan], payload: bytes | None) -> None:
+    """Set the state of `rows` from `_pack`'s payload (none for no rows);
+    RuntimeError unless it holds exactly their state."""
+    if not rows and not payload:
+        return
+    if not payload:
+        raise RuntimeError(f"no state came for the {len(rows)} rows open "
+                           f"into a turn")
+    per_class, counts, busy, residues, deadlines = pickle.loads(payload)
+    if len(counts) != len(rows):
+        raise RuntimeError(f"the state of {len(counts)} rows came for "
+                           f"{len(rows)}")
+    fails = list(zip(residues.tolist(), deadlines.tolist()))
+    at, f = dict.fromkeys(per_class, 0), 0
+    for s, (scanned, proved, n_fail), b in zip(rows, counts.tolist(),
+                                              busy.tolist()):
+        k = s.classes.size
+        for name in s.carried:
+            getattr(s, name)[s.classes] = per_class[name][at[name]:
+                                                          at[name] + k]
+            at[name] += k
+        s.scanned, s.proved, s.busy = scanned, proved, b
+        s.failures = fails[f:f + n_fail]
+        f += n_fail
+    if f != len(fails) or any(at[k] != v.size for k, v in per_class.items()):
+        raise RuntimeError("the state that came does not fit its rows")
+
+
+def run_exception_tables(table: str,
+                         block: int | None = None) -> list[CheckReport]:
     """Run every row of one exception table (or one of its blocks).
 
     t5 rows take the every-prime scan, t6 rows the thinned one.  The rows
-    share one sieve of the union of their ranges.  With `jobs` > 1 the
-    rows, sorted by start, are split into `jobs` contiguous groups of about
-    equal work, each scanned the same way in its own process.  Reports
-    come back in table order regardless of `jobs`.
+    share one sieve of the union of their ranges, in table order.
     """
     name = table.lower()
     if name == "t5":
@@ -491,8 +586,6 @@ def run_exception_tables(table: str, block: int | None = None,
         blocks, scanner = load_table6(), _ScanSqrt
     else:
         raise ValueError(f"unknown exception table {table!r} (want t5 or t6)")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if block is not None:
         if not 1 <= block <= len(blocks):
             raise ValueError(
@@ -500,18 +593,5 @@ def run_exception_tables(table: str, block: int | None = None,
         picked: tuple[ExceptionBlock, ...] = (blocks[block - 1],)
     else:
         picked = blocks
-    scans = [scanner(b.alpha, b.delta, b.rho, q, lo, hi)
-             for b in picked for (q, lo, hi) in b.rows]
-    groups = _span_groups(scans, jobs)
-    if len(groups) < 2:
-        return _scan_shared(scans)
-    # the pool (and multiprocessing under it) is loaded only by --jobs runs
-    from concurrent.futures import ProcessPoolExecutor
-    reports: list[CheckReport | None] = [None] * len(scans)
-    with ProcessPoolExecutor(max_workers=len(groups)) as pool:
-        futures = [pool.submit(_scan_shared, [scans[i] for i in g])
-                   for g in groups]
-        for g, fut in zip(groups, futures):
-            for i, rep in zip(g, fut.result()):
-                reports[i] = rep
-    return reports
+    return _scan_shared([scanner(b.alpha, b.delta, b.rho, q, lo, hi)
+                         for b in picked for (q, lo, hi) in b.rows])

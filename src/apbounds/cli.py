@@ -11,7 +11,7 @@ Everything the library verifies is reachable from here:
     apbounds verify corollary [--sample-grid N]
     apbounds verify lemma5          (the two exact table-2 certificates)
     apbounds verify lemma8
-    apbounds check t5|t6 [--block B] [--jobs J]   (J >= 1 groups of rows)
+    apbounds check t5|t6 [--block B]
     apbounds check custom --q Q --x0 X0 --x X [--params "a,d,r"] [--sqrt]
     apbounds regen-report [--full] [--sample-grid N] --out report.jsonl
 
@@ -28,22 +28,24 @@ stdlib encoder's text), tallies its count, worst margin (NaN counts as the
 worst) and failed rows per suite, and drops it, so a process holds one
 turn's blocks at a time, whatever the range.
 
-Formatting floats is nearly all of a sweep's time, so on Linux a stream's
-turns are taken by R = min(usable CPUs, turns) processes in rotation
-(`_Stream.run`).  Each evaluates and formats its own turns and writes each
-one into the report file through the file description they share, once the
-process before it has passed a one-byte token round a ring of pipes.  The
-children send their tallies back through pipes, and the summary merges them
-in turn order, so bodies, stdout and exit codes do not depend on R.  A
-process that fails makes the run raise (a nonzero exit, never a PASS), and
-no process outlives the call.  R = 1 (one turn, one usable CPU, or no
-fork) runs the same loop in this process.
+Formatting floats is nearly all of a sweep's time, and sieving nearly all
+of a check's, so on Linux both run on every usable CPU, on the one ring of
+`ring.run`: R = min(usable CPUs, turns) processes take the turns in
+rotation.  A stream's rank evaluates and formats its own turns and writes
+each one into the report file through the file description they share,
+once the rank before it has passed the token (`_Stream.run`); a check's
+ranks strike their own sieve blocks and pass its rows' state with the
+token (`checkers`).  The children send their results back through pipes,
+merged in turn order, so bodies, stdout and exit codes do not depend on R;
+`taskset` narrows R for both.  A process that fails makes the run raise (a
+nonzero exit, never a PASS), and no process outlives the call.  R = 1 (one
+turn, one usable CPU, or no fork) runs the same loop in this process.
 
 The run's config is the parsed command line, checked by `_config`.  A flag
 that the chosen target would ignore is a usage error (exit 2), and so is a
 value out of range: `--slack` must be finite and >= 0, `--x` finite and > 0
-(an integer literal is read exactly), `--q`, `--x0`, `--sample-grid` and
-`--jobs` at least 1, `--sample-grid` at most 10^6, `--block` a block of the
+(an integer literal is read exactly), `--q`, `--x0` and `--sample-grid`
+at least 1, `--sample-grid` at most 10^6, `--block` a block of the
 table, `--params` three finite numbers, and `--x0` at most `--x`, with
 every prime of the row at most `sieve.MAX_HI` (about 9.22e18).  A
 `verify thm1-at` point needs a window: 0 < phi(q) log q < sqrt(x).
@@ -59,12 +61,12 @@ import argparse
 import datetime
 import math
 import os
-import pickle
 import sys
 from itertools import accumulate
 
 import numpy as np
 
+from . import ring
 from .checkers import check1, check_sqrt, row_top, run_exception_tables
 from .majorant import verify_constants, verify_majorant, verify_tail_sign
 from .margins import (CHUNK_POINTS, DEFAULT_SLACK, BoundColumn, ColumnBlock,
@@ -106,7 +108,6 @@ _FLAG_SCOPE = {
     "params": {"check": ("custom",)},
     "sqrt": {"verify": ("thm1-at",), "check": ("custom",)},
     "block": {"check": ("t5", "t6")},
-    "jobs": {"check": ("t5", "t6")},
     # regen-report hands both on to thm3 and corollary (--full also adds
     # lemma5 and thm2-tables)
     "sample_grid": {"verify": ("thm1-at", "thm3", "corollary"),
@@ -176,15 +177,14 @@ class _Stream:
     def __len__(self) -> int:
         return self._n_records
 
-    def _take(self, fh, rank: int, ranks: int, wait=None, done=None):
+    def _take(self, fh, rank: int, ranks: int, baton: ring.Baton):
         """Take turns rank, rank + ranks, ... in order; yield each one's
         tally (see `_tally`).
 
-        A turn's lines are built as a list first.  With a ring (`wait` and
-        `done`, pipe ends), the rank waits for the token from the rank
-        before it (not at turn 0), writes and flushes the lines into the
-        file description every rank shares, and passes the token on (not
-        after the last turn), so the turns reach the file in order.
+        A turn's lines are built as a list first.  The rank then waits for
+        the token of the turn (`ring.Baton`), writes and flushes the lines
+        into the file description every rank shares, and passes the token
+        on, so the turns reach the file in order.
         """
         n = len(self.turns)
         for t in range(rank, n, ranks):
@@ -193,115 +193,25 @@ class _Stream:
                 if fh is not None:
                     lines += block.lines()
                 _tally(tally, block)
-            if t and wait is not None and os.read(wait, 1) != _TOKEN:
-                raise RuntimeError(f"turn {t}: the rank before it ended "
-                                   f"without passing the token")
+            baton.take(t)
             if fh is not None:
                 fh.writelines(lines)
                 fh.flush()
-            if t + 1 < n and done is not None:
-                os.write(done, _TOKEN)
+            baton.give(t)
             yield tally
 
     def run(self, fh) -> list[dict]:
         """Each turn's tally in turn order, with the turns' lines written to
-        `fh` (None: no report) in turn order.
-
-        R = `_ranks(len(turns))` processes take the turns in rotation:
-        this process is rank 0, and R - 1 forked children are ranks 1 to
-        R - 1.  A token passes round a ring of pipes so that each turn is
-        written after the one before it; each child sends its tallies back
-        through its own pipe and ends with `os._exit`.  A child that fails,
-        or sends a short tally, makes this raise, so a missing turn never
-        reads as a pass, and no child outlives the call.  With R = 1 the
-        same loop runs here, with no fork and no pipes.
+        `fh` (None: no report) in turn order, by the processes of a
+        `ring.run`: with R > 1 the forked ranks write through the file
+        description they share, and each sends its tallies back to this
+        process; a rank that fails makes this raise.
         """
-        n = len(self.turns)
-        ranks = _ranks(n)
-        if ranks == 1:
-            return list(self._take(fh, 0, 1))
-        # nothing buffered before the fork may be written twice
-        if fh is not None:
+        if fh is not None:  # nothing buffered may be written twice
             fh.flush()
-        sys.stdout.flush()
-        sys.stderr.flush()
-        # rank r writes tokens[r], which rank r + 1 (mod R) reads; child r
-        # writes its tallies to tallies[r]
-        tokens = [os.pipe() for _ in range(ranks)]
-        tallies = {r: os.pipe() for r in range(1, ranks)}
-        fds = {fd for pair in tokens + list(tallies.values()) for fd in pair}
-        pids = []
-        try:
-            for rank in range(1, ranks):
-                pid = os.fork()
-                if pid == 0:  # rank `rank`: its turns, then their tallies
-                    code = 1
-                    try:
-                        wait, done, out = (tokens[rank - 1][0],
-                                           tokens[rank][1], tallies[rank][1])
-                        for fd in fds - {wait, done, out}:
-                            os.close(fd)
-                        data = pickle.dumps(
-                            list(self._take(fh, rank, ranks, wait, done)))
-                        while data:
-                            data = data[os.write(out, data):]
-                        code = 0
-                    except BaseException:  # EOF on `wait` included
-                        sys.excepthook(*sys.exc_info())
-                        sys.stderr.flush()
-                    finally:  # buffers inherited from rank 0 stay unwritten
-                        os._exit(code)
-                pids.append(pid)
-            keep = {tokens[-1][0], tokens[0][1]} \
-                | {pair[0] for pair in tallies.values()}
-            for fd in fds - keep:
-                os.close(fd)
-            fds = keep
-            per_rank = [list(self._take(fh, 0, ranks, tokens[-1][0],
-                                        tokens[0][1]))]
-            for rank in range(1, ranks):
-                with open(tallies[rank][0], "rb", closefd=False) as pipe:
-                    data = pipe.read()  # up to EOF: the child has ended
-                got = pickle.loads(data) if data else []
-                if len(got) != len(range(rank, n, ranks)):
-                    raise RuntimeError(f"rank {rank} sent the tallies of "
-                                       f"{len(got)} of its turns")
-                per_rank.append(got)
-        except BaseException:
-            for pid in pids:  # none of them may outlive a failed run
-                os.kill(pid, _SIGKILL)
-            raise
-        finally:
-            for fd in fds:
-                os.close(fd)
-            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                     for pid in pids]
-        if any(codes):
-            raise RuntimeError(f"a rank of the stream failed: exit codes "
-                               f"{codes}")
-        return [per_rank[t % ranks][t // ranks] for t in range(n)]
-
-
-# the one byte each rank passes on once its turn is written
-_TOKEN = b"."
-# SIGKILL, which takes no import of the signal module (9 on every Linux
-# architecture; a ring is only run on Linux)
-_SIGKILL = 9
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, which `taskset`
-    narrows (Python 3.13+ reads it through os.process_cpu_count)."""
-    count = getattr(os, "process_cpu_count", None)
-    return (count() if count else len(os.sched_getaffinity(0))) or 1
-
-
-def _ranks(n_turns: int) -> int:
-    """Processes for a stream of `n_turns` turns: one per usable CPU and at
-    most one per turn; 1 unless this is Linux and os.fork exists."""
-    if sys.platform != "linux" or not hasattr(os, "fork"):
-        return 1
-    return max(1, min(_usable_cpus(), n_turns))
+        return ring.run(len(self.turns),
+                        lambda rank, ranks, baton:
+                        self._take(fh, rank, ranks, baton))
 
 
 def _battery_thm1_at(cfg: argparse.Namespace, recs: list) -> None:
@@ -455,8 +365,7 @@ _BATTERIES = {
 def _run_check(cfg: argparse.Namespace, recs: list) -> None:
     if cfg.target in ("t5", "t6"):
         suite = f"check:{cfg.target}"
-        reports = run_exception_tables(cfg.target, block=cfg.block,
-                                       jobs=cfg.jobs)
+        reports = run_exception_tables(cfg.target, block=cfg.block)
     else:
         suite = "check:custom"
         scan = check_sqrt if cfg.sqrt else check1
@@ -593,9 +502,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                         "variant")
     p.add_argument("--block", type=int,
                    help="check t5|t6: restrict the scan to one parameter block")
-    p.add_argument("--jobs", type=int,
-                   help="check t5|t6: worker processes, each scanning one "
-                        "group of rows off its own shared sieve (default 1)")
     p.add_argument("--out", help="write JSONL records here")
     p.add_argument("--slack", type=float,
                    help="override the relative pass threshold")
@@ -634,8 +540,7 @@ def _scope_text(scope: dict) -> str:
 def _config(argv=None) -> argparse.Namespace:
     """The checked command line, with `target` (None for regen-report),
     `params` parsed into (alpha, delta, rho) from --params or
-    DEFAULT_PARAMS, and `jobs` 1 unless --jobs is given.  Any usage error
-    exits 2 here."""
+    DEFAULT_PARAMS.  Any usage error exits 2 here."""
     ap = _parser()
     ns = ap.parse_args(argv)
     ns.target = target = getattr(ns, "target", None)
@@ -645,7 +550,7 @@ def _config(argv=None) -> argparse.Namespace:
                 and target not in scope.get(ns.command, ()):
             ap.error(f"--{flag.replace('_', '-')} only applies to "
                      f"{_scope_text(scope)}")
-    for flag in ("q", "x0", "jobs", "sample_grid"):
+    for flag in ("q", "x0", "sample_grid"):
         value = getattr(ns, flag)
         if value is not None and value < 1:
             ap.error(f"--{flag.replace('_', '-')} must be at least 1, "
@@ -669,7 +574,6 @@ def _config(argv=None) -> argparse.Namespace:
     except ValueError:
         ap.error(f'--params takes three numbers "alpha,delta,rho", '
                  f'all finite, got {text!r}')
-    ns.jobs = ns.jobs or 1
     if (ns.command, target) == ("check", "custom"):
         if None in (ns.q, ns.x0, ns.x):
             ap.error("check custom needs --q, --x0 and --x")

@@ -5,37 +5,43 @@ only the integers coprime to 30, position-major: flat index 8 k + i stands
 for base + 30 k + r_i, r = (1, 7, 11, 13, 17, 19, 23, 29), with `base` a
 multiple of 30.  A block's primes thus come out of one `flatnonzero`
 already increasing, as base + 30 (idx >> 3) + r[idx & 7].  2, 3 and 5 are
-emitted directly, and each block's mask starts as a slice of a pattern in
+emitted directly.  Each block's mask starts as a copy of a pattern in
 which the multiples of 7, 11 and 13 are already struck (period 1001
-positions), so only the base primes from 17 up are struck per block.
+positions), and eight more patterns, of the primes 17 to 83 in groups
+(17, 19, 23), (29, 31), .., (79, 83), are and-ed onto it, one pass each;
+the first block of a range from lo <= 83 sets the pattern primes back.
+So only the base primes from 89 up are struck per block.
 
 A base prime p strikes its multiples p m, m coprime to 30, as 8
 progressions, one per class of m mod 30, each with flat step 8 p.
 `_first_offsets` places them at the start of the range and `_carry`
-moves them on from block to block.  In a block of `size` entries they
-take one of two strike paths, split at p = size >> 9 (`SEG >> 6` in a
-full block):
+moves them on to the next block struck, however far.  In a block of
+`size` entries they take one of two strike paths, split at p = size >> 9
+(`SEG >> 6` in a full block):
 
 - a progression of a prime below it has at least 64 strikes in the
   block and takes one slice assignment;
 - the rest are struck together in rounds (`_rounds`), `_CHUNK`
   progressions at a time: each round strikes one multiple of every
-  progression still live and steps its offset on, and an offset past the
-  block lands in one spare slot past the mask.
+  progression still live and steps its offset on, in place, and an offset
+  past the block lands in one spare slot past the mask.
 
 The base primes up to sqrt(hi) come from this same sieve one level down,
 `primes_between(2, isqrt(hi))`; the recursion bottoms out at ranges below
 7, which hold no wheel entry but 1.
 
-`SEG` = 2^17 positions (a 1 MB mask over 3.9M integers).  One mask
-buffer serves a whole range: each block refills it in place with the
-pattern rolled to the block's phase, whole periods in one broadcast copy
-and then the tail.  Each block is yielded in quarters, so each consumer's
-per-cut arrays are a quarter of a block's primes, and the generator drops
-each quarter before it makes the next: with a consumer that does the same
-(`checkers._scan_shared`), one quarter's primes are alive at a time.  The
-offsets are int32 where they fit.  notes/decisions.md, "Segment size of
-the sieve", has the measurements behind this layout.
+`SEG` = 2^17 positions (a 1 MB mask over 3.9M integers).  A range is a
+`Blocks`: its base primes and first offsets are made once, and `walk`
+strikes any stride of its blocks, so the ranks of a scan each strike
+their own blocks of one range (`checkers`).  One mask buffer serves a
+walk: each block refills it in place with the patterns rolled to the
+block's phase, whole periods at a time and then the tail.  Each block is
+yielded in quarters, so each consumer's per-cut arrays are a quarter of a
+block's primes, and the generator drops each quarter before it makes the
+next: with a consumer that does the same (`checkers._scan_shared`), one
+quarter's primes are alive at a time.  The offsets are int32 where they
+fit.  notes/decisions.md, "Segment size of the sieve" and "Scans on every
+core", has the measurements behind this layout.
 
 `phi_segment(lo, hi)` gives the totients of a window, up to `PHI_HI` =
 2^32 - 1, from the prime powers p^k <= hi with p <= isqrt(hi): a table of
@@ -47,6 +53,7 @@ so no array spans the window between the smallest and the largest.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from typing import Iterator
@@ -54,6 +61,7 @@ from typing import Iterator
 import numpy as np
 
 __all__ = [
+    "Blocks",
     "MAX_HI",
     "PHI_HI",
     "phi_at",
@@ -83,21 +91,27 @@ _UP = np.array([[(r - c) % 30 for r in _R] for c in range(30)],
 # 30), for every v = t + p d with t, p and d below 30
 _FLAT = np.array([8 * (v // 30) + _BELOW[v % 30] for v in range(900)],
                  dtype=np.int16)
-_CYCLE = 7 * 11 * 13  # positions after which the pre-struck pattern repeats
+# The primes whose multiples are struck by periodic patterns, not by
+# progressions: 7, 11 and 13 fill each block (period 1001 positions), and
+# eight patterns of 17..83 are and-ed onto it, one pass each.
+_GROUPS = ((7, 11, 13), (17, 19, 23), (29, 31), (37, 41), (43, 47),
+           (53, 59), (61, 67), (71, 73), (79, 83))
+_PATTERN_PRIMES = np.array([p for g in _GROUPS for p in g])
+_LAST_PATTERN_PRIME = 83  # sieving by progressions starts past it, at 89
 
 
-def _presieved() -> np.ndarray:
-    """Mask over the flat indices 8 k + i, k = 0.._CYCLE - 1, standing for
-    30 k + _R[i]: False where 7, 11 or 13 divides (themselves included)."""
-    keep = np.ones(8 * _CYCLE, dtype=bool)
-    for q in (7, 11, 13):
+def _pattern(primes: tuple[int, ...]) -> np.ndarray:
+    """Mask over the flat indices 8 k + i, k = 0..prod(primes) - 1, standing
+    for 30 k + _R[i]: False where one of `primes` divides (itself included)."""
+    keep = np.ones(8 * math.prod(primes), dtype=bool)
+    for q in primes:
         for i, r in enumerate(_R):
             k = -r * pow(30, -1, q) % q  # 30 k + r = 0 (mod q)
             keep[8 * k + i::8 * q] = False
     return keep
 
 
-_PRESIEVED = _presieved()
+_PATTERNS = tuple(_pattern(g) for g in _GROUPS)
 
 
 def _first_offsets(ps: np.ndarray, base: int) -> np.ndarray:
@@ -122,92 +136,181 @@ def _first_offsets(ps: np.ndarray, base: int) -> np.ndarray:
     return flat.ravel()
 
 
-def _carry(off: np.ndarray, step: np.ndarray, size: int) -> None:
-    """Move the offsets of progressions struck through a block of `size`
-    entries on to the next block, in place."""
-    off -= size
-    if step[0] >= size:  # at most one strike a block, so one step on
-        off += step * (off < 0)
-    else:
-        np.remainder(off, step, out=off, where=off < 0)
+def _carry(off: np.ndarray, step: np.ndarray, skip: int) -> None:
+    """Move the offsets of progressions from one block's start on to the
+    start of a block `skip` entries later, in place.  `step` increases, so
+    the steps of at least `skip` (at most one strike in the skip) are a
+    suffix, and those offsets need one step at most."""
+    off -= skip
+    k = int(np.searchsorted(step, skip))
+    near, far = off[:k], off[k:]
+    np.remainder(near, step[:k], out=near, where=near < 0)
+    far += step[k:] * (far < 0)
 
 
-def prime_array_segments(lo: int, hi: int) -> Iterator[np.ndarray]:
-    """Yield increasing int64 arrays that together hold every prime in [lo, hi]."""
-    lo = max(int(lo), 2)
-    hi = int(hi)
-    if hi > MAX_HI:
-        raise ValueError(f"sieve top end {hi} lies past MAX_HI = {MAX_HI}")
-    if hi < lo:
-        return
-    small = [p for p in (2, 3, 5) if lo <= p <= hi]
-    if small:
-        yield np.array(small, dtype=np.int64)
-    # flat index 8 k + i stands for base + 30 k + _R[i]; [start, stop)
-    # holds the entries in [lo, hi]
-    base = lo - lo % 30
-    start = _BELOW[lo - base]
-    stop = 8 * ((hi + 1 - base) // 30) + _BELOW[(hi + 1 - base) % 30]
-    if start >= stop:
-        return
-    ps = primes_between(2, math.isqrt(hi))
-    ps = ps[ps > 13]
-    # 8 progressions per prime, one per class of m mod 30, each with flat
-    # step 8 p; offsets are carried from block to block
-    p = int(ps[-1]) if ps.size else 0
-    # int32 offsets where they fit (they start below 8 (p^2 - base) / 30
-    # + 8 p + 8 and then stay below 8 p + the block)
-    fits = 8 * (max(p * p - base, 0) // 30 + p + 1) + 8 * SEG < 2**31
-    dtype = np.int32 if fits else np.int64
-    off = np.empty(8 * ps.size, dtype=dtype)
-    step8 = (8 * ps).astype(dtype)
-    for c in range(0, ps.size, _CHUNK // 8):
-        off[8 * c:8 * c + _CHUNK] = _first_offsets(ps[c:c + _CHUNK // 8], base)
-    block = 8 * SEG
-    quarter = block // 4
-    # one mask for the range, refilled each block; one spare slot past the
-    # block takes the rounds' clamped offsets
-    buf = np.empty(min(block, stop) + 1, dtype=bool)
-    pos = 0  # flat index of the block's first entry
-    while pos < stop:
-        size = min(block, stop - pos)
+class Blocks:
+    """The sieve of [lo, hi] as blocks of 8 SEG wheel entries.
+
+    Making one fixes the range's layout and number of `turns` (its blocks,
+    or one turn for a range with no wheel entry).  `ready()` sieves its
+    base primes and places their first offsets, once; `walk` then strikes
+    any stride of the blocks from them, carrying the offsets on by a skip.
+    A walk moves the offsets in place and drops them at its end: the
+    ranks of a scan ring (`checkers`) each walk their own copy, forked
+    after `ready()`.
+    """
+
+    def __init__(self, lo: int, hi: int) -> None:
+        lo, hi = max(int(lo), 2), int(hi)
+        if hi > MAX_HI:
+            raise ValueError(f"sieve top end {hi} lies past MAX_HI = {MAX_HI}")
+        self.hi = hi
+        self.small = [p for p in (2, 3, 5) if lo <= p <= hi]
+        # flat index 8 k + i stands for base + 30 k + _R[i]; [start, stop)
+        # holds the entries in [lo, hi]
+        self.base = lo - lo % 30
+        self.start = self._entries_below(lo)
+        self.stop = max(self._entries_below(hi + 1), self.start)
+        self.blocks = -(-self.stop // (8 * SEG)) if self.start < self.stop \
+            else 0
+        self.turns = max(self.blocks, 1)
+        self._progressions = None
+
+    def _entries_below(self, x: int) -> int:
+        """The flat index of the first wheel entry at or past x >= base."""
+        return 8 * ((x - self.base) // 30) + _BELOW[(x - self.base) % 30]
+
+    def turns_of(self, lo: int, hi: int) -> tuple[int, int]:
+        """The first and last turn whose blocks hold entries of [lo, hi],
+        a part of the range (the first turn for a part with none)."""
+        block = 8 * SEG
+        first = min(self._entries_below(lo) // block, self.turns - 1)
+        last = min((self._entries_below(hi + 1) - 1) // block, self.turns - 1)
+        return first, max(first, last)
+
+    def ready(self) -> None:
+        """Sieve the base primes 89..isqrt(hi) and place the first offsets
+        of their 8 progressions each (one per class of m mod 30, flat step
+        8 p), in int32 where they fit: they start below 8 (p^2 - base) / 30
+        + 8 p + 8 and then stay below 8 p + the block (`walk` widens them
+        for a skip past 2^31)."""
+        if self._progressions is not None or not self.blocks:
+            return
+        ps = primes_between(2, math.isqrt(self.hi))
+        ps = ps[ps > _LAST_PATTERN_PRIME]
+        p = int(ps[-1]) if ps.size else 0
+        fits = 8 * (max(p * p - self.base, 0) // 30 + p + 1) \
+            + 8 * SEG < 2**31
+        dtype = np.int32 if fits else np.int64
+        off = np.empty(8 * ps.size, dtype=dtype)
+        for c in range(0, ps.size, _CHUNK // 8):
+            off[8 * c:8 * c + _CHUNK] = _first_offsets(ps[c:c + _CHUNK // 8],
+                                                       self.base)
+        self._progressions = ps, off, (8 * ps).astype(dtype)
+
+    def walk(self, first: int = 0, every: int = 1,
+             turn=None) -> Iterator[np.ndarray]:
+        """Yield the primes of blocks first, first + every, .. in quarters,
+        increasing, and 2, 3 and 5 where in range with block 0.
+
+        With `turn`, each block's primes are yielded inside `with
+        turn(t)`, entered once block t is struck, so the caller can wait
+        between the strike and the primes (see `checkers._scan_ring`).
+        """
+        self.ready()
+        block = 8 * SEG
+        quarter = block // 4
+        if self._progressions is not None \
+                and (max(first, every) + 1) * block >= 2**31:
+            ps, off, step8 = self._progressions
+            self._progressions = (ps, off.astype(np.int64),
+                                  step8.astype(np.int64))
+        buf = None
+        pos = 0  # the flat index the offsets are relative to
+        for t in range(first, self.turns, every):
+            mask = None
+            if t < self.blocks:
+                if buf is None:
+                    buf = np.empty(min(block, self.stop) + 1, dtype=bool)
+                mask, size = self._strike(buf, t * block - pos, t * block)
+                pos = t * block
+            with turn(t) if turn is not None else _NO_TURN:
+                if t == 0 and self.small:
+                    yield np.array(self.small, dtype=np.int64)
+                if mask is None:
+                    continue
+                # the block goes out in quarters, to keep each consumer's
+                # arrays small; each is dropped here before the next is made
+                for h in range(0, size, quarter):
+                    out = np.flatnonzero(mask[h:min(h + quarter, size)])
+                    out += pos + h
+                    slot = np.empty(out.size, dtype=np.uint8)
+                    np.bitwise_and(out, 7, out=slot, casting="unsafe")
+                    out >>= 3
+                    out *= 30
+                    out += self.base
+                    out += _R8[slot]
+                    del slot
+                    yield out
+                    del out
+        # the offsets now stand at the walk's last block: dropped, so that a
+        # scan holds only the offsets of the ranges it has still to walk,
+        # and a second walk places them afresh
+        self._progressions = None
+
+    def _strike(self, buf: np.ndarray, skip: int, pos: int):
+        """Strike the block at flat index `pos` into `buf`, after carrying
+        the offsets `skip` entries on; returns (mask, size)."""
+        ps, off, step8 = self._progressions
+        size = min(8 * SEG, self.stop - pos)
         mask = buf[:size + 1]
-        # the pattern rolled to the block's phase, whole periods at once
-        pattern = np.roll(_PRESIEVED, -8 * ((base // 30 + pos // 8) % _CYCLE))
-        whole = size - size % pattern.size
-        mask[:whole].reshape(-1, pattern.size)[:] = pattern
-        mask[whole:size] = pattern[:size - whole]
-        if base + pos == 0:
-            mask[1:4] = True  # 7, 11 and 13 are prime
+        # each pattern rolled to the block's phase, whole periods at once
+        phase = self.base // 30 + pos // 8
+        for i, pattern in enumerate(_PATTERNS):
+            pattern = np.roll(pattern, -8 * (phase % (pattern.size // 8)))
+            whole = size - size % pattern.size
+            rows = mask[:whole].reshape(-1, pattern.size)
+            tail = mask[whole:size]
+            if i == 0:
+                rows[:] = pattern
+                tail[:] = pattern[:tail.size]
+            else:
+                np.logical_and(rows, pattern, out=rows)
+                np.logical_and(tail, pattern[:tail.size], out=tail)
         if pos == 0:
-            mask[:start] = False  # 1 among them, as lo >= 2
+            if self.base <= _LAST_PATTERN_PRIME:  # the pattern primes
+                at = _FLAT[_PATTERN_PRIMES[_PATTERN_PRIMES >= self.base]] \
+                    - 8 * (self.base // 30)
+                mask[at[at < size]] = True
+            mask[:self.start] = False  # 1 among them, as lo >= 2
         # progressions with at least 64 strikes in the block (SEG >> 6 in a
         # full one) take one slice each, the rest go through the rounds
         dense = 8 * int(np.searchsorted(ps, size >> 9))
         for c in range(0, off.size, _CHUNK):
             o = off[c:c + _CHUNK]
             s = np.repeat(step8[c // 8:(c + _CHUNK) // 8], 8)
+            if skip:
+                _carry(o, s, skip)
             n = min(max(dense - c, 0), o.size)
             for k, step in zip(o[:n].tolist(), s[:n].tolist()):
                 mask[k::step] = False
             for hit in _rounds(o[n:], s[n:], size):
                 mask[hit] = False
-            _carry(o, s, size)
-        # the block goes out in quarters, to keep each consumer's arrays
-        # small; each is dropped here before the next is made
-        for h in range(0, size, quarter):
-            out = np.flatnonzero(mask[h:min(h + quarter, size)])
-            out += pos + h
-            slot = np.empty(out.size, dtype=np.uint8)
-            np.bitwise_and(out, 7, out=slot, casting="unsafe")
-            out >>= 3
-            out *= 30
-            out += base
-            out += _R8[slot]
-            del slot
-            yield out
-            del out
-        pos += block
+        return mask, size
+
+
+_NO_TURN = contextlib.nullcontext()
+
+
+def prime_array_segments(lo: int, hi: int, blocks: Blocks | None = None,
+                         first: int = 0, every: int = 1,
+                         turn=None) -> Iterator[np.ndarray]:
+    """Yield increasing int64 arrays that together hold every prime in
+    [lo, hi]; with `blocks` (a `Blocks(lo, hi)`), only those of its blocks
+    first, first + every, .., as `Blocks.walk` gives them."""
+    if blocks is None:
+        blocks = Blocks(lo, hi)
+    yield from blocks.walk(first, every, turn)
 
 
 def _rounds(first: np.ndarray, step: np.ndarray,
@@ -218,7 +321,8 @@ def _rounds(first: np.ndarray, step: np.ndarray,
     steps up to (size - 1) // j can land below `size`: each round is a
     prefix of the previous one, found with `searchsorted`.  Offsets past
     the end are clamped to `size`, one spare slot past the caller's array.
-    The offsets are index arrays (intp) whatever the inputs' dtype.
+    The offsets are one index (intp) buffer, whatever the inputs' dtype,
+    stepped in place: each round overwrites the one before.
     """
     o = np.minimum(first, size, dtype=np.intp)
     step = step.astype(np.intp, copy=False)
@@ -226,8 +330,9 @@ def _rounds(first: np.ndarray, step: np.ndarray,
     while o.size:
         yield o
         j += 1
-        live = int(np.searchsorted(step, (size - 1) // j, "right"))
-        o = np.minimum(o[:live] + step[:live], size)
+        o = o[:int(np.searchsorted(step, (size - 1) // j, "right"))]
+        np.add(o, step[:o.size], out=o)
+        np.minimum(o, size, out=o)
 
 
 def primes_between(lo: int, hi: int) -> np.ndarray:

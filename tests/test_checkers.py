@@ -3,17 +3,19 @@ jump scan, and the exception-table driver."""
 from __future__ import annotations
 
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 from mpmath import mp
 
-from apbounds import checkers
+from apbounds import checkers, ring, sieve
 from apbounds.arith import phi_of
 from apbounds.checkers import (GUARD, CheckReport, check1, check_sqrt,
                                row_guard, row_top, run_exception_tables)
-from apbounds.sieve import MAX_HI, prime_array_segments, primes_between
+from apbounds.sieve import (MAX_HI, Blocks, prime_array_segments,
+                            primes_between)
 from apbounds.tables import load_table5, load_table6
 from apbounds.thm1 import X_FLOOR, h1, hsqrt
 
@@ -613,6 +615,9 @@ def test_block_proof_matches_exact_path_near_1e11(monkeypatch, q):
     x0, xe = 10**11, 10**11 + 10**5
     scan = checkers._Scan1(0.5, 1.0, 30.0, q, x0, xe)
     assert scan.guard == row_guard(scan.hi) > GUARD
+    # the stand-in sieve cannot stride blocks, and these rows span several,
+    # so one process takes every turn
+    monkeypatch.setattr(ring, "usable_cpus", lambda: 1)
     monkeypatch.setattr(checkers, "prime_array_segments", _chunked(600))
     r1, _ = _top_ratios(q, x0, xe)
     rows = [(0.5, 1.0, 30.0, q, x0, xe)] + [
@@ -710,12 +715,13 @@ def _key(rep):
 
 @pytest.mark.parametrize("table,block,scan", [("t5", 2, check1),
                                               ("t6", 1, check_sqrt)])
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_shared_scan_matches_per_row(table, block, scan, jobs):
+@pytest.mark.parametrize("ranks", [1, 2, 3])
+def test_shared_scan_matches_per_row(monkeypatch, table, block, scan, ranks):
     blk = (load_table5() if table == "t5" else load_table6())[block - 1]
     want = [scan(blk.alpha, blk.delta, blk.rho, q, lo, hi)
             for q, lo, hi in blk.rows]
-    got = run_exception_tables(table, block=block, jobs=jobs)
+    monkeypatch.setattr(ring, "usable_cpus", lambda: ranks)
+    got = run_exception_tables(table, block=block)
     assert len(got) == len(want) > 1
     assert [_key(r) for r in got] == [_key(r) for r in want]
 
@@ -740,6 +746,8 @@ def test_shared_scan_sieves_the_union_once(monkeypatch, table, block, h):
         seen.append((lo, hi))
         return prime_array_segments(lo, hi)
 
+    # a forked rank's calls would not reach `seen`
+    monkeypatch.setattr(ring, "usable_cpus", lambda: 1)
     monkeypatch.setattr(checkers, "prime_array_segments", recording)
     blk = (load_table5() if table == "t5" else load_table6())[block - 1]
     rows = [(max(lo, 2), math.floor(hi + h(blk.alpha, blk.delta, blk.rho, q,
@@ -766,16 +774,45 @@ def test_shared_scan_keeps_failures_per_row():
     assert got_good.primes_scanned == check1(*R1).primes_scanned
 
 
-def test_shared_scan_groups_cover_rows_in_order():
-    scans = [checkers._Scan1(0.5, 1.0, 30.0, 3, x0, x0 + 50000)
-             for x0 in (400000, 30000, 90000, 30000, 250000)]
-    for jobs in (1, 2, 3, 9):
-        groups = checkers._span_groups(scans, jobs)
-        assert 1 <= len(groups) <= min(jobs, len(scans))
-        flat = [i for g in groups for i in g]
-        assert sorted(flat) == list(range(len(scans)))
-        # contiguous by start
-        assert [scans[i].lo for i in flat] == sorted(s.lo for s in scans)
+def _ring_rows():
+    """Rows in three merged ranges, one from 2 on: both modes, one failing
+    (rho = 0.08 with no log growth) on [1e6, 1.2e7], and one empty."""
+    return ([checkers._Scan1(0.5, 1.0, 30.0, q, x0, x_end)
+             for q, x0, x_end in ((3, 2, 5 * 10**5), (3, 10**6, 9 * 10**6),
+                                  (4, 5 * 10**6, 12 * 10**6),
+                                  (6, 11 * 10**6, 115 * 10**5),
+                                  (3, 2 * 10**7, 25 * 10**6))]
+            + [checkers._Scan1(0.0, 0.0, 0.08, 3, 10**6, 12 * 10**6),
+               checkers._ScanSqrt(0.5, 1.0, 30.0, 8, 3 * 10**6, 10**7),
+               checkers._Scan1(0.0, 0.0, 0.1, 3, 1, 1)])
+
+
+@pytest.mark.parametrize("ranks", [2, 3, 4])
+def test_shared_scan_ranks_give_the_one_process_reports(monkeypatch, ranks):
+    # the ranges' blocks are the turns of a ring (40 of them with
+    # blocks of 15015 positions); the state each token carries makes every
+    # report what one process gives, whatever the count of ranks
+    monkeypatch.setattr(sieve, "SEG", 15015)
+    plans = [Blocks(lo, hi) for lo, hi, _ in
+             checkers._merged_ranges(_ring_rows())]
+    assert len(plans) == 3 and sum(p.turns for p in plans) == 40
+    monkeypatch.setattr(ring, "usable_cpus", lambda: 1)
+    want = checkers._scan_shared(_ring_rows())
+    monkeypatch.setattr(ring, "usable_cpus", lambda: ranks)
+    got = checkers._scan_shared(_ring_rows())
+    assert [_key(r) for r in got] == [_key(r) for r in want]
+    assert [r.primes_proved for r in got] == [r.primes_proved for r in want]
+    fails = want[5].failures
+    assert len(fails) > 10 and want[6].mode == "sqrt"
+    # the failing row's failures lie in many blocks
+    assert len({int(d) // (30 * 15015) for _, d in fails}) >= 4
+    assert want[-1].primes_scanned == 0
+    _no_child_left()
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("table", ["t5", "t6"])
@@ -792,6 +829,8 @@ def test_shared_scan_feeds_only_rows_that_meet_the_segment(monkeypatch,
         return feed(self, seg)
 
     monkeypatch.setattr(checkers._RowScan, "feed", recording)
+    # a forked rank's calls would not reach `feeds`
+    monkeypatch.setattr(ring, "usable_cpus", lambda: 1)
     run_exception_tables(table)
     assert feeds and min(feeds) > 0
 
@@ -810,11 +849,6 @@ def test_t6_scan_traced_peak_stays_under_budget():
     finally:
         tracemalloc.stop()
     assert peak < 3.0e6, peak
-
-
-def test_run_exception_tables_rejects_bad_jobs():
-    with pytest.raises(ValueError):
-        run_exception_tables("t5", block=2, jobs=0)
 
 
 # ---------------------------------------------------------------- guard

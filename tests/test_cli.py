@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from apbounds import cli, thm1
+from apbounds import checkers, cli, ring, sieve, thm1
 from apbounds.arith import factorize
 from apbounds.checkers import CheckReport
 from apbounds.cli import (_BATTERIES, _config, _grid, _print_summary,
@@ -158,7 +158,7 @@ def test_thm1_sweep_streams_chunk_by_chunk(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "verify_thm1_at", counted)
     monkeypatch.setattr(thm1, "phi_at", counted_phi)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(ring, "usable_cpus", lambda: 1)
     out = tmp_path / "sweep.jsonl"
     assert main(["verify", "thm1-at", "--sample-grid", "10000", "--sqrt",
                  "--out", str(out)]) == 0
@@ -323,12 +323,25 @@ def test_check_t5_block2(tmp_path, capsys):
     assert not any("primes_proved" in r["inputs"] for r in recs)
 
 
-def test_check_t6_block2_jobs(tmp_path):
+@pytest.mark.parametrize("ranks", [1, 2, 3])
+def test_check_t6_block2_ranks(tmp_path, monkeypatch, capsys, ranks):
+    # one row; blocks of 1001 wheel positions cut its range into 5 turns,
+    # so with R > 1 its state passes from rank to rank
+    monkeypatch.setattr(sieve, "SEG", 1001)
+    monkeypatch.setattr(ring, "usable_cpus", lambda: ranks)
+    b = load_table6()[1]
+    (lo, hi, _), = checkers._merged_ranges([checkers._ScanSqrt(
+        b.alpha, b.delta, b.rho, *b.rows[0])])
+    assert sieve.Blocks(lo, hi).turns == 5
     out = tmp_path / "c6.jsonl"
-    rc = main(["check", "t6", "--block", "2", "--jobs", "2", "--out", str(out)])
+    rc = main(["check", "t6", "--block", "2", "--out", str(out)])
     assert rc == 0
     recs = read_records(out)
     assert len(recs) == 1 and recs[0]["pass"]
+    stdout = capsys.readouterr().out
+    assert "[check:t6] q=3 [682534, 752106] sqrt: 0 failures over 10386 " \
+        "primes (0 by block proof)" in stdout
+    _no_child_left()
 
 
 def test_check_custom_q1_scans_every_prime(tmp_path):
@@ -344,32 +357,38 @@ def test_check_custom_q1_scans_every_prime(tmp_path):
     assert rec["inputs"]["primes_scanned"] == 14805
 
 
-def test_check_jobs_matches_serial(tmp_path):
+@pytest.mark.parametrize("ranks", [2, 3])
+def test_check_ranks_match_one_process(tmp_path, monkeypatch, ranks):
     for table in ("t5", "t6"):
-        one, two = tmp_path / f"{table}-1.jsonl", tmp_path / f"{table}-2.jsonl"
-        assert main(["check", table, "--block", "1", "--jobs", "1",
-                     "--out", str(one)]) == 0
-        assert main(["check", table, "--block", "1", "--jobs", "2",
-                     "--out", str(two)]) == 0
-        assert body_bytes(one) == body_bytes(two)
+        one, many = tmp_path / f"{table}-1.jsonl", tmp_path / f"{table}-n.jsonl"
+        monkeypatch.setattr(ring, "usable_cpus", lambda: 1)
+        assert main(["check", table, "--block", "1", "--out", str(one)]) == 0
+        monkeypatch.setattr(ring, "usable_cpus", lambda: ranks)
+        assert main(["check", table, "--block", "1", "--out", str(many)]) == 0
+        assert body_bytes(one) == body_bytes(many)
+    _no_child_left()
 
 
-@pytest.mark.parametrize("jobs", ["0", "-2"])
-def test_check_rejects_nonpositive_jobs(jobs, capsys):
+@pytest.mark.parametrize("argv", [
+    ["check", "t6", "--jobs", "2"],
+    ["check", "t5", "--block", "1", "--jobs", "1"],
+])
+def test_check_jobs_is_a_usage_error(argv, capsys):
+    # scans take every usable CPU, so there is no count of jobs to set
     with pytest.raises(SystemExit) as exc:
-        main(["check", "t5", "--block", "2", "--jobs", jobs])
+        main(argv)
     assert exc.value.code == 2
-    assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
     ["check", "custom", "--q", "3", "--x0", "23656", "--x", "193269",
-     "--jobs", "2"],
+     "--block", "2"],
     ["check", "custom", "--q", "3", "--x0", "23656", "--x", "193269",
      "--block", "1"],
-    ["verify", "corollary", "--jobs", "2"],
+    ["verify", "corollary", "--block", "2"],
     ["verify", "thm2", "--block", "1"],
-    ["regen-report", "--jobs", "1"],
+    ["regen-report", "--block", "1"],
 ])
 def test_table_flags_rejected_elsewhere(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -702,11 +721,57 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+# Taken at the commit before scans ran on several processes: the body
+# sha256, the sha256 of stdout with the per-row scan times masked, and the
+# exit code.  `check t5` makes 23 turns (sieve blocks) in 4 merged ranges
+# and `check t6` 49 in 5; each custom row from 10^6 makes 3, and the two
+# failing ones (608 and 316 failures) fail in 3 and 4 blocks.
+SCAN_RANKED_SHA256 = {
+    "check t5": (
+        0, "43d243cb9b275dca61a450259310fe17d46a4b64bcecd45d2518489543fc3249",
+        "a3e601ee1f29087fd019d8adc58889b627ed75b31682b8ed67e3aea1b11f7f3e"),
+    "check t6": (
+        0, "1a566c2b197bb0720f90b97abab462ec547e463807420aba05eee46452080bbc",
+        "83d5b932e6f3360c9482e7dd65b4038438640d56356d1a431b4b0e4988a3ab02"),
+    "check t6 --block 2": (
+        0, "766cc654da25e8bc7ba397326b5958c2b8ca1dae1c3d395846f140329d8644cc",
+        "f852509e28ff4d491d762a1895ea9b897fe4ea552e1da7b6f8e14cb567898a3c"),
+    "check custom --q 3 --x0 1000000 --x 9000000": (
+        0, "7fd3853503f88f833efd49be6c95bd8a44d7608836dd406598c8f9de6be9828f",
+        "25ba8df8cd58d1f64b244db5c68bc9acd1eab5547377ffb36ddc7a1b77618aa9"),
+    "check custom --q 3 --x0 1000000 --x 9000000 --sqrt": (
+        0, "4e33fd049e3ab0af1ea82ebe8be4dbc716b382fdfb171e561933ce6130e2c373",
+        "621cb65cdbf4855f1743252cbca66ae4e2d029c60a514078293965925ea4620b"),
+    "check custom --q 3 --x0 1000000 --x 12000000 --params 0,0,0.05": (
+        1, "dd56153f6398c9db049034db2d75c29813873e9466fe9c1dc5a044594d4e8a20",
+        "a43f1f4895f0711799e456cccd5c3b2fe714c9845e4373e6829d0445331a3d67"),
+    "check custom --q 3 --x0 1000000 --x 12000000 --params=-1,0,14 --sqrt": (
+        1, "5c4e90debda5e99276af7e5f3a33239c535a1053c8802ef63eb971a7f630be91",
+        "f8b202e008e432a330b0bb668326c707f3cf6f7016c6adb6a9a52cf8949ab20d"),
+}
+
+
+@pytest.mark.parametrize("ranks", [1, 2, 3])
+@pytest.mark.parametrize("argv", list(SCAN_RANKED_SHA256))
+def test_scan_ranks_write_the_same_bytes(tmp_path, monkeypatch, capsys,
+                                         argv, ranks):
+    monkeypatch.setattr(ring, "usable_cpus", lambda: ranks)
+    out = tmp_path / "r.jsonl"
+    rc = main(argv.split() + ["--out", str(out)])
+    body = b"".join(ln for ln in out.read_bytes().splitlines(keepends=True)
+                    if not ln.startswith(b"#"))
+    stdout = re.sub(r" in \d+\.\d+s$", " in _s", capsys.readouterr().out,
+                    flags=re.M).encode()
+    assert (rc, hashlib.sha256(body).hexdigest(),
+            hashlib.sha256(stdout).hexdigest()) == SCAN_RANKED_SHA256[argv]
+    _no_child_left()
+
+
 @pytest.mark.parametrize("ranks", [1, 2, 3])
 @pytest.mark.parametrize("argv", list(RANKED_SHA256))
 def test_stream_ranks_write_the_same_bytes(tmp_path, monkeypatch, capsys,
                                            argv, ranks):
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: ranks)
+    monkeypatch.setattr(ring, "usable_cpus", lambda: ranks)
     out = tmp_path / "r.jsonl"
     rc = main(argv.split() + ["--out", str(out)])
     body = b"".join(ln for ln in out.read_bytes().splitlines(keepends=True)
@@ -719,12 +784,15 @@ def test_stream_ranks_write_the_same_bytes(tmp_path, monkeypatch, capsys,
 
 @pytest.mark.parametrize("argv", [
     ["verify", "thm1-at", "--sample-grid", "1000"], ["verify", "thm3"],
-    ["regen-report"]])
+    ["regen-report"],
+    # scans of one sieve block
+    ["check", "custom", "--q", "3", "--x0", "23656", "--x", "193269"],
+    ["check", "t6", "--block", "2"]])
 def test_one_turn_never_forks(monkeypatch, argv):
     def fork():
         raise AssertionError("forked for one turn")
 
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(ring, "usable_cpus", lambda: 4)
     monkeypatch.setattr(os, "fork", fork)
     assert main(argv) == 0
 
@@ -751,7 +819,7 @@ def _failing_turn(monkeypatch, in_child: bool):
 # dies in the last turn, and rank 0 finds its tallies missing.
 @pytest.mark.parametrize("ranks", [2, 3])
 def test_a_failing_child_fails_the_run(tmp_path, monkeypatch, capfd, ranks):
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: ranks)
+    monkeypatch.setattr(ring, "usable_cpus", lambda: ranks)
     _failing_turn(monkeypatch, in_child=True)
     with pytest.raises((RuntimeError, BrokenPipeError)):
         main(["verify", "thm1-at", "--sample-grid", "8000",
@@ -763,11 +831,58 @@ def test_a_failing_child_fails_the_run(tmp_path, monkeypatch, capfd, ranks):
 
 
 def test_a_failing_rank_0_reaps_its_children(tmp_path, monkeypatch, capfd):
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(ring, "usable_cpus", lambda: 3)
     _failing_turn(monkeypatch, in_child=False)
     with pytest.raises(ValueError, match="second turn"):
         main(["verify", "thm1-at", "--sample-grid", "8000",
               "--out", str(tmp_path / "r.jsonl")])
+    assert "total:" not in capfd.readouterr().out
+    _no_child_left()
+
+
+def _failing_strike(monkeypatch, in_child: bool):
+    """A sieve whose second block strike raises in a child of this process
+    (in_child) or in this process."""
+    home, calls = os.getpid(), Counter()
+    strike = sieve.Blocks._strike
+
+    def failing(self, *args):
+        calls[os.getpid()] += 1
+        if (os.getpid() != home) == in_child and calls[os.getpid()] == 2:
+            raise ValueError("second turn")
+        return strike(self, *args)
+
+    monkeypatch.setattr(sieve.Blocks, "_strike", failing)
+
+
+# the row sieves [10^6, 4 10^7 + h]: 11 blocks, so every rank has at
+# least three turns
+_LONG_ROW = ["check", "custom", "--q", "3", "--x0", "1000000",
+             "--x", "40000000"]
+
+
+@pytest.mark.parametrize("ranks", [2, 3])
+def test_a_failing_scan_rank_fails_the_run(tmp_path, monkeypatch, capfd,
+                                           ranks):
+    (lo, hi, _), = checkers._merged_ranges([checkers._Scan1(
+        0.5, 1.0, 30.0, 3, 10**6, 4 * 10**7)])
+    assert sieve.Blocks(lo, hi).turns == 11
+    monkeypatch.setattr(ring, "usable_cpus", lambda: ranks)
+    _failing_strike(monkeypatch, in_child=True)
+    with pytest.raises((RuntimeError, BrokenPipeError)):
+        main(_LONG_ROW + ["--out", str(tmp_path / "r.jsonl")])
+    out, err = capfd.readouterr()
+    assert "PASS" not in out and "total:" not in out
+    assert "ValueError: second turn" in err
+    _no_child_left()
+
+
+def test_a_failing_scan_rank_0_reaps_its_children(tmp_path, monkeypatch,
+                                                  capfd):
+    monkeypatch.setattr(ring, "usable_cpus", lambda: 3)
+    _failing_strike(monkeypatch, in_child=False)
+    with pytest.raises(ValueError, match="second turn"):
+        main(_LONG_ROW + ["--out", str(tmp_path / "r.jsonl")])
     assert "total:" not in capfd.readouterr().out
     _no_child_left()
 
@@ -876,10 +991,9 @@ def test_cli_import_leaves_scipy_out():
     assert proc.stdout.strip() == "False"
 
 
-# Loaded only by the code that runs them: mpmath by no battery (only the
-# unreached sin^2 integral imports it), the process pool and
-# multiprocessing by `check --jobs J > 1` when the rows split into at least
-# two groups.
+# Loaded by no battery: mpmath (only the unreached sin^2 integral imports
+# it), and the process pool and multiprocessing (the scans and the streams
+# fork their ranks with `os.fork`).
 _LAZY_MODULES = ("mpmath", "concurrent.futures", "multiprocessing")
 
 _BUDGET_SCRIPT = """
@@ -899,9 +1013,9 @@ print(json.dumps(steps))
 
 def test_import_budget_batteries_load_only_what_they_run():
     quiet = [["check", "t5", "--block", "2"],
-             # t6 block 2 has one row, so --jobs 2 makes one group and
-             # scans in this process
-             ["check", "t6", "--block", "2", "--jobs", "2"],
+             # six rows over several sieve blocks, so a ring's ranks take
+             # them on every usable CPU
+             ["check", "t6", "--block", "1"],
              ["check", "custom", "--q", "3", "--x0", "23656",
               "--x", "193269"],
              ["verify", "thm1-at", "--sample-grid", "30", "--sqrt"],
@@ -934,35 +1048,36 @@ def test_full_report_runs_without_mpmath(tmp_path):
     assert "mpmath" not in steps[1][2]
 
 
-_JOBS_SCRIPT = """
-import sys
-from apbounds.cli import main
-rc = main(sys.argv[1:])
-print("pool loaded:", "concurrent.futures" in sys.modules)
-sys.exit(rc)
+_POOL_SCRIPT = """
+import contextlib, io, os, sys
+from apbounds import cli, ring
+if sys.argv[1] == "one":  # as under taskset -c with one CPU
+    os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
+for argv in {argvs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(argv)
+print(ring.ranks(10), [m for m in ("concurrent.futures", "multiprocessing")
+                        if m in sys.modules])
 """
 
 
-def test_check_jobs_loads_the_pool_in_a_fresh_process(tmp_path):
-    # t6 block 1 has six rows, so --jobs 2 scans two groups in a pool that
-    # this process has not imported before
-    runs = {}
-    for jobs in ("1", "2"):
-        out = tmp_path / f"t6-{jobs}.jsonl"
+def test_no_battery_loads_a_process_pool(tmp_path):
+    # every scan and every stream runs its ranks on os.fork and pipes, so
+    # no battery imports concurrent.futures or multiprocessing, whatever
+    # the count of usable CPUs
+    argvs = [["check", "t5"], ["check", "t6"],
+             ["check", "custom", "--q", "3", "--x0", "1000000",
+              "--x", "9000000", "--sqrt"],
+             ["verify", "thm1-at", "--sample-grid", "5000"],
+             ["verify", "thm3", "--sample-grid", "3000"]]
+    for cpus in ("one", "all"):
         proc = subprocess.run(
-            [sys.executable, "-c", _JOBS_SCRIPT, "check", "t6", "--block",
-             "1", "--jobs", jobs, "--out", str(out)],
+            [sys.executable, "-c", _POOL_SCRIPT.format(argvs=argvs), cpus],
             capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        *lines, flag = proc.stdout.splitlines()
-        # per-row scan times are wall-clock readings
-        text = re.sub(r" in \d+\.\d+s$", " in _s", "\n".join(lines),
-                      flags=re.M)
-        runs[jobs] = (flag, text, body_bytes(out))
-    assert runs["1"][0] == "pool loaded: False"
-    assert runs["2"][0] == "pool loaded: True"
-    assert runs["1"][1:] == runs["2"][1:]
-    assert runs["1"][1].count("[check:t6] q=") == 6
+        ranks, loaded = proc.stdout.split(" ", 1)
+        assert int(ranks) == (1 if cpus == "one" else ring.ranks(10))
+        assert loaded.strip() == "[]"
 
 
 def test_benchmark_tracer_finds_its_entry_points():

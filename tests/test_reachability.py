@@ -2,7 +2,9 @@
 
 One subprocess installs a profiler before `apbounds.cli` is imported, runs
 one small call of each battery through `main`, and writes down every code
-object that was entered.  Each function defined in `src/apbounds` (found
+object that was entered.  It sets two usable CPUs, so that a scan of
+several sieve blocks runs on a ring of two ranks; the profiler sees only
+this process, rank 0, which takes turns 0 and 2 of such a scan.  Each function defined in `src/apbounds` (found
 with `ast`) must be among them: a function that no battery calls either
 gets a record or goes.
 """
@@ -47,6 +49,10 @@ RUNS = [
     # no bundled table row reaches that far
     (["check", "custom", "--q", "3", "--x0", "2147483648", "--x",
       "2147500000"], 0),
+    # three sieve blocks: rank 0 hands the row on after turn 0, and carries
+    # its offsets two blocks on and takes the row back for turn 2
+    (["check", "custom", "--q", "3", "--x0", "1000000", "--x", "9000000"],
+     0),
 ]
 
 SCRIPT = r"""
@@ -57,6 +63,11 @@ def profile(frame, event, arg):
         entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 sys.setprofile(profile)
 import apbounds.cli
+usable_cpus = apbounds.ring.usable_cpus
+def two_cpus():
+    usable_cpus()  # reached as in any run
+    return 2
+apbounds.ring.usable_cpus = two_cpus
 runs, out, dump = json.loads(sys.argv[1]), sys.argv[2], sys.argv[3]
 codes = []
 for argv in runs:

@@ -1,6 +1,8 @@
 """Unit tests for the segmented sieve and the segmented totient sieve."""
 from __future__ import annotations
 
+import contextlib
+import copy
 import math
 
 import numpy as np
@@ -134,11 +136,27 @@ def test_segments_match_byte_sieve_past_two_periods():
 
 def test_primes_between_matches_byte_sieve_for_every_hi():
     # the base primes of [0, hi] are primes_between(2, isqrt(hi)): every hi
-    # up to 2000 steps across each p^2 boundary of that recursion (17^2 to
-    # 43^2 past the pre-struck primes) and through its empty base cases
-    ref = byte_primes(0, 2000)
-    for hi in range(2001):
+    # up to 2000 steps through the empty base cases of that recursion and
+    # past each pattern prime 7..83, and the hi around 89^2, 97^2 and
+    # 101^2 step across the first p^2 boundaries past the patterns
+    ref = byte_primes(0, 101**2 + 40)
+    his = list(range(2001)) + [p * p + d for p in (89, 97, 101)
+                               for d in range(-40, 41)]
+    for hi in his:
         assert primes_between(0, hi).tolist() == [p for p in ref if p <= hi], hi
+
+
+def test_segments_restore_the_pattern_primes():
+    # the periodic patterns strike 7..83 themselves, and the first block
+    # of a range from lo <= 83 (base 0, 30 or 60) restores those at or
+    # past lo; every lo up to 100 and ends on either side of each of them
+    ref = byte_primes(0, 400)
+    for lo in range(101):
+        for hi in sorted({lo, lo + 1, lo + 6, lo + 29, lo + 30, lo + 61,
+                          90, 100, 400}):
+            if hi >= lo:
+                assert _segments_checked(lo, hi) == \
+                    [p for p in ref if lo <= p <= hi], (lo, hi)
 
 
 @pytest.mark.parametrize("anchor", [0, 10**6, 10**9])
@@ -192,7 +210,7 @@ def test_segments_match_window_oracle_at_large_x(lo):
 @pytest.mark.parametrize("chunk", [8, 24])
 def test_chunked_progressions_match_window_oracle(monkeypatch, chunk):
     # progressions go to `_rounds` in chunks; with chunks of one or three
-    # primes the dense progressions (primes 17..233 at SEG = 15015) span
+    # primes the dense progressions (primes 89..233 at SEG = 15015) span
     # many chunks, and both carry paths (steps below and at least the
     # block) occur.  Each block still strikes exactly the sparse ones in
     # rounds.
@@ -211,7 +229,7 @@ def test_chunked_progressions_match_window_oracle(monkeypatch, chunk):
     lo = 10**10 + 7
     hi = lo + 30 * sieve.SEG + 4321
     assert _segments_checked(lo, hi) == window_primes(lo, hi).tolist()
-    sieving = byte_primes(17, math.isqrt(hi))
+    sieving = byte_primes(89, math.isqrt(hi))
     sizes = sorted({size for size, _ in calls}, reverse=True)
     assert sizes[0] == 8 * sieve.SEG and len(sizes) == 2
     for size in sizes:
@@ -276,9 +294,10 @@ def test_sparse_threshold_follows_seg(monkeypatch, seg, lo, hi):
     # a block of `size` entries strikes the progressions of the primes
     # from size >> 9 on (at most 64 strikes each) in rounds, the rest by
     # one slice each: SEG >> 6 in a full block, so at SEG = 7 every
-    # sieving prime takes the rounds, at 15015 the primes 17..233 take
+    # sieving prime takes the rounds, at 15015 the primes 89..233 take
     # slices, at the default 2^17 the primes below 2048; a short block
-    # moves the split down
+    # moves the split down.  The primes up to 83 are struck by the
+    # periodic patterns, so sieving starts at 89
     if seg is not None:
         monkeypatch.setattr(sieve, "SEG", seg)
     calls = []
@@ -293,7 +312,7 @@ def test_sparse_threshold_follows_seg(monkeypatch, seg, lo, hi):
     monkeypatch.setattr(sieve, "primes_between", lambda lo, hi: np.array(
         byte_primes(lo, hi), dtype=np.int64))
     assert _segments_checked(lo, hi) == window_primes(lo, hi).tolist()
-    sieving = byte_primes(17, math.isqrt(hi))
+    sieving = byte_primes(89, math.isqrt(hi))
     assert sieving[-1] >= sieve.SEG >> 6
     # 8 progressions per prime (one per class of the multiplier mod 30),
     # all in one chunk here, so one call per block
@@ -520,3 +539,54 @@ def test_phi_at_sieves_only_the_passes_it_needs(monkeypatch, span):
 def test_phi_at_refuses_out_of_range(bad):
     with pytest.raises(ValueError):
         phi_at(bad)
+
+
+def _strided(lo: int, hi: int, ranks: int) -> dict[int, list[int]]:
+    """Each block's primes as the `ranks` ranks of a scan ring strike them:
+    rank r walks its own copy of one `Blocks`, made ready once, over the
+    blocks t = r (mod ranks)."""
+    plan = sieve.Blocks(lo, hi)
+    plan.ready()
+    got: dict[int, list[int]] = {}
+    for r in range(ranks):
+        now = []
+
+        @contextlib.contextmanager
+        def turn(t):
+            now.append(t)
+            yield
+
+        for seg in copy.deepcopy(plan).walk(r, ranks, turn):
+            got.setdefault(now[-1], []).extend(seg.tolist())
+        assert now == list(range(r, plan.turns, ranks))
+    return got
+
+
+@pytest.mark.parametrize("lo,blocks,seg", [
+    (10**9 + 7, 5, None), (10**11 + 13, 4, None),
+    (2, 7, 1001), (29, 5, 1001), (61, 8, 1001), (83, 3, 15015)])
+@pytest.mark.parametrize("ranks", [2, 3])
+def test_strided_blocks_give_the_serial_primes(monkeypatch, lo, blocks, seg,
+                                               ranks):
+    # ranks strike their blocks from offsets made once and carried on by
+    # `ranks` blocks a turn: together they give the serial stream, block by
+    # block, at large x, from lo < 30 and lo <= 83 (the pattern primes),
+    # and for block counts that are not a multiple of the ranks
+    if seg is not None:
+        monkeypatch.setattr(sieve, "SEG", seg)
+    base = lo - lo % 30
+    hi = base + 30 * sieve.SEG * (blocks - 1) + 30 * sieve.SEG // 3
+    assert sieve.Blocks(lo, hi).turns == blocks
+    got = _strided(lo, hi, ranks)
+    assert sorted(got) == list(range(blocks))
+    flat = [p for t in range(blocks) for p in got[t]]
+    assert flat == _segments_checked(lo, hi)
+    if lo < 10**9:
+        assert flat == byte_primes(lo, hi)
+    else:
+        assert [p for p in flat if p <= lo + 50_000] == \
+            window_primes(lo, lo + 50_000).tolist()
+    # each block's primes lie in its own span of 30 SEG integers
+    for t, ps in got.items():
+        assert all(base + 30 * sieve.SEG * t <= p
+                   < base + 30 * sieve.SEG * (t + 1) for p in (ps[0], ps[-1]))
